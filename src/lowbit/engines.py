@@ -9,17 +9,23 @@ the rounding error already committed.
   explicitly and shrinks it one coordinate at a time with the rank-one
   removal rule. Quadratic-memory, used to validate the factor route.
 * ``gptq`` - the production route: one upper-triangular factor T of the
-  inverse (T^T T = H^(-1)) drives all compensation; updates inside a block
-  are applied eagerly, updates past the block boundary are batched.
+  inverse (T^T T = H^(-1)) drives all compensation. Inside a block the
+  updates are lazy: each column is read from the block's starting slab
+  plus the errors committed so far in the block, and the slab is written
+  once at block end; updates past the block boundary are batched.
 * ``foem`` - gptq plus a first-order correction: compensation drags the
   latent weights away from the originals, so a drift-proportional gradient
   estimate beta * (W - W_orig) is folded into each update through the
-  trailing inverse recovered from T. The sign of the correction is
-  configurable ("minus" descends the modeled loss and is the default;
-  "plus" is the additive variant kept for ablation).
+  trailing inverse recovered from T. It runs in gptq's lazy block: the
+  in-block drift correction is carried in b x b factors that depend only
+  on T, so it adds no per-column work proportional to d_out * b^2. The
+  sign of the correction is configurable ("minus" descends the modeled
+  loss and is the default; "plus" is the additive variant kept for
+  ablation).
 * ``foem_plus`` - foem plus an input-covariance cross term
   outer(w_col, H[col, col+1:] @ trailing_inverse) added to the remaining
-  columns at every step. Applied eagerly (no lazy batching); experimental.
+  columns at every step. Runs the public step helpers eagerly (no lazy
+  batching); experimental.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -100,8 +106,8 @@ class EngineConfig:
     """Everything an engine run depends on besides the data itself.
 
     ``beta`` scales latent drift into gradient space for the first-order
-    engines; ``block_size`` bounds how many columns receive eager updates
-    before the batched boundary update fires. Fields that do not apply to
+    engines; ``block_size`` is the width of the lazy in-block batch before
+    the batched boundary update fires. Fields that do not apply to
     the selected engine are ignored.
     """
 
@@ -248,8 +254,9 @@ def gptq_column_step(
 
     Quantizes column ``col`` for every row, writes the dequantized values
     into the latent column, and propagates -err * T[col, col+1:] into all
-    remaining columns. The blocked driver applies the same arithmetic with
-    block-local slices; this form exists for oracle tests and diagnostics.
+    remaining columns. The blocked driver reaches the same result through
+    lazy block-local updates; this form exists for oracle tests and
+    diagnostics.
     """
     T = factor.matrix
     source = bundle.weights if scale_source == "latent" else bundle.original
@@ -357,50 +364,145 @@ def foem_plus_term(
     return np.outer(bundle.weights[:, col], row)
 
 
+def _lazy_block_plan(
+    Tb: np.ndarray, c: float, windows: dict[int, int]
+) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Coefficients of the lazy in-block update for one block.
+
+    The eager step for local column r of a block of width b is
+
+        D[:, r:] <- D[:, r:] (I + c M_r) - err_r t_r,
+
+    with D the slab's drift from the originals, c = sign * beta,
+    M_r = T_r^T T_r for T_r = Tb[r:, r:] and t_r = Tb[r, r:]. Unrolled, the
+    drift after any number of steps is D0 (I + A) + E N, with D0 the drift
+    at block start, E the errors committed so far, and the b x b factors A
+    and N depending only on Tb and c, never on the data. This returns them
+    stacked as F = [A; N] (2b x b):
+
+    * ``read``: column r holds F's column r at the start of step r, which
+      is what quantizing column r sees;
+    * ``end``: F after the last step, which gives the final slab;
+    * ``snaps[r]``: F[:, r:windows[r]] at the start of step r, for each
+      step r in ``windows``.
+
+    Each step costs O(b * k^2) flops with k = b - r. With c = 0 A stays
+    zero and N is -Tb, row by row.
+    """
+    b = Tb.shape[0]
+    F = np.zeros((2 * b, b))
+    read = np.empty_like(F)
+    snaps = {}
+    if c != 0.0:
+        M = Tb.T @ Tb
+    for r in range(b):
+        if r in windows:
+            snaps[r] = F[:, r : windows[r]].copy()
+        read[:, r] = F[:, r]
+        if c != 0.0:
+            F[: b + r, r:] += c * (F[: b + r, r:] @ M)
+            F[r:b, r:] += c * M
+            M = M[1:, 1:] - np.outer(Tb[r, r + 1 :], Tb[r, r + 1 :])
+        F[b + r, r:] = -Tb[r, r:]
+    return read, F, snaps
+
+
 def _run_blocked(
     bundle: LayerBundle,
     factor: InvCholFactor,
     grid: QuantGrid,
     config: EngineConfig,
-    plus_hessian: np.ndarray | None,
 ) -> tuple[np.ndarray, ScaleBook]:
-    """Blocked driver shared by gptq, foem, and foem_plus."""
+    """Lazy blocked driver shared by gptq and foem.
+
+    Block [i, e) is quantized from its slab at block start: column r is
+    slab0[:, r] + D0 A[:, r] + E N[:, r] with the coefficients of
+    ``_lazy_block_plan``, so a column costs one product over the errors
+    committed so far in the block, and the drift term of every column comes
+    from one block-level product. The slab is written back once, before the
+    batched boundary update of the trailing columns. For c = 0 (gptq, or
+    foem with beta = 0) this is gptq's lazy batch, so foem with beta = 0
+    runs gptq's arithmetic.
+
+    A scale group that starts inside a block is fitted from the latent
+    weights, so with ``scale_source="latent"`` its columns in the block are
+    written back to ``bundle.weights`` before the group is fitted.
+    """
     T = factor.matrix
-    d_out, d_in = bundle.weights.shape
-    first_order = config.engine in ("foem", "foem_plus")
-    beta = config.beta if first_order else 0.0
+    W, O = bundle.weights, bundle.original
+    d_out, d_in = W.shape
+    beta = config.beta if config.engine == "foem" else 0.0
     sign = config.sign_factor()
-    source = bundle.weights if config.scale_source == "latent" else bundle.original
+    c = sign * beta
+    latent = config.scale_source == "latent"
+    source = W if latent else O
     book = ScaleBook(grid, d_out, d_in)
     codes = np.zeros((d_out, d_in), dtype=np.int64)
     B = config.block_size
-    W = bundle.weights
+    for i in range(0, d_in, B):
+        e = min(i + B, d_in)
+        b = e - i
+        Tb = T[i:e, i:e]
+        # scale groups that start inside the block, as local column windows
+        gs = book.group_size
+        fits = {r: min(r + gs, b) for r in range(1, b) if (i + r) % gs == 0} if latent else {}
+        read, end, snaps = _lazy_block_plan(Tb, c, fits)
+        slab0 = W[:, i:e].copy()
+        # G = [D0 | E]: the slab at any step is slab0 + G @ F
+        G = np.zeros((d_out, 2 * b))
+        base = slab0
+        if c != 0.0:
+            np.subtract(slab0, O[:, i:e], out=G[:, :b])
+            base = slab0 + G[:, :b] @ read[:b]
+        errs = G[:, b:]
+        for r in range(b):
+            j = i + r
+            if r in snaps:
+                stop = fits[r]
+                W[:, j : i + stop] = slab0[:, r:stop] + G[:, : b + r] @ snaps[r][: b + r]
+            book.ensure_group(j, source)
+            w = errs[:, :r] @ read[b : b + r, r]
+            w += base[:, r]
+            codes[:, j], deq = quantize_values(w, book.column_params(j), grid)
+            np.subtract(w, deq, out=errs[:, r])
+            errs[:, r] /= Tb[r, r]
+        W[:, i:e] = slab0 + G @ end
+        foem_block_boundary(bundle, factor, errs, i, e, beta, sign)
+    return codes, book
+
+
+def _run_foem_plus(
+    bundle: LayerBundle,
+    factor: InvCholFactor,
+    hessian: np.ndarray,
+    grid: QuantGrid,
+    config: EngineConfig,
+) -> tuple[np.ndarray, ScaleBook]:
+    """Eager driver for foem_plus, composed from the public step helpers.
+
+    Each column adds the covariance cross term, evaluated before the step,
+    to every remaining column on top of the in-block foem step.
+    """
+    T = factor.matrix
+    d_out, d_in = bundle.weights.shape
+    sign = config.sign_factor()
+    book = ScaleBook(grid, d_out, d_in)
+    codes = np.zeros((d_out, d_in), dtype=np.int64)
+    B = config.block_size
     for i in range(0, d_in, B):
         e = min(i + B, d_in)
         errs = np.empty((d_out, e - i), dtype=np.float64)
         for j in range(i, e):
-            book.ensure_group(j, source)
-            gs = book.column_params(j)
-            w = W[:, j]
-            if plus_hessian is not None and j < d_in - 1:
-                cross = foem_plus_term(bundle, plus_hessian, factor, j)
-            else:
-                cross = None
-            col_codes, deq = quantize_values(w, gs, grid)
-            err = (w - deq) / T[j, j]
-            # combined update: drift correction and error propagation are
-            # both evaluated from the latent state at the start of the step
-            if beta != 0.0:
-                t_sub = T[j:e, j:e]
-                m_sub = t_sub.T @ t_sub
-                drift = W[:, j:e] - bundle.original[:, j:e]
-                W[:, j:e] += (sign * beta) * (drift @ m_sub)
-            W[:, j:e] -= err[:, None] * T[j, j:e][None, :]
+            w = bundle.weights[:, j].copy()
+            cross = foem_plus_term(bundle, hessian, factor, j) if j < d_in - 1 else None
+            step = foem_column_step(
+                bundle, factor, grid, j, e, book, config.beta, sign, config.scale_source
+            )
             if cross is not None:
-                W[:, j + 1 :] += cross
-            errs[:, j - i] = err
-            codes[:, j] = col_codes
-        foem_block_boundary(bundle, factor, errs, i, e, beta, sign)
+                bundle.weights[:, j + 1 :] += cross
+            errs[:, j - i] = (w - step.deq_col) / T[j, j]
+            codes[:, j] = step.q_col
+        foem_block_boundary(bundle, factor, errs, i, e, config.beta, sign)
     return codes, book
 
 
@@ -471,8 +573,10 @@ def run_engine(
             codes, book = _run_oracle(bundle, damped, grid, config)
         else:
             factor = inverse_cholesky(damped)
-            plus_H = damped.matrix if config.engine == "foem_plus" else None
-            codes, book = _run_blocked(bundle, factor, grid, config, plus_H)
+            if config.engine == "foem_plus":
+                codes, book = _run_foem_plus(bundle, factor, damped.matrix, grid, config)
+            else:
+                codes, book = _run_blocked(bundle, factor, grid, config)
         first_order = config.engine in ("foem", "foem_plus")
         quantized = QuantizedLayer(
             codes=codes.astype(np.int32),

@@ -7,11 +7,15 @@ engines and their oracle tests rely on.
 
 Conventions fixed here:
 
-* H is accumulated without the conventional factor 2; every compensation
-  formula downstream is invariant to positive rescaling of H, so the
-  constant would be dead weight.
-* Only the upper triangle of H is stored; the symmetric matrix is mirrored
-  on read, so symmetry is exact by construction.
+* H is accumulated without the conventional factor 2. The second-order
+  compensation (gptq, the dense oracle) is invariant to positive rescaling
+  of H, so the constant would be dead weight there. The first-order term of
+  foem is not: it multiplies the drift by slices of the inverse factor, so
+  scaling H by c scales that term by 1/c, and ``beta`` is calibrated
+  against H without the factor 2.
+* The upper triangle of every accumulated block is mirrored into the lower
+  one once, when it is added, so the stored H is exactly symmetric and a
+  read returns it without copying.
 * The inverse factor is kept upper-triangular: ``T`` satisfies
   T^T T = (H + damping * I)^(-1) with strictly positive diagonal. The
   transpose convention matters: trailing principal submatrices of T then
@@ -49,31 +53,32 @@ class HessianState:
     def __init__(self, dim: int):
         if dim < 0:
             raise ValueError("dim must be non-negative")
-        self._upper = np.zeros((dim, dim), dtype=np.float64)
+        self._h = np.zeros((dim, dim), dtype=np.float64)
         self.n_samples = 0
         self.damped = False
         self.damping = 0.0
 
     @property
     def dim(self) -> int:
-        return self._upper.shape[0]
+        return self._h.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense symmetric H, mirrored from the stored upper triangle."""
-        upper = np.triu(self._upper)
-        return upper + np.triu(upper, 1).T
+        """Dense symmetric H as a read-only view of the stored matrix."""
+        view = self._h.view()
+        view.flags.writeable = False
+        return view
 
     def mean_diagonal(self) -> float:
         if self.dim == 0:
             return 0.0
-        return float(np.diagonal(self._upper).mean())
+        return float(np.diagonal(self._h).mean())
 
     def accumulate(self, X: np.ndarray) -> "HessianState":
         """Add X X^T for a (dim x n_tokens) activation block; returns self.
 
         Refused after damping: the damped matrix is a derived artifact, not
-        a running sum.
+        a running sum. Non-finite activations raise NumericalError.
         """
         if self.damped:
             raise NumericalError("cannot accumulate into a damped Hessian")
@@ -82,7 +87,9 @@ class HessianState:
             raise NumericalError(
                 f"activation block must be ({self.dim} x n_tokens), got {X.shape}"
             )
-        self._upper += np.triu(X @ X.T)
+        if not np.isfinite(X).all():
+            raise NumericalError("activation block contains non-finite values")
+        self._h += _mirrored_upper(X @ X.T)
         self.n_samples += X.shape[1]
         return self
 
@@ -101,8 +108,8 @@ class HessianState:
                 stacklevel=2,
             )
         out = HessianState(self.dim)
-        out._upper = self._upper.copy()
-        out._upper[np.diag_indices(self.dim)] += lam
+        out._h = self._h.copy()
+        out._h[np.diag_indices(self.dim)] += lam
         out.n_samples = self.n_samples
         out.damped = True
         out.damping = lam
@@ -112,16 +119,28 @@ class HessianState:
     def from_matrix(
         cls, H: np.ndarray, n_samples: int, damped: bool = False, damping: float = 0.0
     ) -> "HessianState":
-        """Wrap a precomputed symmetric matrix (upper triangle is trusted)."""
+        """Wrap a precomputed symmetric matrix (upper triangle is trusted).
+
+        Raises NumericalError if the matrix has non-finite entries.
+        """
         H = np.asarray(H, dtype=np.float64)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise NumericalError(f"Hessian must be square, got {H.shape}")
+        if not np.isfinite(H).all():
+            raise NumericalError("Hessian contains non-finite values")
         out = cls(H.shape[0])
-        out._upper = np.triu(H).copy()
+        out._h = _mirrored_upper(H)
         out.n_samples = int(n_samples)
         out.damped = damped
         out.damping = damping
         return out
+
+
+def _mirrored_upper(M: np.ndarray) -> np.ndarray:
+    """New array holding the upper triangle of ``M`` mirrored into the lower."""
+    out = np.triu(M)
+    out += np.triu(out, 1).T
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,7 +174,7 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     if d == 0:
         return InvCholFactor(np.zeros((0, 0), dtype=np.float64))
     H = state.matrix
-    rev = np.ascontiguousarray(H[::-1, ::-1])
+    rev = H[::-1, ::-1].copy()
     c, info = lapack.dpotrf(rev, lower=1, overwrite_a=1)
     if info > 0:
         # leading minor k of the reversed matrix is the trailing block that

@@ -102,6 +102,19 @@ class TestCalibrate:
         )
         assert rc == 2
 
+    def test_non_finite_activation_shard_exits_3(self, workspace, rng, capsys):
+        x = rng.standard_normal((12, 8))
+        x[3, 5] = np.nan
+        save_tensors(workspace["dir"] / "acts.st", {"blk0.fc.input": x})
+        rc = run_cli(
+            "calibrate", "--weights", workspace["weights"], "--layers", "blk0.fc",
+            "--activations", workspace["dir"] / "acts.st",
+            "--out", workspace["dir"] / "x",
+        )
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (workspace["dir"] / "x" / "blk0.fc.hessian.safetensors").exists()
+
 
 @pytest.fixture
 def calibrated(workspace):
@@ -224,6 +237,22 @@ class TestQuantize:
             *quantize_args(ws, ws["dir"] / "x", hes, **{"--damp-ratio": "0"})
         )
         assert rc == 3
+
+    def test_non_finite_hessian_file_exits_3(self, workspace, capsys):
+        ws = workspace
+        hes = ws["dir"] / "nan_hessians"
+        hes.mkdir()
+        for layer, arr in ws["arrays"].items():
+            name = layer[: -len(".weight")]
+            h = np.eye(arr.shape[1])
+            h[0, 1] = np.nan
+            save_tensors(
+                hes / f"{name}.hessian.safetensors",
+                {"hessian": h},
+                metadata={"n_samples": "1"},
+            )
+        assert run_cli(*quantize_args(ws, ws["dir"] / "x", hes)) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_default_engine_on_128_layer_beats_rtn(self, tmp_path, rng):
         # one correlated 128x128 layer at 3-bit under the default engine:

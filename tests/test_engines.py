@@ -414,6 +414,110 @@ class TestRunEngine:
             bundle.original[0, 0] = 1.0
 
 
+def _eager_reference(W, hess, config):
+    """Column-at-a-time reference for ``run_engine`` on gptq and foem.
+
+    Drives ``foem_column_step`` over each block (beta = 0 for gptq, which is
+    exactly the blocked gptq step) and ``foem_block_boundary`` at each block
+    end, updating the whole slab at every column. Returns codes, the scale
+    book and the latent weights.
+    """
+    factor = inverse_cholesky(hess.dampen(config.damp_ratio))
+    T = factor.matrix
+    grid = config.grid()
+    bundle = LayerBundle(W)
+    d_out, d_in = bundle.weights.shape
+    beta = config.beta if config.engine == "foem" else 0.0
+    sign = config.sign_factor()
+    book = ScaleBook(grid, d_out, d_in)
+    codes = np.zeros((d_out, d_in), dtype=np.int64)
+    for i in range(0, d_in, config.block_size):
+        e = min(i + config.block_size, d_in)
+        errs = np.empty((d_out, e - i))
+        for j in range(i, e):
+            w = bundle.weights[:, j].copy()
+            step = foem_column_step(
+                bundle, factor, grid, j, e, book, beta, sign, config.scale_source
+            )
+            errs[:, j - i] = (w - step.deq_col) / T[j, j]
+            codes[:, j] = step.q_col
+        foem_block_boundary(bundle, factor, errs, i, e, beta, sign)
+    return codes, book, bundle.weights
+
+
+class TestLazyBlockDriver:
+    """The lazy blocked driver against the eager column-step reference."""
+
+    VARIANTS = [
+        dict(engine="gptq"),
+        dict(engine="gptq", symmetric=False, scale_source="original"),
+        dict(engine="foem", beta=0.0),
+        dict(engine="foem", beta=3e-4),
+        dict(engine="foem", beta=3e-4, symmetric=False, first_order_sign="plus"),
+        dict(engine="foem", beta=3e-3, scale_source="original", first_order_sign="plus"),
+        dict(engine="foem", beta=3e-3, symmetric=False),
+    ]
+
+    @pytest.mark.parametrize("group_size", [32, 200, None])
+    @pytest.mark.parametrize("block_size", [1, 7, 128])
+    def test_matches_eager_reference(self, group_size, block_size):
+        # d_in = 300 puts scale groups of 32 and 200 mid-block for every
+        # block size above 1, and leaves a ragged last block
+        d_out, d_in = 20, 300
+        hess = token_hessian(d_in, 600, 0.9, 40)
+        W = np.random.default_rng(41).standard_normal((d_out, d_in))
+        for variant in self.VARIANTS:
+            config = EngineConfig(
+                bits=3, group_size=group_size, block_size=block_size, **variant
+            )
+            bundle = LayerBundle(W)
+            q, _ = run_engine(bundle, hess, config)
+            codes, book, latent = _eager_reference(W, hess, config)
+            assert np.array_equal(q.codes, codes), variant
+            assert np.array_equal(q.zero_points, book.zero_points), variant
+            np.testing.assert_allclose(q.scales, book.scales, rtol=1e-12, atol=0)
+            gap = np.abs(bundle.weights - latent).max()
+            assert gap <= 1e-9 * np.abs(latent).max(), (variant, gap)
+
+    def test_unblocked_gptq_step_agrees_with_original_scales(self, rng):
+        # with scales from the originals, block structure cannot move a
+        # group fit, so the unblocked reference step gives the same codes
+        d = 96
+        hess = token_hessian(d, 384, 0.9, 42)
+        W = rng.standard_normal((12, d))
+        config = EngineConfig(
+            engine="gptq", bits=3, group_size=40, block_size=32, scale_source="original"
+        )
+        q, _ = run_engine(LayerBundle(W), hess, config)
+        factor = inverse_cholesky(hess.dampen(config.damp_ratio))
+        grid = config.grid()
+        bundle = LayerBundle(W)
+        book = ScaleBook(grid, 12, d)
+        codes = np.stack(
+            [gptq_column_step(bundle, factor, grid, j, book, "original").q_col for j in range(d)],
+            axis=1,
+        )
+        assert np.array_equal(q.codes, codes)
+
+    def test_foem_plus_on_diagonal_hessian_gives_foem_codes(self, rng):
+        # a diagonal H has no off-diagonal covariance, so the cross term is
+        # exactly zero and foem_plus must reproduce foem
+        d = 40
+        hess = HessianState.from_matrix(np.diag(rng.uniform(0.5, 2.0, d)), 64)
+        W = rng.standard_normal((10, d))
+        runs = {}
+        for engine in ("foem", "foem_plus"):
+            bundle = LayerBundle(W)
+            q, _ = run_engine(
+                bundle, hess, EngineConfig(engine=engine, bits=3, group_size=16, block_size=8)
+            )
+            runs[engine] = (q, bundle.weights)
+        (q_f, w_f), (q_p, w_p) = runs["foem"], runs["foem_plus"]
+        assert np.array_equal(q_p.codes, q_f.codes)
+        assert np.array_equal(q_p.scales, q_f.scales)
+        np.testing.assert_allclose(w_p, w_f, rtol=0, atol=1e-12)
+
+
 class TestScaleInvariance:
     """Positive rescaling of H drops out of every factor-route update."""
 

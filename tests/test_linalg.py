@@ -52,6 +52,34 @@ class TestAccumulate:
         m = HessianState(16).accumulate(rng.standard_normal((16, 64))).matrix
         assert np.array_equal(m, m.T)
 
+    def test_matrix_is_read_only_and_mirrors_upper_triangle(self, rng):
+        A = rng.standard_normal((6, 6))  # deliberately not symmetric
+        m = HessianState.from_matrix(A, 1).matrix
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(m, np.triu(A) + np.triu(A, 1).T)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 1] = 1.0
+        acc = HessianState(6).accumulate(rng.standard_normal((6, 10)))
+        with pytest.raises(ValueError, match="read-only"):
+            acc.matrix[2, 2] += 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_activations_rejected(self, rng, bad):
+        X = rng.standard_normal((4, 5))
+        X[1, 2] = bad
+        state = HessianState(4)
+        with pytest.raises(NumericalError, match="non-finite"):
+            state.accumulate(X)
+        assert state.n_samples == 0
+        assert np.array_equal(state.matrix, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        H = np.eye(3)
+        H[2, 0] = bad  # outside the trusted upper triangle, still refused
+        with pytest.raises(NumericalError, match="non-finite"):
+            HessianState.from_matrix(H, 1)
+
     def test_dimension_mismatch(self):
         with pytest.raises(NumericalError, match="n_tokens"):
             HessianState(3).accumulate(np.zeros((2, 5)))
