@@ -18,10 +18,14 @@ the rounding error already committed.
   estimate beta * (W - W_orig) is folded into each update through the
   trailing inverse recovered from T. It runs in gptq's lazy block: the
   in-block drift correction is carried in b x b factors that depend only
-  on T, so it adds no per-column work proportional to d_out * b^2. The
-  sign of the correction is configurable ("minus" descends the modeled
-  loss and is the default; "plus" is the additive variant kept for
-  ablation).
+  on T, so it adds no per-column work proportional to d_out * b^2. Across
+  blocks the drift is linear in the errors committed so far, so while the
+  block start i is below d_out its first-order part is carried in a
+  coefficient matrix over the committed columns, and a block boundary costs
+  4 * min(i, d_out) * n_t^2 flops for n_t trailing columns instead of
+  4 * d_out * n_t^2. The sign of the correction is configurable ("minus"
+  descends the modeled loss and is the default; "plus" is the additive
+  variant kept for ablation).
 * ``foem_plus`` - foem plus an input-covariance cross term
   outer(w_col, H[col, col+1:] @ trailing_inverse) added to the remaining
   columns at every step. Runs the public step helpers eagerly (no lazy
@@ -328,6 +332,10 @@ def foem_block_boundary(
     against the trailing inverse T_t^T T_t, both evaluated from the latent
     state before this boundary fires. The trailing correction runs as two
     back-to-back products so the trailing inverse is never materialized.
+
+    The blocked driver passes beta = 0 while it carries the first-order
+    term in its coefficient matrix (block starts below d_out), so only the
+    cross-block term touches the data there; later boundaries get beta.
     """
     T = factor.matrix
     d_in = bundle.d_in
@@ -424,9 +432,23 @@ def _run_blocked(
     foem with beta = 0) this is gptq's lazy batch, so foem with beta = 0
     runs gptq's arithmetic.
 
+    For c != 0 the bundle starts undrifted (``run_engine`` checks it), so
+    every drift is linear in the scaled errors E committed so far. While i < d_out the boundary's
+    first-order term is carried in a coefficient matrix Q instead of the
+    data: ``bundle.weights`` holds only gptq's cross-block term, and the
+    full latent value of an unprocessed column m is
+    W[:, m] + E[:, :i] @ Q[:i, m]. Each block adds that term to its slab
+    when it starts; each boundary updates
+    Q[:i, t] += c * (Q - T)[:i, t] T_tt^T T_tt, which costs 4 i n_t^2 flops
+    instead of 4 d_out n_t^2. Once i reaches d_out the data is the smaller
+    form: Q is folded into the trailing weights once and the remaining
+    boundaries run ``foem_block_boundary`` with beta in data space.
+
     A scale group that starts inside a block is fitted from the latent
     weights, so with ``scale_source="latent"`` its columns in the block are
-    written back to ``bundle.weights`` before the group is fitted.
+    written back to ``bundle.weights`` before the group is fitted; columns
+    past the block end get their pending first-order term for the fit
+    only.
     """
     T = factor.matrix
     W, O = bundle.weights, bundle.original
@@ -437,14 +459,24 @@ def _run_blocked(
     latent = config.scale_source == "latent"
     source = W if latent else O
     book = ScaleBook(grid, d_out, d_in)
+    gs = book.group_size
     codes = np.zeros((d_out, d_in), dtype=np.int64)
     B = config.block_size
+    coef = c != 0.0
+    if coef:
+        E = np.zeros((d_out, d_in))
+        Q = np.zeros((min(d_out, d_in), d_in))
     for i in range(0, d_in, B):
         e = min(i + B, d_in)
         b = e - i
         Tb = T[i:e, i:e]
+        if coef and i >= d_out:
+            # fold Q into the data once; here Q has d_out rows, all it uses
+            W[:, i:] += E[:, :d_out] @ Q[:, i:]
+            coef, E, Q = False, None, None
+        if coef:
+            W[:, i:e] += E[:, :i] @ Q[:i, i:e]
         # scale groups that start inside the block, as local column windows
-        gs = book.group_size
         fits = {r: min(r + gs, b) for r in range(1, b) if (i + r) % gs == 0} if latent else {}
         read, end, snaps = _lazy_block_plan(Tb, c, fits)
         slab0 = W[:, i:e].copy()
@@ -460,6 +492,13 @@ def _run_blocked(
             if r in snaps:
                 stop = fits[r]
                 W[:, j : i + stop] = slab0[:, r:stop] + G[:, : b + r] @ snaps[r][: b + r]
+            hi = min(j + gs, d_in)
+            if coef and latent and j % gs == 0 and hi > e:
+                # fit with the pending first-order term past e, not stored
+                held = W[:, e:hi].copy()
+                W[:, e:hi] += E[:, :i] @ Q[:i, e:hi]
+                book.ensure_group(j, source)
+                W[:, e:hi] = held
             book.ensure_group(j, source)
             w = errs[:, :r] @ read[b : b + r, r]
             w += base[:, r]
@@ -467,7 +506,11 @@ def _run_blocked(
             np.subtract(w, deq, out=errs[:, r])
             errs[:, r] /= Tb[r, r]
         W[:, i:e] = slab0 + G @ end
-        foem_block_boundary(bundle, factor, errs, i, e, beta, sign)
+        foem_block_boundary(bundle, factor, errs, i, e, 0.0 if coef else beta, sign)
+        if coef:
+            E[:, i:e] = errs
+            t_tt = T[e:, e:]
+            Q[:i, e:] += c * (((Q[:i, e:] - T[:i, e:]) @ t_tt.T) @ t_tt)
     return codes, book
 
 
@@ -543,7 +586,9 @@ def run_engine(
 
     ``hessian`` must be the accumulated (undamped) state: damping is applied
     internally for factorization while the undamped matrix prices the proxy
-    loss in the report. The bundle's latent weights are consumed in place.
+    loss in the report. The bundle must be undrifted (weights equal to the
+    originals); its latent weights are consumed in place, so a bundle runs
+    once.
     """
     config.validate()
     if not np.isfinite(bundle.weights).all():
@@ -554,6 +599,8 @@ def run_engine(
         )
     if hessian.damped:
         raise NumericalError("run_engine expects the undamped Hessian state")
+    if not np.array_equal(bundle.weights, bundle.original):
+        raise NumericalError("run_engine expects an undrifted bundle (weights equal to original)")
     grid = config.grid()
 
     t0 = time.perf_counter()

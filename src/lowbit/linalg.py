@@ -189,7 +189,11 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     cinv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inversion failed (info={info})")
-    T = np.ascontiguousarray(np.tril(cinv)[::-1, ::-1])
+    # only cinv's lower triangle is the factor; reversed, its other triangle
+    # lands below T's diagonal, so it is zeroed row by row in the one copy
+    T = cinv[::-1, ::-1].copy()
+    for k in range(1, d):
+        T[k, :k] = 0.0
     return InvCholFactor(T)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, token_hessian
+from lowbit import engines
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.engines import (
     EngineConfig,
@@ -387,6 +388,17 @@ class TestRunEngine:
         with pytest.raises(NumericalError, match="undamped"):
             run_engine(LayerBundle(rng.standard_normal((2, 4))), hess, EngineConfig())
 
+    @pytest.mark.parametrize("engine", ["obs_oracle", "gptq", "foem", "foem_plus"])
+    def test_consumed_bundle_rejected(self, rng, engine):
+        # compensation leaves the bundle drifted; the first-order engines'
+        # drift bookkeeping assumes a run starts from the originals
+        hess = token_hessian(6, 24, 0.9, 21)
+        bundle = LayerBundle(rng.standard_normal((3, 6)))
+        config = EngineConfig(engine=engine, bits=3, group_size=None)
+        run_engine(bundle, hess, config)
+        with pytest.raises(NumericalError, match="undrifted"):
+            run_engine(bundle, hess, config)
+
     def test_invalid_config_rejected(self, rng):
         hess = token_hessian(4, 16, 0.9, 20)
         with pytest.raises(ConfigError):
@@ -463,7 +475,37 @@ class TestLazyBlockDriver:
     def test_matches_eager_reference(self, group_size, block_size):
         # d_in = 300 puts scale groups of 32 and 200 mid-block for every
         # block size above 1, and leaves a ragged last block
-        d_out, d_in = 20, 300
+        self._check_against_eager(20, group_size, block_size)
+
+    @pytest.mark.parametrize("d_out", [64, 320])
+    @pytest.mark.parametrize("group_size", [32, 200, None])
+    @pytest.mark.parametrize("block_size", [1, 7, 128])
+    def test_matches_eager_reference_on_taller_layers(self, d_out, group_size, block_size):
+        # foem carries its first-order drift in coefficient form while the
+        # block start is below d_out: d_out = 64 switches to data space
+        # early, d_out = 320 never does, and both fit latent groups that
+        # cross a block end while the coefficients are live
+        self._check_against_eager(d_out, group_size, block_size)
+
+    def test_boundary_takes_the_first_order_term_from_block_start_d_out(self, rng, monkeypatch):
+        # while a block starts below d_out the drift term is carried in
+        # coefficients (beta = 0 at the boundary); from there on the data
+        # form is the smaller one and the boundary applies beta itself
+        calls = []
+        boundary = engines.foem_block_boundary
+
+        def spy(bundle, factor, errs, block_start, block_end, beta, sign=-1.0):
+            calls.append((block_start, beta))
+            boundary(bundle, factor, errs, block_start, block_end, beta, sign)
+
+        monkeypatch.setattr(engines, "foem_block_boundary", spy)
+        hess = token_hessian(100, 200, 0.9, 43)
+        W = rng.standard_normal((30, 100))
+        run_engine(LayerBundle(W), hess, EngineConfig(engine="foem", bits=3, block_size=8))
+        assert calls == [(i, 0.0 if i < 30 else 3e-4) for i in range(0, 100, 8)]
+
+    def _check_against_eager(self, d_out, group_size, block_size):
+        d_in = 300
         hess = token_hessian(d_in, 600, 0.9, 40)
         W = np.random.default_rng(41).standard_normal((d_out, d_in))
         for variant in self.VARIANTS:

@@ -155,6 +155,7 @@ class TestInverseCholesky:
         T = inverse_cholesky(damped).matrix
         assert np.array_equal(T, np.triu(T))
         assert (np.diagonal(T) > 0).all()
+        assert T.flags.c_contiguous
 
     def test_factor_identity_invariant(self):
         for seed in range(4):
