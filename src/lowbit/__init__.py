@@ -5,7 +5,7 @@ matrices. Calibration Hessians are accumulated from layer inputs, and the
 engines quantize column by column while compensating the still-latent
 columns: plain rounding (rtn), a dense second-order reference
 (obs_oracle), the triangular-factor production route (gptq), and a
-first-order drift correction on top of it (foem, foem_plus).
+first-order drift correction on top of it (foem).
 """
 
 from .calib import (
@@ -25,7 +25,6 @@ from .engines import (
     first_order_quant_step,
     foem_block_boundary,
     foem_column_step,
-    foem_plus_term,
     gptq_column_step,
     obc_quant_step,
     obs_prune_step,

@@ -60,6 +60,8 @@ class SyntheticSpec:
             raise ValueError("n_tokens must be >= 1")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _draw_mixing(rng: np.random.Generator, d: int, rho: float) -> np.ndarray:

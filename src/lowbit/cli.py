@@ -16,10 +16,17 @@ import fnmatch
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .calib import SyntheticSpec, activation_entries, generate_synthetic
-from .engines import ENGINES, FIRST_ORDER_SIGNS, EngineConfig, LayerBundle, run_engine
+from .engines import (
+    ENGINES,
+    FIRST_ORDER_SIGNS,
+    SCALE_SOURCES,
+    EngineConfig,
+    LayerBundle,
+    run_engine,
+)
 from .errors import ConfigError, LowbitError, NumericalError, TensorFormatError
 from .linalg import HessianState
 from .report import compare_table
@@ -33,17 +40,7 @@ OUTDIR_ENV = "LOWBIT_OUTDIR"
 HESSIAN_SUFFIX = ".hessian.safetensors"
 QUANTIZED_SUFFIX = ".quantized.safetensors"
 
-_ENGINE_DEFAULTS = {
-    "engine": "foem",
-    "bits": 4,
-    "group_size": 128,
-    "symmetric": True,
-    "block_size": 128,
-    "beta": 3e-4,
-    "damp_ratio": 0.01,
-    "first_order_sign": "minus",
-    "scale_source": "latent",
-}
+_ENGINE_DEFAULTS = EngineConfig(engine="foem").to_dict()
 
 _DEFAULTS = {
     "calibrate": {
@@ -59,7 +56,6 @@ _DEFAULTS = {
         "hessians": None,
         "out": None,
         "layers": [],
-        "jobs": 1,
         **_ENGINE_DEFAULTS,
     },
     "compare": {
@@ -68,7 +64,6 @@ _DEFAULTS = {
         "out": None,
         "layers": [],
         "engines": None,
-        "jobs": 1,
         **_ENGINE_DEFAULTS,
     },
     "verify": {
@@ -112,9 +107,9 @@ def _require(effective: dict, *keys: str) -> None:
 
 def _persist_config(effective: dict, command: str) -> str:
     """Write the full effective config next to the outputs; return the
-    content-determining slice (no output location, no parallelism) that gets
+    content-determining slice (everything but the output location) that gets
     embedded in artifact metadata, so artifact bytes do not depend on where
-    or how parallel the run was."""
+    the run wrote."""
     payload = dict(effective, command=command)
     out = effective["out"]
     os.makedirs(out, exist_ok=True)
@@ -122,7 +117,7 @@ def _persist_config(effective: dict, command: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    content = {k: v for k, v in effective.items() if k not in ("out", "jobs")}
+    content = {k: v for k, v in effective.items() if k != "out"}
     return json.dumps(content, sort_keys=True)
 
 
@@ -141,7 +136,11 @@ def _discover_layers(weights: TensorFile, patterns: list[str]) -> list[str]:
     return layers
 
 
-def _parse_synthetic(text: str) -> dict:
+def _parse_synthetic(text: str) -> SyntheticSpec:
+    """Parse a '--synthetic' spec into a one-channel template; the caller sets
+    each layer's d_in and seed. A malformed or out-of-range value is a
+    ConfigError."""
+    types = {"n_tokens": int, "rho": float, "seed": int}
     spec = {"rho": 0.9, "seed": 0}
     for part in text.split(","):
         part = part.strip()
@@ -151,17 +150,18 @@ def _parse_synthetic(text: str) -> dict:
             raise ConfigError(f"bad synthetic spec fragment {part!r} (expected key=value)")
         key, value = part.split("=", 1)
         key = key.strip()
-        if key == "n_tokens":
-            spec["n_tokens"] = int(value)
-        elif key == "rho":
-            spec["rho"] = float(value)
-        elif key == "seed":
-            spec["seed"] = int(value)
-        else:
+        if key not in types:
             raise ConfigError(f"unknown synthetic spec key {key!r}")
+        try:
+            spec[key] = types[key](value)
+        except ValueError:
+            raise ConfigError(f"bad synthetic spec value {key}={value!r}") from None
     if "n_tokens" not in spec:
         raise ConfigError("synthetic spec needs n_tokens (e.g. 'n_tokens=512,rho=0.9,seed=0')")
-    return spec
+    try:
+        return SyntheticSpec(d_in=1, **spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad synthetic spec: {exc}") from None
 
 
 def _engine_config(effective: dict, engine: str | None = None, sign: str | None = None) -> EngineConfig:
@@ -204,13 +204,6 @@ def _load_hessian(hessians_dir: str, layer: str) -> HessianState:
     return HessianState.from_matrix(tf.load("hessian"), n_samples)
 
 
-def _map_layers(fn, layers: list[str], jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(layer) for layer in layers]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, layers))
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     effective = _merged_config(args, "calibrate")
     _require(effective, "weights", "out")
@@ -239,12 +232,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             for tf, name in entries:
                 state.accumulate(tf.load(name))
         else:
-            spec = SyntheticSpec(
-                d_in=d_in,
-                n_tokens=synth["n_tokens"],
-                rho=synth["rho"],
-                seed=synth["seed"] + idx,
-            )
+            spec = replace(synth, d_in=d_in, seed=synth.seed + idx)
             state.accumulate(generate_synthetic(spec))
         path = os.path.join(effective["out"], layer + HESSIAN_SUFFIX)
         save_tensors(
@@ -270,6 +258,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     layers = _discover_layers(weights, effective["layers"])
     engine_cfg = _engine_config(effective)
 
+    # one call per layer, so a layer's arrays are freed before the next loads
     def one(layer: str):
         hessian = _load_hessian(effective["hessians"], layer)
         bundle = LayerBundle(weights.load(layer + ".weight"))
@@ -282,8 +271,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
             fh.write("\n")
         return rep
 
-    reports = _map_layers(one, layers, int(effective["jobs"]))
-    for rep in reports:
+    for rep in map(one, layers):
         print(
             f"quantized {rep.layer} [{rep.engine}, {rep.bits}-bit]: "
             f"proxy_loss={rep.proxy_loss:.6g} rtn_relative={rep.rtn_relative:.4f} "
@@ -313,11 +301,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             out.append(rep)
         return out
 
-    reports = [
-        rep
-        for per_layer in _map_layers(one, layers, int(effective["jobs"]))
-        for rep in per_layer
-    ]
+    reports = [rep for layer in layers for rep in one(layer)]
     csv_path = os.path.join(effective["out"], "compare.csv")
     json_path = os.path.join(effective["out"], "compare_summary.json")
     _, summary = compare_table(reports, csv_path, json_path)
@@ -383,7 +367,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scale-source",
         dest="scale_source",
-        choices=("latent", "original"),
+        choices=SCALE_SOURCES,
         help="fit group scales from live latent weights or frozen originals",
     )
 
@@ -414,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--hessians", help="directory holding '<layer>.hessian.safetensors'")
     p_q.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV})")
     p_q.add_argument("--layers", nargs="*", help="glob patterns selecting layers")
-    p_q.add_argument("--jobs", type=int, help="layer-level parallelism")
     p_q.add_argument("--config", help="JSON config file (flags override it)")
     _add_engine_flags(p_q)
     p_q.set_defaults(func=cmd_quantize)
@@ -429,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="engine tokens, e.g. rtn gptq foem 'foem(plus)' 'foem(minus)'",
     )
-    p_c.add_argument("--jobs", type=int, help="layer-level parallelism")
     p_c.add_argument("--config", help="JSON config file (flags override it)")
     _add_engine_flags(p_c)
     p_c.set_defaults(func=cmd_compare)

@@ -1,6 +1,6 @@
 """Column-wise quantization engines with error compensation.
 
-Five engines share one contract (``run_engine``): quantize a weight matrix
+Four engines share one contract (``run_engine``): quantize a weight matrix
 column by column, left to right, compensating not-yet-quantized columns for
 the rounding error already committed.
 
@@ -26,10 +26,6 @@ the rounding error already committed.
   4 * d_out * n_t^2. The sign of the correction is configurable ("minus"
   descends the modeled loss and is the default; "plus" is the additive
   variant kept for ablation).
-* ``foem_plus`` - foem plus an input-covariance cross term
-  outer(w_col, H[col, col+1:] @ trailing_inverse) added to the remaining
-  columns at every step. Runs the public step helpers eagerly (no lazy
-  batching); experimental.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -68,11 +64,10 @@ __all__ = [
     "gptq_column_step",
     "foem_column_step",
     "foem_block_boundary",
-    "foem_plus_term",
     "run_engine",
 ]
 
-ENGINES = ("rtn", "obs_oracle", "gptq", "foem", "foem_plus")
+ENGINES = ("rtn", "obs_oracle", "gptq", "foem")
 FIRST_ORDER_SIGNS = ("minus", "plus")
 SCALE_SOURCES = ("latent", "original")
 
@@ -296,6 +291,10 @@ def foem_column_step(
     of an untouched layer is therefore exactly zero); the drift still
     reflects every previous column's update, it is never cached across
     steps. With beta = 0 this is exactly the blocked gptq step.
+
+    No engine runs this step: it is the eager reference for the lazy
+    blocked driver, which the tests drive column by column and compare
+    against ``run_engine``.
     """
     T = factor.matrix
     source = bundle.weights if scale_source == "latent" else bundle.original
@@ -350,26 +349,6 @@ def foem_block_boundary(
         bundle.weights[:, t] += correction
     else:
         bundle.weights[:, t] -= errs @ T[block_start:block_end, t]
-
-
-def foem_plus_term(
-    bundle: LayerBundle,
-    hessian: HessianState | np.ndarray,
-    factor: InvCholFactor,
-    col: int,
-) -> np.ndarray:
-    """Input-covariance cross term for the remaining columns.
-
-    Returns outer(W[:, col], H[col, col+1:] @ trailing_inverse) where the
-    trailing inverse is T[col+1:, col+1:]^T T[col+1:, col+1:], evaluated as
-    two row-vector products. The covariance row excludes the diagonal, so
-    damping does not affect it; a diagonal H makes the term vanish.
-    """
-    H = hessian.matrix if isinstance(hessian, HessianState) else np.asarray(hessian)
-    T = factor.matrix
-    sub = T[col + 1 :, col + 1 :]
-    row = (H[col, col + 1 :] @ sub.T) @ sub
-    return np.outer(bundle.weights[:, col], row)
 
 
 def _lazy_block_plan(
@@ -514,41 +493,6 @@ def _run_blocked(
     return codes, book
 
 
-def _run_foem_plus(
-    bundle: LayerBundle,
-    factor: InvCholFactor,
-    hessian: np.ndarray,
-    grid: QuantGrid,
-    config: EngineConfig,
-) -> tuple[np.ndarray, ScaleBook]:
-    """Eager driver for foem_plus, composed from the public step helpers.
-
-    Each column adds the covariance cross term, evaluated before the step,
-    to every remaining column on top of the in-block foem step.
-    """
-    T = factor.matrix
-    d_out, d_in = bundle.weights.shape
-    sign = config.sign_factor()
-    book = ScaleBook(grid, d_out, d_in)
-    codes = np.zeros((d_out, d_in), dtype=np.int64)
-    B = config.block_size
-    for i in range(0, d_in, B):
-        e = min(i + B, d_in)
-        errs = np.empty((d_out, e - i), dtype=np.float64)
-        for j in range(i, e):
-            w = bundle.weights[:, j].copy()
-            cross = foem_plus_term(bundle, hessian, factor, j) if j < d_in - 1 else None
-            step = foem_column_step(
-                bundle, factor, grid, j, e, book, config.beta, sign, config.scale_source
-            )
-            if cross is not None:
-                bundle.weights[:, j + 1 :] += cross
-            errs[:, j - i] = (w - step.deq_col) / T[j, j]
-            codes[:, j] = step.q_col
-        foem_block_boundary(bundle, factor, errs, i, e, config.beta, sign)
-    return codes, book
-
-
 def _run_oracle(
     bundle: LayerBundle,
     damped: HessianState,
@@ -619,12 +563,8 @@ def run_engine(
         if config.engine == "obs_oracle":
             codes, book = _run_oracle(bundle, damped, grid, config)
         else:
-            factor = inverse_cholesky(damped)
-            if config.engine == "foem_plus":
-                codes, book = _run_foem_plus(bundle, factor, damped.matrix, grid, config)
-            else:
-                codes, book = _run_blocked(bundle, factor, grid, config)
-        first_order = config.engine in ("foem", "foem_plus")
+            codes, book = _run_blocked(bundle, inverse_cholesky(damped), grid, config)
+        first_order = config.engine == "foem"
         quantized = QuantizedLayer(
             codes=codes.astype(np.int32),
             scales=book.scales,

@@ -71,11 +71,12 @@ class TensorFile:
             if len(head) != 8:
                 raise TensorFormatError(f"{path}: truncated header length")
             (header_len,) = struct.unpack("<Q", head)
+            payload_size = os.fstat(fh.fileno()).st_size - 8 - header_len
+            if payload_size < 0:
+                raise TensorFormatError(f"{path}: header length exceeds file")
             raw = fh.read(header_len)
             if len(raw) != header_len:
                 raise TensorFormatError(f"{path}: truncated header")
-            fh.seek(0, os.SEEK_END)
-            payload_size = fh.tell() - 8 - header_len
         try:
             header = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -74,6 +74,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(4, 0)
         with pytest.raises(ValueError):
             SyntheticSpec(4, 10, rho=1.0)
+        with pytest.raises(ValueError):
+            SyntheticSpec(4, 10, seed=-1)
 
 
 class TestGradients:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -102,6 +103,25 @@ class TestCalibrate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("spec", ["n_tokens=abc", "n_tokens=0", "n_tokens=16,rho=1.5", "n_tokens=16,seed=-1"])
+    def test_malformed_synthetic_spec_is_config_error(self, workspace, spec, capsys):
+        rc = run_cli(
+            "calibrate", "--weights", workspace["weights"],
+            "--synthetic", spec, "--out", workspace["dir"] / "x",
+        )
+        assert rc == 2
+        assert "synthetic spec" in capsys.readouterr().err
+
+    def test_header_length_past_end_of_weights_file_exits_2(self, workspace, capsys):
+        bad = workspace["dir"] / "bad.safetensors"
+        bad.write_bytes(struct.pack("<Q", 2**64 - 1) + b"{}")
+        rc = run_cli(
+            "calibrate", "--weights", bad,
+            "--synthetic", "n_tokens=16", "--out", workspace["dir"] / "x",
+        )
+        assert rc == 2
+        assert "header length exceeds file" in capsys.readouterr().err
+
     def test_non_finite_activation_shard_exits_3(self, workspace, rng, capsys):
         x = rng.standard_normal((12, 8))
         x[3, 5] = np.nan
@@ -176,15 +196,13 @@ class TestQuantize:
             r1.pop("wall_time_s"), r2.pop("wall_time_s")
             assert r1 == r2
 
-    def test_jobs_flag_gives_same_artifacts(self, calibrated):
+    @pytest.mark.parametrize("flag", [("--engine", "foem_plus"), ("--jobs", "2")])
+    def test_removed_options_rejected(self, calibrated, flag):
         ws = calibrated
-        out1, out2 = ws["dir"] / "j1", ws["dir"] / "j2"
-        assert run_cli(*quantize_args(ws, out1, ws["hessians"])) == 0
-        assert run_cli(*quantize_args(ws, out2, ws["hessians"], **{"--jobs": "2"})) == 0
-        for name in ("blk0.fc", "blk1.fc"):
-            assert (out1 / f"{name}.quantized.safetensors").read_bytes() == (
-                out2 / f"{name}.quantized.safetensors"
-            ).read_bytes()
+        args = quantize_args(ws, ws["dir"] / "x", ws["hessians"]) + list(flag)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args)
+        assert exc.value.code == 2
 
     def test_config_file_flag_hybrid_and_round_trip(self, calibrated):
         ws = calibrated
@@ -327,6 +345,15 @@ class TestCompare:
         rc = run_cli(
             "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
             "--out", ws["dir"] / "x", "--engines", "gptq", "hybrid(q)",
+        )
+        assert rc == 2
+
+
+    def test_foem_plus_token_rejected(self, calibrated):
+        ws = calibrated
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+            "--out", ws["dir"] / "x", "--engines", "gptq", "foem_plus",
         )
         assert rc == 2
 

@@ -3,14 +3,12 @@ import pytest
 
 from conftest import random_spd, token_hessian
 from lowbit import engines
-from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.engines import (
     EngineConfig,
     LayerBundle,
     first_order_quant_step,
     foem_block_boundary,
     foem_column_step,
-    foem_plus_term,
     gptq_column_step,
     obc_quant_step,
     obs_prune_step,
@@ -295,41 +293,6 @@ class TestFoemBlockBoundary:
         np.testing.assert_allclose(bundle.weights[:, B:], expected, rtol=1e-12, atol=1e-14)
 
 
-class TestFoemPlusTerm:
-    def test_zero_column_gives_zero_term(self, rng):
-        d = 6
-        hess, damped, factor = _factor_for(d, 12)
-        bundle = LayerBundle(rng.standard_normal((3, d)))
-        bundle.weights[:, 2] = 0.0
-        term = foem_plus_term(bundle, damped, factor, 2)
-        assert np.array_equal(term, np.zeros((3, d - 3)))
-
-    def test_diagonal_hessian_gives_zero_term(self, rng):
-        d = 5
-        state = HessianState.from_matrix(np.diag([2.0, 3.0, 1.0, 4.0, 2.5]), 1)
-        damped = state.dampen(0.0)
-        factor = inverse_cholesky(damped)
-        bundle = LayerBundle(rng.standard_normal((3, d)))
-        for q in range(d - 1):
-            term = foem_plus_term(bundle, damped, factor, q)
-            np.testing.assert_allclose(term, 0.0, atol=1e-15)
-
-    def test_matches_literal_activation_product(self, rng):
-        # keep the activations and evaluate the printed product directly
-        d = 8
-        X = generate_synthetic(SyntheticSpec(d, 32, 0.8, 13))
-        hess = HessianState(d).accumulate(X)
-        damped = hess.dampen(0.01)
-        factor = inverse_cholesky(damped)
-        bundle = LayerBundle(rng.standard_normal((4, d)))
-        for q in range(d - 1):
-            term = foem_plus_term(bundle, damped, factor, q)
-            row = (X[q, :] @ X.T)[q + 1 :]
-            trailing = recover_inverse_submatrix(factor, q)
-            literal = np.outer(bundle.weights[:, q], row @ trailing)
-            np.testing.assert_allclose(term, literal, rtol=1e-10, atol=1e-12)
-
-
 class TestRunEngine:
     def test_rtn_report_loss_is_trace_form(self, rng):
         d = 8
@@ -388,7 +351,7 @@ class TestRunEngine:
         with pytest.raises(NumericalError, match="undamped"):
             run_engine(LayerBundle(rng.standard_normal((2, 4))), hess, EngineConfig())
 
-    @pytest.mark.parametrize("engine", ["obs_oracle", "gptq", "foem", "foem_plus"])
+    @pytest.mark.parametrize("engine", ["obs_oracle", "gptq", "foem"])
     def test_consumed_bundle_rejected(self, rng, engine):
         # compensation leaves the bundle drifted; the first-order engines'
         # drift bookkeeping assumes a run starts from the originals
@@ -407,6 +370,11 @@ class TestRunEngine:
                 hess,
                 EngineConfig(engine="nope"),
             )
+
+    def test_foem_plus_is_not_an_engine(self):
+        assert engines.ENGINES == ("rtn", "obs_oracle", "gptq", "foem")
+        with pytest.raises(ConfigError, match="foem_plus"):
+            EngineConfig(engine="foem_plus").validate()
 
     def test_drift_stats_zero_for_rtn(self, rng):
         hess = token_hessian(4, 16, 0.9, 21)
@@ -540,24 +508,6 @@ class TestLazyBlockDriver:
             axis=1,
         )
         assert np.array_equal(q.codes, codes)
-
-    def test_foem_plus_on_diagonal_hessian_gives_foem_codes(self, rng):
-        # a diagonal H has no off-diagonal covariance, so the cross term is
-        # exactly zero and foem_plus must reproduce foem
-        d = 40
-        hess = HessianState.from_matrix(np.diag(rng.uniform(0.5, 2.0, d)), 64)
-        W = rng.standard_normal((10, d))
-        runs = {}
-        for engine in ("foem", "foem_plus"):
-            bundle = LayerBundle(W)
-            q, _ = run_engine(
-                bundle, hess, EngineConfig(engine=engine, bits=3, group_size=16, block_size=8)
-            )
-            runs[engine] = (q, bundle.weights)
-        (q_f, w_f), (q_p, w_p) = runs["foem"], runs["foem_plus"]
-        assert np.array_equal(q_p.codes, q_f.codes)
-        assert np.array_equal(q_p.scales, q_f.scales)
-        np.testing.assert_allclose(w_p, w_f, rtol=0, atol=1e-12)
 
 
 class TestScaleInvariance:

@@ -98,6 +98,16 @@ class TestErrors:
         with pytest.raises(TensorFormatError, match="truncated"):
             TensorFile.open(path)
 
+    @pytest.mark.parametrize("excess", ["max", "file_size_plus_one", "one_past_end"])
+    def test_header_length_exceeding_file(self, tmp_path, excess):
+        path = tmp_path / "t.safetensors"
+        body = json.dumps({}).encode() + b"\x00" * 16
+        size = 8 + len(body)
+        header_len = {"max": 2**64 - 1, "file_size_plus_one": size + 1, "one_past_end": len(body) + 1}
+        path.write_bytes(struct.pack("<Q", header_len[excess]) + body)
+        with pytest.raises(TensorFormatError, match="header length exceeds file"):
+            TensorFile.open(path)
+
     def test_reserved_name_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError):
             save_tensors(tmp_path / "t.st", {"__metadata__": np.zeros(1)})
