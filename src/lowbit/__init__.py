@@ -1,7 +1,8 @@
 """lowbit: error-compensated low-bit weight quantization.
 
-A numpy/scipy library for post-training quantization of dense weight
-matrices. Calibration Hessians are accumulated from layer inputs, and the
+A numpy-only library for post-training quantization of dense weight
+matrices: all of its linear algebra runs on numpy's BLAS, one thread
+pool. Calibration Hessians are accumulated from layer inputs, and the
 engines quantize column by column while compensating the still-latent
 columns: plain rounding (rtn), a dense second-order reference
 (obs_oracle), the triangular-factor production route (gptq), and a

@@ -38,7 +38,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, NumericalError
 from .linalg import HessianState, InvCholFactor, inverse_cholesky, iterative_inverse_update
@@ -504,8 +503,7 @@ def _run_oracle(
     source = bundle.weights if config.scale_source == "latent" else bundle.original
     book = ScaleBook(grid, d_out, d_in)
     codes = np.zeros((d_out, d_in), dtype=np.int64)
-    H = damped.matrix
-    hinv = cho_solve(cho_factor(H, lower=True), np.eye(d_in))
+    hinv = np.linalg.inv(damped.matrix)
     W = bundle.weights
     for j in range(d_in):
         book.ensure_group(j, source)
@@ -560,10 +558,13 @@ def run_engine(
         )
     else:
         damped = hessian.dampen(config.damp_ratio)
+        # factoring first also refuses a matrix that is not positive
+        # definite for the oracle, whose explicit inverse would not
+        factor = inverse_cholesky(damped)
         if config.engine == "obs_oracle":
             codes, book = _run_oracle(bundle, damped, grid, config)
         else:
-            codes, book = _run_blocked(bundle, inverse_cholesky(damped), grid, config)
+            codes, book = _run_blocked(bundle, factor, grid, config)
         first_order = config.engine == "foem"
         quantized = QuantizedLayer(
             codes=codes.astype(np.int32),

@@ -105,6 +105,10 @@ class TensorFile:
             if begin < 0 or end > payload_size:
                 raise TensorFormatError(f"{path}: tensor {name!r} offsets outside payload")
             entries[name] = TensorEntry(shape, dtype_name, begin, end)
+        spans = sorted((e.begin, e.end, name) for name, e in entries.items() if e.end > e.begin)
+        for (_, prev_end, prev), (begin, _, name) in zip(spans, spans[1:]):
+            if begin < prev_end:
+                raise TensorFormatError(f"{path}: tensors {prev!r} and {name!r} overlap in the payload")
         return cls(path, entries, dict(metadata), 8 + header_len, payload_size)
 
     @property

@@ -127,6 +127,23 @@ class TestGradients:
                 ) / (2 * step)
         assert np.abs(fd - analytic).max() / np.abs(analytic).max() <= 1e-6
 
+    def test_trailing_gradient_is_minus_damping_times_drift(self):
+        # gptq leaves the trailing columns at the damped optimum, D (H + lam I)[:, k:] = 0,
+        # so the exact gradient there is the damping artifact -2 lam D[:, k:]
+        d = 48
+        grid = QuantGrid(3, None, True)
+        for seed in range(5):
+            hess = token_hessian(d, 2 * d, 0.9, seed)
+            damped = hess.dampen(0.01)
+            factor = inverse_cholesky(damped)
+            bundle = LayerBundle(np.random.default_rng(seed).standard_normal((16, d)))
+            book = ScaleBook(grid, 16, d)
+            for k in range(1, d):
+                gptq_column_step(bundle, factor, grid, k - 1, book)
+                grad = exact_proxy_gradient(bundle, hess)[:, k:]
+                expected = -2 * damped.damping * bundle.drift()[:, k:]
+                assert np.linalg.norm(grad - expected) <= 1e-10 * np.linalg.norm(expected)
+
     def test_damped_hessian_rejected(self, rng):
         hess = token_hessian(4, 16, 0.8, 8).dampen(0.01)
         with pytest.raises(NumericalError, match="undamped"):

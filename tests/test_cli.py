@@ -122,6 +122,22 @@ class TestCalibrate:
         assert rc == 2
         assert "header length exceeds file" in capsys.readouterr().err
 
+    def test_overlapping_tensors_in_weights_file_exit_2(self, workspace, capsys):
+        bad = workspace["dir"] / "bad.safetensors"
+        header = json.dumps(
+            {
+                "blk0.fc.weight": {"dtype": "F64", "shape": [2, 2], "data_offsets": [0, 32]},
+                "blk1.fc.weight": {"dtype": "F64", "shape": [2, 2], "data_offsets": [16, 48]},
+            }
+        ).encode()
+        bad.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 48)
+        rc = run_cli(
+            "calibrate", "--weights", bad,
+            "--synthetic", "n_tokens=16", "--out", workspace["dir"] / "x",
+        )
+        assert rc == 2
+        assert "overlap" in capsys.readouterr().err
+
     def test_non_finite_activation_shard_exits_3(self, workspace, rng, capsys):
         x = rng.standard_normal((12, 8))
         x[3, 5] = np.nan

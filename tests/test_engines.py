@@ -14,7 +14,7 @@ from lowbit.engines import (
     obs_prune_step,
     run_engine,
 )
-from lowbit.errors import ConfigError, NumericalError
+from lowbit.errors import ConfigError, FactorizationError, NumericalError
 from lowbit.linalg import HessianState, inverse_cholesky, recover_inverse_submatrix
 from lowbit.quantizer import QuantGrid, ScaleBook, rtn_quantize
 from lowbit.report import proxy_loss
@@ -361,6 +361,16 @@ class TestRunEngine:
         run_engine(bundle, hess, config)
         with pytest.raises(NumericalError, match="undrifted"):
             run_engine(bundle, hess, config)
+
+    @pytest.mark.parametrize("engine", ["obs_oracle", "gptq", "foem"])
+    def test_indefinite_hessian_names_pivot(self, rng, engine):
+        A = rng.standard_normal((8, 8))
+        H = A @ A.T
+        H[7, 7] = -50.0
+        config = EngineConfig(engine=engine, bits=4, damp_ratio=0.0)
+        with pytest.raises(FactorizationError) as excinfo:
+            run_engine(LayerBundle(rng.standard_normal((4, 8))), HessianState.from_matrix(H, 1), config)
+        assert excinfo.value.pivot == 7
 
     def test_invalid_config_rejected(self, rng):
         hess = token_hessian(4, 16, 0.9, 20)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import lowbit
 from conftest import token_hessian
 from lowbit.errors import FactorizationError, NumericalError
 from lowbit.linalg import (
@@ -178,9 +184,44 @@ class TestInverseCholesky:
             inverse_cholesky(state.dampen(0.0))
         assert 0 <= excinfo.value.pivot < 3
 
+    @pytest.mark.parametrize(
+        "bad, pivot",
+        [({150: 0.0}, 150), ({30: -1.0}, 30), ({30: -1.0, 150: 0.0}, 150)],
+    )
+    def test_breakdown_names_exact_pivot_across_recursion(self, bad, pivot):
+        # d = 200 splits at 100: a bad entry at 150 fails in the trailing half,
+        # one at 30 only in the Schur complement of the leading half
+        H = np.eye(200)
+        for k, value in bad.items():
+            H[k, k] = value
+        with pytest.raises(FactorizationError) as excinfo:
+            inverse_cholesky(_damped_from_matrix(H))
+        assert excinfo.value.pivot == pivot
+
     def test_empty_dimension(self):
         factor = inverse_cholesky(_damped_from_matrix(np.zeros((0, 0))))
         assert factor.matrix.shape == (0, 0)
+
+    def test_library_loads_no_second_blas_runtime(self):
+        # scipy bundles its own OpenBLAS; importing it beside numpy's would
+        # start a second BLAS thread pool competing for the same CPUs
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import lowbit.cli\n"
+            "from lowbit.engines import EngineConfig, LayerBundle, run_engine\n"
+            "from lowbit.linalg import HessianState\n"
+            "rng = np.random.default_rng(0)\n"
+            "hess = HessianState(96).accumulate(rng.standard_normal((96, 192)))\n"
+            "run_engine(LayerBundle(rng.standard_normal((8, 96))), hess, EngineConfig(engine='gptq'))\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(lowbit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestRecoverInverseSubmatrix:

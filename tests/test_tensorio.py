@@ -62,6 +62,18 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _write_f64_spans(path, offsets):
+    """Container of F64 vectors at the given payload byte spans, 32 zero bytes long."""
+    header = json.dumps(
+        {
+            name: {"dtype": "F64", "shape": [(end - begin) // 8], "data_offsets": [begin, end]}
+            for name, (begin, end) in offsets.items()
+        }
+    ).encode()
+    path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 32)
+    return path
+
+
 class TestErrors:
     def test_missing_name(self, tmp_path):
         path = tmp_path / "t.safetensors"
@@ -107,6 +119,19 @@ class TestErrors:
         path.write_bytes(struct.pack("<Q", header_len[excess]) + body)
         with pytest.raises(TensorFormatError, match="header length exceeds file"):
             TensorFile.open(path)
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[(0, 16), (8, 24)], [(8, 24), (0, 16)], [(0, 32), (8, 24)], [(0, 16), (0, 16)]],
+    )
+    def test_overlapping_data_offsets(self, tmp_path, offsets):
+        path = _write_f64_spans(tmp_path / "t.safetensors", dict(zip("ab", offsets)))
+        with pytest.raises(TensorFormatError, match="overlap"):
+            TensorFile.open(path)
+
+    def test_adjacent_and_empty_entries_accepted(self, tmp_path):
+        path = _write_f64_spans(tmp_path / "t.safetensors", {"a": (0, 16), "b": (16, 32), "e": (8, 8)})
+        assert TensorFile.open(path).names == ["a", "b", "e"]
 
     def test_reserved_name_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError):
