@@ -29,6 +29,7 @@ from .engines import (
     gptq_column_step,
     obc_quant_step,
     obs_prune_step,
+    PreparedLayer,
     run_engine,
 )
 from .errors import (

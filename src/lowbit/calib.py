@@ -7,9 +7,12 @@ covariance of the generated stream is known in closed form.
 
 The diagnostics compare the cheap drift-proportional gradient estimate
 beta * (W - W_orig) against the true gradient of the layer-wise proxy
-loss, 2 * (W - W_orig) @ H. For any positive-definite H the two are
-positively aligned row by row, which is what makes the cheap estimate a
-usable descent direction.
+loss, 2 * (W - W_orig) @ H. Over a whole row the two have a positive
+inner product for any positive-definite H. That does not make the estimate
+a descent direction where foem applies it: on the still-latent columns of
+a gptq run the exact gradient is -2 * damping * (W - W_orig), the exact
+opposite of the estimate, as ``gradient_alignment`` with ``col_start`` set
+to the first latent column shows.
 """
 
 from __future__ import annotations

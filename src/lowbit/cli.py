@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,6 +26,7 @@ from .engines import (
     SCALE_SOURCES,
     EngineConfig,
     LayerBundle,
+    PreparedLayer,
     run_engine,
 )
 from .errors import ConfigError, LowbitError, NumericalError, TensorFormatError
@@ -211,6 +213,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     have_synth = effective["synthetic"] is not None
     if have_acts == have_synth:
         raise ConfigError("supply exactly one of --activations and --synthetic")
+    damp_ratio = effective["damp_ratio"]
+    if not isinstance(damp_ratio, (int, float)) or not 0 <= damp_ratio < math.inf:
+        raise ConfigError(f"damp_ratio must be finite and non-negative, got {damp_ratio!r}")
     config_blob = _persist_config(effective, "calibrate")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
@@ -253,10 +258,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_quantize(args: argparse.Namespace) -> int:
     effective = _merged_config(args, "quantize")
     _require(effective, "weights", "hessians", "out")
+    engine_cfg = _engine_config(effective)
     config_blob = _persist_config(effective, "quantize")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
-    engine_cfg = _engine_config(effective)
 
     # one call per layer, so a layer's arrays are freed before the next loads
     def one(layer: str):
@@ -287,16 +292,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(tokens) < 2:
         raise ConfigError("compare needs at least two engines")
     parsed = [_parse_engine_token(tok, effective) for tok in tokens]
+    repeated = sorted({tok for tok in tokens if tokens.count(tok) > 1})
+    if repeated:
+        raise ConfigError(f"repeated engine tokens: {repeated}")
     _persist_config(effective, "compare")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
+    # tokens differ only in engine and sign, so they share grid and damping
+    shared = parsed[0][1]
 
     def one(layer: str):
         hessian = _load_hessian(effective["hessians"], layer)
-        w = weights.load(layer + ".weight")
+        prepared = PreparedLayer(
+            weights.load(layer + ".weight"), hessian, shared.grid(), shared.damp_ratio
+        )
         out = []
         for label, cfg in parsed:
-            _, rep = run_engine(LayerBundle(w), hessian, cfg, layer_name=layer)
+            _, rep = prepared.run(LayerBundle(prepared.original), cfg, layer_name=layer)
             rep.engine = label
             out.append(rep)
         return out

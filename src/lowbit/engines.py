@@ -24,8 +24,18 @@ the rounding error already committed.
   coefficient matrix over the committed columns, and a block boundary costs
   4 * min(i, d_out) * n_t^2 flops for n_t trailing columns instead of
   4 * d_out * n_t^2. The sign of the correction is configurable ("minus"
-  descends the modeled loss and is the default; "plus" is the additive
-  variant kept for ablation).
+  is the default; "plus" is the additive variant kept for ablation).
+  Neither sign descends the layer proxy loss: on the still-latent columns
+  the exact proxy gradient is -2 * damping * (W - W_orig), so there the
+  drift estimate points exactly against it and the correction only acts
+  on what the damping left behind.
+
+Everything an engine run needs besides the bundle and the config is a
+function of the layer's weights, its undamped Hessian, the grid and the
+damping: the factor T and the RTN baseline with its proxy loss.
+``PreparedLayer`` builds each of them once, on first use, and every run on
+it shares them; ``run_engine`` is one preparation and one run, and
+``compare`` prepares each layer once for all of its engine tokens.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -34,8 +44,10 @@ row-vectorized; column order is strictly sequential.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +75,7 @@ __all__ = [
     "gptq_column_step",
     "foem_column_step",
     "foem_block_boundary",
+    "PreparedLayer",
     "run_engine",
 ]
 
@@ -128,10 +141,11 @@ class EngineConfig:
             raise ConfigError(f"group_size must be >= 1 or None, got {self.group_size}")
         if self.block_size < 1:
             raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be non-negative, got {self.beta}")
-        if self.damp_ratio < 0:
-            raise ConfigError(f"damp_ratio must be non-negative, got {self.damp_ratio}")
+        # written so that NaN fails too
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and non-negative, got {self.beta}")
+        if not 0 <= self.damp_ratio < math.inf:
+            raise ConfigError(f"damp_ratio must be finite and non-negative, got {self.damp_ratio}")
         if self.first_order_sign not in FIRST_ORDER_SIGNS:
             raise ConfigError(
                 f"first_order_sign must be one of {FIRST_ORDER_SIGNS}, "
@@ -518,6 +532,133 @@ def _run_oracle(
     return codes, book
 
 
+class PreparedLayer:
+    """What every engine run on one layer shares, each piece built once.
+
+    The factor T depends only on the undamped Hessian and ``damp_ratio``,
+    the RTN baseline only on the weights and the grid, so runs that differ
+    in engine, sign or block size can share them. Both are built on first
+    use: T by the first compensating engine (the damped copy it is factored
+    from is dropped straight away), the baseline by the ``rtn`` engine or by
+    the first report that needs its loss. ``run`` refuses a config whose
+    grid or damping differs from the preparation's.
+    """
+
+    def __init__(
+        self, weights: np.ndarray, hessian: HessianState, grid: QuantGrid, damp_ratio: float
+    ):
+        original = np.asarray(weights, dtype=np.float64)
+        if not np.isfinite(original).all():
+            raise NumericalError("layer weights contain non-finite values")
+        if original.ndim != 2:
+            raise NumericalError(f"weights must be 2-D, got shape {original.shape}")
+        if hessian.dim != original.shape[1]:
+            raise NumericalError(
+                f"Hessian dim {hessian.dim} does not match layer d_in {original.shape[1]}"
+            )
+        if hessian.damped:
+            raise NumericalError("engines expect the undamped Hessian state")
+        self.original = original
+        self.hessian = hessian
+        self.grid = grid
+        self.damp_ratio = damp_ratio
+
+    @cached_property
+    def factor(self) -> InvCholFactor:
+        """T with T^T T = (H + damping * I)^(-1)."""
+        return inverse_cholesky(self.hessian.dampen(self.damp_ratio))
+
+    @cached_property
+    def baseline(self) -> QuantizedLayer:
+        """Round-to-nearest quantization of the original weights."""
+        return rtn_quantize(self.original, self.grid)
+
+    @cached_property
+    def baseline_loss(self) -> float:
+        return proxy_loss(self.baseline.dequantize(), self.original, self.hessian)
+
+    def run(
+        self, bundle: LayerBundle, config: EngineConfig, layer_name: str = "layer"
+    ) -> tuple[QuantizedLayer, LayerReport]:
+        """Quantize ``bundle`` (undrifted, holding this layer's weights) with
+        ``config``; the bundle's latent weights are consumed in place.
+
+        ``wall_time_s`` covers producing the codes, including any shared
+        piece this run was the first to need (T for a compensating engine,
+        the baseline for ``rtn``); the report's losses are outside it.
+        """
+        config.validate()
+        grid = config.grid()
+        if grid != self.grid or config.damp_ratio != self.damp_ratio:
+            raise ConfigError(
+                f"config has grid {grid} and damp_ratio {config.damp_ratio}, but the layer "
+                f"was prepared for grid {self.grid} and damp_ratio {self.damp_ratio}"
+            )
+        if not np.isfinite(bundle.weights).all():
+            raise NumericalError("layer weights contain non-finite values")
+        if bundle.original is not self.original and not np.array_equal(
+            bundle.original, self.original
+        ):
+            raise NumericalError("bundle originals differ from the prepared layer's weights")
+        if not np.array_equal(bundle.weights, bundle.original):
+            raise NumericalError("engines expect an undrifted bundle (weights equal to original)")
+
+        t0 = time.perf_counter()
+        if config.engine == "rtn":
+            quantized = replace(self.baseline, first_order_sign=config.first_order_sign, extra={})
+        else:
+            # factoring first also refuses a matrix that is not positive
+            # definite for the oracle, whose explicit inverse would not
+            factor = self.factor
+            if config.engine == "obs_oracle":
+                damped = self.hessian.dampen(self.damp_ratio)
+                codes, book = _run_oracle(bundle, damped, grid, config)
+            else:
+                codes, book = _run_blocked(bundle, factor, grid, config)
+            first_order = config.engine == "foem"
+            quantized = QuantizedLayer(
+                codes=codes.astype(np.int32),
+                scales=book.scales,
+                zero_points=book.zero_points.astype(np.int32),
+                bits=grid.bits,
+                group_size=book.group_size,
+                symmetric=grid.symmetric,
+                engine=config.engine,
+                beta=config.beta if first_order else 0.0,
+                damp_ratio=config.damp_ratio,
+                block_size=config.block_size if config.engine != "obs_oracle" else 0,
+                first_order_sign=config.first_order_sign,
+            )
+        wall = time.perf_counter() - t0
+        quantized.extra["layer"] = layer_name
+        quantized.extra["config"] = config.to_dict()
+
+        loss_rtn = self.baseline_loss
+        if config.engine == "rtn":
+            loss = loss_rtn
+        else:
+            loss = proxy_loss(quantized.dequantize(), self.original, self.hessian)
+        if loss_rtn > 0:
+            rtn_relative = loss / loss_rtn
+        else:
+            rtn_relative = 1.0 if loss == loss_rtn else float("inf")
+        drift = np.abs(bundle.drift())
+        report = LayerReport(
+            layer=layer_name,
+            engine=config.engine,
+            bits=grid.bits,
+            group_size=quantized.group_size,
+            beta=quantized.beta,
+            block_size=quantized.block_size,
+            proxy_loss=loss,
+            rtn_relative=rtn_relative,
+            wall_time_s=wall,
+            drift_max=float(drift.max()) if drift.size else 0.0,
+            drift_mean=float(drift.mean()) if drift.size else 0.0,
+        )
+        return quantized, report
+
+
 def run_engine(
     bundle: LayerBundle,
     hessian: HessianState,
@@ -530,79 +671,9 @@ def run_engine(
     internally for factorization while the undamped matrix prices the proxy
     loss in the report. The bundle must be undrifted (weights equal to the
     originals); its latent weights are consumed in place, so a bundle runs
-    once.
+    once. To run several engines on one layer, prepare it once with
+    ``PreparedLayer`` and run each config against that.
     """
     config.validate()
-    if not np.isfinite(bundle.weights).all():
-        raise NumericalError("layer weights contain non-finite values")
-    if hessian.dim != bundle.d_in:
-        raise NumericalError(
-            f"Hessian dim {hessian.dim} does not match layer d_in {bundle.d_in}"
-        )
-    if hessian.damped:
-        raise NumericalError("run_engine expects the undamped Hessian state")
-    if not np.array_equal(bundle.weights, bundle.original):
-        raise NumericalError("run_engine expects an undrifted bundle (weights equal to original)")
-    grid = config.grid()
-
-    t0 = time.perf_counter()
-    if config.engine == "rtn":
-        quantized = rtn_quantize(
-            bundle.weights,
-            grid,
-            engine="rtn",
-            beta=0.0,
-            damp_ratio=0.0,
-            block_size=0,
-            first_order_sign=config.first_order_sign,
-        )
-    else:
-        damped = hessian.dampen(config.damp_ratio)
-        # factoring first also refuses a matrix that is not positive
-        # definite for the oracle, whose explicit inverse would not
-        factor = inverse_cholesky(damped)
-        if config.engine == "obs_oracle":
-            codes, book = _run_oracle(bundle, damped, grid, config)
-        else:
-            codes, book = _run_blocked(bundle, factor, grid, config)
-        first_order = config.engine == "foem"
-        quantized = QuantizedLayer(
-            codes=codes.astype(np.int32),
-            scales=book.scales,
-            zero_points=book.zero_points.astype(np.int32),
-            bits=grid.bits,
-            group_size=book.group_size,
-            symmetric=grid.symmetric,
-            engine=config.engine,
-            beta=config.beta if first_order else 0.0,
-            damp_ratio=config.damp_ratio,
-            block_size=config.block_size if config.engine != "obs_oracle" else 0,
-            first_order_sign=config.first_order_sign,
-        )
-    wall = time.perf_counter() - t0
-    quantized.extra["layer"] = layer_name
-    quantized.extra["config"] = config.to_dict()
-
-    deq = quantized.dequantize()
-    loss = proxy_loss(deq, bundle.original, hessian)
-    baseline = rtn_quantize(np.asarray(bundle.original), grid)
-    loss_rtn = proxy_loss(baseline.dequantize(), bundle.original, hessian)
-    if loss_rtn > 0:
-        rtn_relative = loss / loss_rtn
-    else:
-        rtn_relative = 1.0 if loss == loss_rtn else float("inf")
-    drift = np.abs(bundle.drift())
-    report = LayerReport(
-        layer=layer_name,
-        engine=config.engine,
-        bits=grid.bits,
-        group_size=quantized.group_size,
-        beta=quantized.beta,
-        block_size=quantized.block_size,
-        proxy_loss=loss,
-        rtn_relative=rtn_relative,
-        wall_time_s=wall,
-        drift_max=float(drift.max()) if drift.size else 0.0,
-        drift_mean=float(drift.mean()) if drift.size else 0.0,
-    )
-    return quantized, report
+    prepared = PreparedLayer(bundle.original, hessian, config.grid(), config.damp_ratio)
+    return prepared.run(bundle, config, layer_name)

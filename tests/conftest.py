@@ -29,6 +29,20 @@ def random_spd(dim, seed, shift=None):
     return A @ A.T + (dim if shift is None else shift) * np.eye(dim)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.<name>`` with a wrapper that records each call's
+    positional arguments; returns the list it appends to."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

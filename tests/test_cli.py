@@ -4,7 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import count_calls
+from lowbit import engines
 from lowbit.cli import main
+from lowbit.engines import EngineConfig, LayerBundle, run_engine
+from lowbit.linalg import HessianState
 from lowbit.tensorio import TensorFile, load_quantized, save_tensors
 
 
@@ -138,6 +142,17 @@ class TestCalibrate:
         assert rc == 2
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-0.5"])
+    def test_recorded_damp_ratio_must_be_finite_and_non_negative(self, workspace, ratio, capsys):
+        out = workspace["dir"] / "x"
+        rc = run_cli(
+            "calibrate", "--weights", workspace["weights"],
+            "--synthetic", "n_tokens=16", "--out", out, "--damp-ratio", ratio,
+        )
+        assert rc == 2
+        assert "damp_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_activation_shard_exits_3(self, workspace, rng, capsys):
         x = rng.standard_normal((12, 8))
         x[3, 5] = np.nan
@@ -192,6 +207,16 @@ class TestQuantize:
         ws = calibrated
         rc = run_cli(*quantize_args(ws, ws["dir"] / "x", ws["hessians"], **{"--bits": "1"}))
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--beta", "--damp-ratio"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_strength_is_config_error(self, calibrated, flag, value, capsys):
+        ws = calibrated
+        out = ws["dir"] / "x"
+        rc = run_cli(*quantize_args(ws, out, ws["hessians"], **{"--engine": "foem", flag: value}))
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_hessian_is_config_error(self, workspace):
         rc = run_cli(*quantize_args(workspace, workspace["dir"] / "x", workspace["dir"] / "nowhere"))
@@ -372,6 +397,104 @@ class TestCompare:
             "--out", ws["dir"] / "x", "--engines", "gptq", "foem_plus",
         )
         assert rc == 2
+
+
+    def test_repeated_token_rejected_before_any_layer(self, calibrated, capsys):
+        ws = calibrated
+        out = ws["dir"] / "x"
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+            "--out", out, "--engines", "rtn", "gptq", "gptq",
+        )
+        assert rc == 2
+        assert "repeated" in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
+
+    def test_non_finite_beta_is_config_error(self, calibrated):
+        ws = calibrated
+        out = ws["dir"] / "x"
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+            "--out", out, "--engines", "gptq", "foem", "--beta", "nan",
+        )
+        assert rc == 2
+        assert not (out / "compare.csv").exists()
+
+    def test_reports_match_independent_run_engine(self, calibrated):
+        # both layers have d_out != d_in; every token shares one prepared
+        # layer, yet reports what a run of its own would
+        ws = calibrated
+        out = ws["dir"] / "cmp"
+        tokens = ["rtn", "obs_oracle", "gptq", "foem", "foem(plus)"]
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+            "--out", out, "--bits", "3", "--group-size", "4", "--block-size", "3",
+            "--engines", *tokens,
+        )
+        assert rc == 0
+        reports = json.loads((out / "compare_reports.json").read_text())
+        assert len(reports) == 2 * len(tokens)
+        for rep in reports:
+            name = rep["layer"]
+            tf = TensorFile.open(ws["hessians"] / f"{name}.hessian.safetensors")
+            hess = HessianState.from_matrix(tf.load("hessian"), int(tf.metadata["n_samples"]))
+            engine, _, sign = rep["engine"].rstrip(")").partition("(")
+            config = EngineConfig(
+                engine=engine, bits=3, group_size=4, block_size=3, beta=3e-4,
+                first_order_sign=sign or "minus",
+            )
+            _, alone = run_engine(LayerBundle(ws["arrays"][f"{name}.weight"]), hess, config, name)
+            expected = dict(alone.to_dict(), engine=rep["engine"])
+            expected.pop("wall_time_s"), rep.pop("wall_time_s")
+            assert rep == expected
+
+    def test_one_factor_and_one_baseline_per_layer(self, calibrated, monkeypatch):
+        factors = count_calls(monkeypatch, engines, "inverse_cholesky")
+        baselines = count_calls(monkeypatch, engines, "rtn_quantize")
+        ws = calibrated
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+            "--out", ws["dir"] / "cmp", "--engines", "rtn", "gptq", "foem",
+        )
+        assert rc == 0
+        assert (len(factors), len(baselines)) == (2, 2)  # one each per layer
+
+    def test_rtn_tokens_never_factor(self, calibrated, monkeypatch):
+        factors = count_calls(monkeypatch, engines, "inverse_cholesky")
+        ws = calibrated
+        out = ws["dir"] / "cmp"
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+            "--out", out, "--engines", "rtn", "rtn(plus)",
+        )
+        assert rc == 0
+        assert factors == []
+        summary = json.loads((out / "compare_summary.json").read_text())
+        assert summary["ties"] == 2
+
+    def test_indefinite_hessian_exits_3_naming_pivot(self, workspace, rng, capsys):
+        ws = workspace
+        hes = ws["dir"] / "indefinite"
+        hes.mkdir()
+        for layer, arr in ws["arrays"].items():
+            d_in = arr.shape[1]
+            A = rng.standard_normal((d_in, d_in))
+            H = A @ A.T
+            H[d_in - 1, d_in - 1] = -50.0
+            save_tensors(
+                hes / f"{layer[: -len('.weight')]}.hessian.safetensors",
+                {"hessian": H},
+                metadata={"n_samples": str(d_in)},
+            )
+        out = ws["dir"] / "cmp"
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", hes, "--out", out,
+            "--damp-ratio", "0", "--engines", "rtn", "gptq",
+        )
+        assert rc == 3
+        # blk0.fc (d_in = 12) runs first in sorted order
+        assert "pivot at column 11 " in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
 
 
 class TestVerify:

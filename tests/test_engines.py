@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd, token_hessian
+from conftest import count_calls, random_spd, token_hessian
 from lowbit import engines
 from lowbit.engines import (
     EngineConfig,
     LayerBundle,
+    PreparedLayer,
     first_order_quant_step,
     foem_block_boundary,
     foem_column_step,
@@ -402,6 +403,80 @@ class TestRunEngine:
         assert np.array_equal(bundle.original, W)
         with pytest.raises((ValueError, RuntimeError)):
             bundle.original[0, 0] = 1.0
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize("field", ["beta", "damp_ratio"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-3])
+    def test_non_finite_or_negative_strengths_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["beta", "damp_ratio"])
+    def test_zero_strength_accepted(self, field):
+        EngineConfig(**{field: 0.0}).validate()
+
+
+class TestPreparedLayer:
+    """One preparation shared by several engine runs on the same layer."""
+
+    TOKENS = [
+        dict(engine="rtn"),
+        dict(engine="obs_oracle"),
+        dict(engine="gptq"),
+        dict(engine="foem"),
+        dict(engine="foem", first_order_sign="plus"),
+    ]
+
+    @pytest.mark.parametrize("shape", [(24, 40), (40, 24)])
+    def test_shared_runs_match_independent_run_engine(self, shape):
+        d_out, d_in = shape
+        hess = token_hessian(d_in, 4 * d_in, 0.9, 50)
+        W = np.random.default_rng(51).standard_normal(shape)
+        configs = [EngineConfig(bits=3, group_size=16, block_size=8, **t) for t in self.TOKENS]
+        prepared = PreparedLayer(W, hess, configs[0].grid(), configs[0].damp_ratio)
+        for config in configs:
+            q_shared, rep_shared = prepared.run(LayerBundle(W), config, "fc")
+            q_alone, rep_alone = run_engine(LayerBundle(W), hess, config, "fc")
+            for name in ("codes", "scales", "zero_points"):
+                assert np.array_equal(getattr(q_shared, name), getattr(q_alone, name)), config
+            assert q_shared.extra == q_alone.extra
+            assert (q_shared.engine, q_shared.beta, q_shared.block_size, q_shared.first_order_sign) == (
+                q_alone.engine, q_alone.beta, q_alone.block_size, q_alone.first_order_sign
+            )
+            shared, alone = rep_shared.to_dict(), rep_alone.to_dict()
+            shared.pop("wall_time_s"), alone.pop("wall_time_s")
+            assert shared == alone, config
+
+    def test_factor_and_baseline_built_once(self, rng, monkeypatch):
+        factors = count_calls(monkeypatch, engines, "inverse_cholesky")
+        baselines = count_calls(monkeypatch, engines, "rtn_quantize")
+        hess = token_hessian(16, 64, 0.9, 52)
+        W = rng.standard_normal((8, 16))
+        prepared = PreparedLayer(W, hess, QuantGrid(3, 8, True), 0.01)
+        for token in self.TOKENS:
+            _, rep = prepared.run(LayerBundle(W), EngineConfig(bits=3, group_size=8, **token))
+            if token["engine"] == "rtn":
+                assert rep.rtn_relative == 1.0
+        assert len(factors) == 1
+        assert len(baselines) == 1
+
+    @pytest.mark.parametrize(
+        "change", [dict(bits=3), dict(group_size=64), dict(symmetric=False), dict(damp_ratio=0.02)]
+    )
+    def test_config_with_other_grid_or_damping_refused(self, rng, change):
+        hess = token_hessian(16, 64, 0.9, 54)
+        W = rng.standard_normal((8, 16))
+        prepared = PreparedLayer(W, hess, QuantGrid(4, 128, True), 0.01)
+        with pytest.raises(ConfigError, match="prepared"):
+            prepared.run(LayerBundle(W), EngineConfig(**change))
+
+    def test_bundle_of_other_weights_refused(self, rng):
+        hess = token_hessian(16, 64, 0.9, 55)
+        W = rng.standard_normal((8, 16))
+        prepared = PreparedLayer(W, hess, QuantGrid(4, 128, True), 0.01)
+        with pytest.raises(NumericalError, match="prepared"):
+            prepared.run(LayerBundle(W + 1.0), EngineConfig())
 
 
 def _eager_reference(W, hess, config):
