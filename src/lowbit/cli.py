@@ -202,7 +202,16 @@ def _load_hessian(hessians_dir: str, layer: str) -> HessianState:
     if not os.path.exists(path):
         raise ConfigError(f"missing Hessian file {path}")
     tf = TensorFile.open(path)
-    n_samples = int(json.loads(tf.metadata.get("n_samples", "0")))
+    raw = tf.metadata.get("n_samples", "0")
+    try:
+        n_samples = json.loads(raw)
+    except (TypeError, json.JSONDecodeError):
+        n_samples = None
+    # bool is an int subclass, so the type is compared exactly
+    if type(n_samples) is not int or n_samples < 0:
+        raise TensorFormatError(
+            f"{path}: n_samples must be a non-negative JSON integer, got {raw!r}"
+        )
     return HessianState.from_matrix(tf.load("hessian"), n_samples)
 
 

@@ -538,10 +538,13 @@ class PreparedLayer:
     The factor T depends only on the undamped Hessian and ``damp_ratio``,
     the RTN baseline only on the weights and the grid, so runs that differ
     in engine, sign or block size can share them. Both are built on first
-    use: T by the first compensating engine (the damped copy it is factored
-    from is dropped straight away), the baseline by the ``rtn`` engine or by
-    the first report that needs its loss. ``run`` refuses a config whose
-    grid or damping differs from the preparation's.
+    use: T by the first compensating engine, the baseline by the ``rtn``
+    engine or by the first report that needs its loss. T is factored
+    straight from the undamped H, with the damping added on its diagonal as
+    it is read, so the layer holds no damped copy of H: its d x d arrays are
+    the caller's H and T (an ``obs_oracle`` run builds the damped matrix and
+    its inverse for itself). ``run`` refuses a config whose grid or damping
+    differs from the preparation's.
     """
 
     def __init__(
@@ -565,7 +568,8 @@ class PreparedLayer:
 
     @cached_property
     def factor(self) -> InvCholFactor:
-        """T with T^T T = (H + damping * I)^(-1)."""
+        """T with T^T T = (H + damping * I)^(-1), factored from the
+        undamped H through a damped state that shares its buffer."""
         return inverse_cholesky(self.hessian.dampen(self.damp_ratio))
 
     @cached_property

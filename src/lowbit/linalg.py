@@ -16,6 +16,9 @@ Conventions fixed here:
 * The upper triangle of every accumulated block is mirrored into the lower
   one once, when it is added, so the stored H is exactly symmetric and a
   read returns it without copying.
+* Damping is recorded, not applied: a damped state shares the undamped
+  matrix and the factorization adds the damping to each diagonal entry as
+  it reads it, so an engine run holds H and T and no damped copy.
 * The inverse factor is kept upper-triangular: ``T`` satisfies
   T^T T = (H + damping * I)^(-1) with strictly positive diagonal. The
   transpose convention matters: trailing principal submatrices of T then
@@ -48,7 +51,7 @@ __all__ = [
 class HessianState:
     """Accumulated input covariance for one layer.
 
-    Mutable only through :meth:`accumulate` (single writer); :meth:`dampen`
+    Mutable only through :meth:`accumulate` (single writer). :meth:`dampen`
     returns a new state and leaves the original untouched, so the undamped
     covariance stays available for loss reporting.
     """
@@ -56,10 +59,24 @@ class HessianState:
     def __init__(self, dim: int):
         if dim < 0:
             raise ValueError("dim must be non-negative")
-        self._h = np.zeros((dim, dim), dtype=np.float64)
-        self.n_samples = 0
-        self.damped = False
-        self.damping = 0.0
+        self._init(np.zeros((dim, dim), dtype=np.float64), 0)
+
+    def _init(self, h: np.ndarray, n_samples: int, damped=False, damping=0.0, shift=0.0):
+        self._h = h
+        # diagonal shift not stored in _h: dampen() records its damping here
+        # instead of writing a damped copy
+        self._shift = shift
+        # set while a damped state reads _h, so accumulate must not write it
+        self._shared = False
+        self.n_samples = n_samples
+        self.damped = damped
+        self.damping = damping
+
+    @classmethod
+    def _wrap(cls, h: np.ndarray, n_samples: int, **flags) -> "HessianState":
+        out = cls.__new__(cls)
+        out._init(h, n_samples, **flags)
+        return out
 
     @property
     def dim(self) -> int:
@@ -67,21 +84,37 @@ class HessianState:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense symmetric H as a read-only view of the stored matrix."""
-        view = self._h.view()
-        view.flags.writeable = False
-        return view
+        """Dense symmetric H, read-only.
+
+        A view of the stored matrix, except for a state from :meth:`dampen`
+        with non-zero damping: that state shares its source's undamped
+        buffer, so each read builds H + damping * I as a new d x d array.
+        The factor never reads it; in the library only the dense oracle and
+        the verification checks read a damped matrix.
+        """
+        if self._shift:
+            out = self._h.copy()
+            out[np.diag_indices(self.dim)] += self._shift
+        else:
+            out = self._h.view()
+        out.flags.writeable = False
+        return out
 
     def mean_diagonal(self) -> float:
         if self.dim == 0:
             return 0.0
-        return float(np.diagonal(self._h).mean())
+        diag = np.diagonal(self._h)
+        if self._shift:
+            diag = diag + self._shift
+        return float(diag.mean())
 
     def accumulate(self, X: np.ndarray) -> "HessianState":
         """Add X X^T for a (dim x n_tokens) activation block; returns self.
 
         Refused after damping: the damped matrix is a derived artifact, not
-        a running sum. Non-finite activations raise NumericalError.
+        a running sum. Non-finite activations raise NumericalError. A state
+        already damped from this one keeps the matrix it was damped from:
+        the sum then goes to a new buffer instead of in place.
         """
         if self.damped:
             raise NumericalError("cannot accumulate into a damped Hessian")
@@ -92,12 +125,24 @@ class HessianState:
             )
         if not np.isfinite(X).all():
             raise NumericalError("activation block contains non-finite values")
-        self._h += _mirrored_upper(X @ X.T)
+        update = _mirror_upper(X @ X.T)
+        if self._shared:
+            self._h = self._h + update
+            self._shared = False
+        else:
+            self._h += update
         self.n_samples += X.shape[1]
         return self
 
     def dampen(self, ratio: float) -> "HessianState":
-        """Return a new state with ratio * mean(diag(H)) added to the diagonal."""
+        """Return a damped state: H + lam * I with lam = ratio * mean(diag(H)).
+
+        No d x d array is written. The new state shares this state's buffer
+        and records lam as ``damping``; ``inverse_cholesky`` adds lam to the
+        diagonal as it factors, and ``matrix`` adds it only when read. This
+        state stays undamped, and a later :meth:`accumulate` on it leaves the
+        damped state as it was.
+        """
         if ratio < 0:
             raise ValueError("damping ratio must be non-negative")
         if self.n_samples <= 0:
@@ -110,13 +155,13 @@ class HessianState:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        out = HessianState(self.dim)
-        out._h = self._h.copy()
-        out._h[np.diag_indices(self.dim)] += lam
-        out.n_samples = self.n_samples
-        out.damped = True
-        out.damping = lam
-        return out
+        if self._shift:
+            # damping a damped state: the first damping joins the matrix
+            base = self.matrix
+        else:
+            base = self._h
+            self._shared = True
+        return self._wrap(base, self.n_samples, damped=True, damping=lam, shift=lam)
 
     @classmethod
     def from_matrix(
@@ -124,26 +169,37 @@ class HessianState:
     ) -> "HessianState":
         """Wrap a precomputed symmetric matrix (upper triangle is trusted).
 
-        Raises NumericalError if the matrix has non-finite entries.
+        The state holds one new d x d array: the upper triangle of H
+        mirrored into the lower. With ``damped=True`` the matrix is taken to
+        include its ``damping`` already. Raises NumericalError if the matrix
+        has non-finite entries.
         """
-        H = np.asarray(H, dtype=np.float64)
+        H = np.array(H, dtype=np.float64, order="C")
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise NumericalError(f"Hessian must be square, got {H.shape}")
         if not np.isfinite(H).all():
             raise NumericalError("Hessian contains non-finite values")
-        out = cls(H.shape[0])
-        out._h = _mirrored_upper(H)
-        out.n_samples = int(n_samples)
-        out.damped = damped
-        out.damping = damping
-        return out
+        return cls._wrap(_mirror_upper(H), int(n_samples), damped=damped, damping=damping)
 
 
-def _mirrored_upper(M: np.ndarray) -> np.ndarray:
-    """New array holding the upper triangle of ``M`` mirrored into the lower."""
-    out = np.triu(M)
-    out += np.triu(out, 1).T
-    return out
+# fastest of 16 to 128 at d = 512 and d = 4096
+_MIRROR_BLOCK = 64
+
+
+def _mirror_upper(M: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of the square C-ordered ``M`` with its
+    upper triangle, transposed; returns ``M``.
+
+    Runs in blocks of rows, so the only temporaries are block-sized.
+    """
+    n = M.shape[0]
+    for a in range(0, n, _MIRROR_BLOCK):
+        e = min(a + _MIRROR_BLOCK, n)
+        diag = M[a:e, a:e]
+        upper = np.triu_indices(e - a, 1)
+        diag.T[upper] = diag[upper]
+        M[e:, a:e] = M[a:e, e:].T
+    return M
 
 
 @dataclass(frozen=True)
@@ -166,21 +222,26 @@ _BASE_DIM = 64
 def inverse_cholesky(state: HessianState) -> InvCholFactor:
     """Factor the inverse of a damped Hessian into an upper triangle.
 
-    Works without forming the dense inverse. H is halved recursively at
-    m = n // 2 into [[H11, H12], [H21, H22]] and T is built bottom-up from
-    the trailing-inverse identity (T22^T T22 = H22^(-1)):
+    Works without forming the dense inverse or the damped matrix: the
+    damping is added to diagonal entries as the factorization reads them.
+    H is halved recursively at m = n // 2 into [[H11, H12], [H21, H22]] and
+    T is built bottom-up from the trailing-inverse identity
+    (T22^T T22 = H22^(-1)):
 
         T22 = factor(H22)
         P   = H12 @ T22^T
         T11 = factor(H11 - P @ P^T)       (the Schur complement of H22)
         T12 = -(T11 @ (P @ T22))
 
-    Blocks of at most ``_BASE_DIM`` columns are Cholesky-factored in
-    reversed order and their lower factor inverted, which lands exactly on
-    the block's upper T. Every other flop is a numpy GEMM, about 4 d^3 / 3
-    in all, so the factor runs on numpy's own BLAS thread pool; the library
-    links no second BLAS runtime whose busy-waiting workers would compete
-    with it for the CPUs.
+    P is written into T12's own storage and the Schur complement is freed
+    before P @ T22 is formed, so besides H and T the factorization holds
+    about one (d/2) x (d/2) temporary at a time (4/3 of one, counting the
+    recursion). Blocks of at most ``_BASE_DIM`` columns are
+    Cholesky-factored in reversed order and their lower factor inverted,
+    which lands exactly on the block's upper T. Every other flop is a numpy
+    GEMM, about 4 d^3 / 3 in all, so the factor runs on numpy's own BLAS
+    thread pool; the library links no second BLAS runtime whose
+    busy-waiting workers would compete with it for the CPUs.
 
     Raises FactorizationError naming the offending pivot if the damped
     matrix is not positive definite: the largest q for which H[q:, q:] is
@@ -191,20 +252,26 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     if not state.damped:
         raise NumericalError("inverse_cholesky requires a damped Hessian")
     T = np.zeros((state.dim, state.dim), dtype=np.float64)
-    _factor_into(state.matrix, T, 0)
+    _factor_into(state._h, state._shift, T, 0)
     return InvCholFactor(T)
 
 
-def _factor_into(H: np.ndarray, T: np.ndarray, offset: int) -> None:
-    """Write the upper inverse factor of ``H`` into the zeroed view ``T``.
+def _factor_into(H: np.ndarray, shift: float, T: np.ndarray, offset: int) -> None:
+    """Write the upper inverse factor of ``H + shift * I`` into the zeroed
+    view ``T``; ``H`` is only read.
 
     ``offset`` is the column of H[0, 0] in the full matrix, so a breakdown
     names its pivot in the original column order. The trailing block is
     factored first, so the first breakdown found is the largest such q.
+    Each diagonal entry is formed as (H_ii + shift) before anything is
+    subtracted from it, the order a damped copy of H would give.
     """
     n = H.shape[0]
     if n <= _BASE_DIM:
         rev = H[::-1, ::-1]
+        if shift:
+            rev = rev.copy()
+            rev[np.diag_indices(n)] += shift
         try:
             low = np.linalg.cholesky(rev)
         except np.linalg.LinAlgError:
@@ -220,14 +287,17 @@ def _factor_into(H: np.ndarray, T: np.ndarray, offset: int) -> None:
         T[...] = np.triu(np.linalg.inv(low)[::-1, ::-1])
         return
     m = n // 2
-    T22 = T[m:, m:]
-    _factor_into(H[m:, m:], T22, offset + m)
-    P = H[:m, m:] @ T22.T
+    T22, T12 = T[m:, m:], T[:m, m:]
+    _factor_into(H[m:, m:], shift, T22, offset + m)
+    P = np.matmul(H[:m, m:], T22.T, out=T12)
     schur = P @ P.T
+    diag = np.diagonal(H[:m, :m]) + shift
+    diag -= np.diagonal(schur)
     np.subtract(H[:m, :m], schur, out=schur)
+    schur[np.diag_indices(m)] = diag
     T11 = T[:m, :m]
-    _factor_into(schur, T11, offset)
-    T12 = T[:m, m:]
+    _factor_into(schur, 0.0, T11, offset)
+    del schur
     np.matmul(T11, P @ T22, out=T12)
     np.negative(T12, out=T12)
 

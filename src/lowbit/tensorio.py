@@ -125,17 +125,24 @@ class TensorFile:
             raise TensorFormatError(f"{self.path}: no tensor named {name!r}") from None
 
     def load(self, name: str, widen: bool = True) -> np.ndarray:
-        """Read one tensor. Float32 payloads widen to float64 unless disabled."""
+        """Read one tensor into a new array.
+
+        The payload is read straight into the returned array, so an F64 or
+        integer load allocates nothing besides it. Float32 payloads widen to
+        float64 unless ``widen`` is false; widening converts from one
+        float32 buffer. A payload shorter than its entry declares raises
+        TensorFormatError.
+        """
         entry = self._entry(name)
+        arr = np.empty(entry.shape, dtype=_DTYPES[entry.dtype_name])
         with open(self.path, "rb") as fh:
             fh.seek(self._payload_offset + entry.begin)
-            raw = fh.read(entry.end - entry.begin)
-        if len(raw) != entry.end - entry.begin:
+            got = fh.readinto(arr.reshape(-1).view(np.uint8))
+        if got != entry.end - entry.begin:
             raise TensorFormatError(f"{self.path}: truncated payload for {name!r}")
-        arr = np.frombuffer(raw, dtype=_DTYPES[entry.dtype_name]).reshape(entry.shape)
         if widen and entry.dtype_name == "F32":
             return arr.astype(np.float64)
-        return arr.copy()
+        return arr
 
 
 def save_tensors(

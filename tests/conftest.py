@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def traced_peak(fn):
+    """Call ``fn()``; return its result and the peak bytes allocated above
+    the level at entry, as tracemalloc counts them (numpy reports its
+    array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -497,6 +497,37 @@ class TestCompare:
         assert not (out / "compare.csv").exists()
 
 
+class TestHessianFile:
+    @pytest.mark.parametrize(
+        "n_samples, rc",
+        [("abc", 2), ("[3]", 2), ("1.5", 2), ("-4", 2), ("true", 2), ('"3"', 2), ("0", 3), ("64", 0)],
+    )
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_n_samples_must_be_a_non_negative_json_integer(
+        self, workspace, rng, capsys, command, n_samples, rc
+    ):
+        # "0" passes the parse and is refused by the damping, as a numerical error
+        ws = workspace
+        hes = ws["dir"] / "hes"
+        hes.mkdir()
+        for layer, arr in ws["arrays"].items():
+            x = rng.standard_normal((arr.shape[1], 64))
+            save_tensors(
+                hes / f"{layer[: -len('.weight')]}.hessian.safetensors",
+                {"hessian": x @ x.T},
+                metadata={"n_samples": n_samples},
+            )
+        out = ws["dir"] / "out"
+        if command == "quantize":
+            args = quantize_args(ws, out, hes)
+        else:
+            args = ["compare", "--weights", ws["weights"], "--hessians", hes, "--out", out,
+                    "--engines", "rtn", "gptq"]
+        assert run_cli(*args) == rc
+        if rc == 2:
+            assert "n_samples" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_fresh_checkout_passes(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", tmp_path)

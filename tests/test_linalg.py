@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 
 import lowbit
-from conftest import token_hessian
+from conftest import token_hessian, traced_peak
+from lowbit.engines import EngineConfig, LayerBundle, PreparedLayer, _run_oracle, run_engine
 from lowbit.errors import FactorizationError, NumericalError
 from lowbit.linalg import (
     HessianState,
@@ -222,6 +223,96 @@ class TestInverseCholesky:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
         )
         assert out.stdout.strip() == "[]"
+
+
+def _explicitly_damped(state, ratio):
+    """The damped state as a matrix holding its damping, factored as given."""
+    lam = state.dampen(ratio).damping
+    H = state.matrix + lam * np.eye(state.dim)
+    return HessianState.from_matrix(H, state.n_samples, damped=True, damping=lam)
+
+
+class TestNoCopyFactor:
+    """``dampen`` shares the undamped buffer and the factor adds the damping
+    on its diagonal; every value must equal the explicitly damped route."""
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.01])
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 200, 513])
+    def test_factor_bit_identical_to_explicitly_damped_matrix(self, rng, d, ratio):
+        state = HessianState(d).accumulate(rng.standard_normal((d, d + 8)))
+        got = inverse_cholesky(state.dampen(ratio)).matrix
+        want = inverse_cholesky(_explicitly_damped(state, ratio)).matrix
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [30, 150, 199])
+    def test_indefinite_matrix_names_same_pivot_on_both_routes(self, rng, bad):
+        A = rng.standard_normal((200, 200))
+        H = A @ A.T
+        H[bad, bad] = -1e4
+        state = HessianState.from_matrix(H, 200)
+        pivots = []
+        for damped in (state.dampen(0.01), _explicitly_damped(state, 0.01)):
+            with pytest.raises(FactorizationError) as excinfo:
+                inverse_cholesky(damped)
+            pivots.append(excinfo.value.pivot)
+        assert pivots[0] == pivots[1] == bad
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.01])
+    def test_accumulate_after_dampen_leaves_damped_state_unchanged(self, rng, ratio):
+        x1, x2 = rng.standard_normal((70, 90)), rng.standard_normal((70, 40))
+        state = HessianState(70).accumulate(x1)
+        damped = state.dampen(ratio)
+        matrix, factor = damped.matrix.copy(), inverse_cholesky(damped).matrix
+        state.accumulate(x2)
+        assert np.array_equal(damped.matrix, matrix)
+        assert np.array_equal(inverse_cholesky(damped).matrix, factor)
+        assert damped.n_samples == 90
+        fresh = HessianState(70).accumulate(x1).accumulate(x2)
+        assert np.array_equal(state.matrix, fresh.matrix)
+        assert state.n_samples == 130
+
+    def test_damped_matrix_is_read_only_and_built_per_read(self, rng):
+        state = HessianState(5).accumulate(rng.standard_normal((5, 9)))
+        damped = state.dampen(0.01)
+        first = damped.matrix
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+        assert not np.shares_memory(first, state.matrix)
+        assert np.array_equal(first, damped.matrix)
+        assert damped.mean_diagonal() == float(np.diagonal(first).mean())
+
+    def test_obs_oracle_codes_unchanged(self, rng):
+        W = rng.standard_normal((12, 40))
+        state = token_hessian(40, 160, 0.9, 3)
+        config = EngineConfig(engine="obs_oracle", bits=3, group_size=8)
+        quantized, _ = run_engine(LayerBundle(W), state, config)
+        codes, _ = _run_oracle(
+            LayerBundle(W), _explicitly_damped(state, config.damp_ratio), config.grid(), config
+        )
+        assert np.array_equal(quantized.codes, codes)
+
+
+class TestPeakMemory:
+    """tracemalloc peaks above entry, in units of one d x d float64 array."""
+
+    D = 1024
+
+    def test_prepared_layer_factor_holds_t_and_one_half_size_temporary(self, rng):
+        d = self.D
+        state = HessianState(d).accumulate(rng.standard_normal((d, d + 64)))
+        prepared = PreparedLayer(
+            rng.standard_normal((4, d)), state, EngineConfig().grid(), 0.01
+        )
+        factor, peak = traced_peak(lambda: prepared.factor)
+        assert factor.matrix.shape == (d, d)
+        assert peak <= 1.5 * 8 * d * d
+
+    def test_from_matrix_copies_once(self, rng):
+        d = self.D
+        H = rng.standard_normal((d, d))
+        state, peak = traced_peak(lambda: HessianState.from_matrix(H, 1))
+        assert np.array_equal(state.matrix, np.triu(H) + np.triu(H, 1).T)
+        assert peak <= 1.5 * 8 * d * d
 
 
 class TestRecoverInverseSubmatrix:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from lowbit.errors import NumericalError, TensorFormatError
 from lowbit.quantizer import QuantGrid, QuantizedLayer, rtn_quantize
 from lowbit.tensorio import (
@@ -62,6 +63,17 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestLoadMemory:
+    def test_f64_load_reads_into_its_result(self, tmp_path, rng):
+        arr = rng.standard_normal((512, 512))
+        path = tmp_path / "t.safetensors"
+        save_tensors(path, {"w": arr})
+        tf = TensorFile.open(path)
+        out, peak = traced_peak(lambda: tf.load("w"))
+        assert np.array_equal(out, arr) and out.flags.writeable
+        assert peak <= 1.1 * arr.nbytes
+
+
 def _write_f64_spans(path, offsets):
     """Container of F64 vectors at the given payload byte spans, 32 zero bytes long."""
     header = json.dumps(
@@ -109,6 +121,15 @@ class TestErrors:
         path.write_bytes(b"\x01\x02")
         with pytest.raises(TensorFormatError, match="truncated"):
             TensorFile.open(path)
+
+    def test_payload_truncated_after_open(self, tmp_path, rng):
+        path = tmp_path / "t.safetensors"
+        save_tensors(path, {"w": rng.standard_normal((4, 4))})
+        tf = TensorFile.open(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8)
+        with pytest.raises(TensorFormatError, match="truncated payload"):
+            tf.load("w")
 
     @pytest.mark.parametrize("excess", ["max", "file_size_plus_one", "one_past_end"])
     def test_header_length_exceeding_file(self, tmp_path, excess):
