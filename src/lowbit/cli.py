@@ -5,8 +5,8 @@ optional ``--config`` JSON file, then by explicitly passed flags. The merged
 effective configuration is written next to every output and embedded in
 artifact metadata, so any artifact can be reproduced from its own header.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration, file or format error, 3 numerical
+failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -43,6 +42,7 @@ HESSIAN_SUFFIX = ".hessian.safetensors"
 QUANTIZED_SUFFIX = ".quantized.safetensors"
 
 _ENGINE_DEFAULTS = EngineConfig(engine="foem").to_dict()
+_RUN_DEFAULTS = {"weights": None, "hessians": None, "out": None, "layers": [], **_ENGINE_DEFAULTS}
 
 _DEFAULTS = {
     "calibrate": {
@@ -51,29 +51,35 @@ _DEFAULTS = {
         "synthetic": None,
         "out": None,
         "layers": [],
-        "damp_ratio": 0.01,
+        "damp_ratio": _ENGINE_DEFAULTS["damp_ratio"],
     },
-    "quantize": {
-        "weights": None,
-        "hessians": None,
-        "out": None,
-        "layers": [],
-        **_ENGINE_DEFAULTS,
-    },
-    "compare": {
-        "weights": None,
-        "hessians": None,
-        "out": None,
-        "layers": [],
-        "engines": None,
-        **_ENGINE_DEFAULTS,
-    },
+    "quantize": _RUN_DEFAULTS,
+    "compare": {**_RUN_DEFAULTS, "engines": None},
     "verify": {
         "out": None,
         "tol_scale": 1.0,
         "seed": 0,
     },
 }
+
+
+def _check_types(effective: dict) -> None:
+    """Refuse a value outside the engine fields (``EngineConfig.from_dict``
+    checks those) whose JSON type is wrong; a path or list may be None."""
+    for key, value in effective.items():
+        if key in ("weights", "hessians", "out", "synthetic"):
+            ok, what = value is None or isinstance(value, str), "a string"
+        elif key in ("activations", "layers", "engines"):
+            ok = value is None or isinstance(value, list) and all(isinstance(v, str) for v in value)
+            what = "a list of strings"
+        elif key == "tol_scale":
+            ok, what = type(value) in (int, float), "a real number"
+        elif key == "seed":
+            ok, what = type(value) is int, "an integer"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 def _merged_config(args: argparse.Namespace, command: str) -> dict:
@@ -98,6 +104,7 @@ def _merged_config(args: argparse.Namespace, command: str) -> dict:
             effective[key] = value
     if effective.get("out") is None:
         effective["out"] = os.environ.get(OUTDIR_ENV)
+    _check_types(effective)
     return effective
 
 
@@ -166,35 +173,13 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
         raise ConfigError(f"bad synthetic spec: {exc}") from None
 
 
-def _engine_config(effective: dict, engine: str | None = None, sign: str | None = None) -> EngineConfig:
-    cfg = EngineConfig(
-        engine=engine or effective["engine"],
-        bits=int(effective["bits"]),
-        group_size=effective["group_size"],
-        symmetric=bool(effective["symmetric"]),
-        block_size=int(effective["block_size"]),
-        beta=float(effective["beta"]),
-        damp_ratio=float(effective["damp_ratio"]),
-        first_order_sign=sign or effective["first_order_sign"],
-        scale_source=effective["scale_source"],
-    )
-    cfg.validate()
-    return cfg
-
-
 def _parse_engine_token(token: str, effective: dict) -> tuple[str, EngineConfig]:
     """'foem(plus)' -> label and config; bare names use the configured sign."""
-    name, sign = token, None
+    name, sign = token, effective["first_order_sign"]
     if token.endswith(")") and "(" in token:
         name, rest = token.split("(", 1)
         sign = rest[:-1]
-        if sign not in FIRST_ORDER_SIGNS:
-            raise ConfigError(
-                f"bad engine token {token!r}: sign must be one of {FIRST_ORDER_SIGNS}"
-            )
-    if name not in ENGINES:
-        raise ConfigError(f"unknown engine {name!r}; expected one of {ENGINES}")
-    return token, _engine_config(effective, engine=name, sign=sign)
+    return token, EngineConfig.from_dict(dict(effective, engine=name, first_order_sign=sign))
 
 
 def _load_hessian(hessians_dir: str, layer: str) -> HessianState:
@@ -222,9 +207,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     have_synth = effective["synthetic"] is not None
     if have_acts == have_synth:
         raise ConfigError("supply exactly one of --activations and --synthetic")
-    damp_ratio = effective["damp_ratio"]
-    if not isinstance(damp_ratio, (int, float)) or not 0 <= damp_ratio < math.inf:
-        raise ConfigError(f"damp_ratio must be finite and non-negative, got {damp_ratio!r}")
+    # the recorded damping must be one the engines accept
+    EngineConfig.from_dict({"damp_ratio": effective["damp_ratio"]})
     config_blob = _persist_config(effective, "calibrate")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
@@ -267,7 +251,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_quantize(args: argparse.Namespace) -> int:
     effective = _merged_config(args, "quantize")
     _require(effective, "weights", "hessians", "out")
-    engine_cfg = _engine_config(effective)
+    engine_cfg = EngineConfig.from_dict(effective)
     config_blob = _persist_config(effective, "quantize")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
@@ -451,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TensorFormatError) as exc:
+    except (ConfigError, TensorFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -44,9 +44,10 @@ row-vectorized; column order is strictly sequential.
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -112,6 +113,11 @@ class LayerBundle:
         return self.weights - self.original
 
 
+def _is_number(value, kind) -> bool:
+    """JSON number check: a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Everything an engine run depends on besides the data itself.
@@ -119,7 +125,8 @@ class EngineConfig:
     ``beta`` scales latent drift into gradient space for the first-order
     engines; ``block_size`` is the width of the lazy in-block batch before
     the batched boundary update fires. Fields that do not apply to
-    the selected engine are ignored.
+    the selected engine are ignored; ``applied`` gives the values a run
+    actually uses.
     """
 
     engine: str = "gptq"
@@ -133,19 +140,25 @@ class EngineConfig:
     scale_source: str = "latent"
 
     def validate(self) -> None:
+        """Raise ConfigError unless every field has its JSON type (a bool is
+        no number, and ``group_size`` may be None) and a value in range."""
+        # a name that is not a string fails its membership test
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if not 2 <= self.bits <= 8:
-            raise ConfigError(f"bits must be in [2, 8], got {self.bits}")
-        if self.group_size is not None and self.group_size < 1:
-            raise ConfigError(f"group_size must be >= 1 or None, got {self.group_size}")
-        if self.block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
-        # written so that NaN fails too
-        if not 0 <= self.beta < math.inf:
-            raise ConfigError(f"beta must be finite and non-negative, got {self.beta}")
-        if not 0 <= self.damp_ratio < math.inf:
-            raise ConfigError(f"damp_ratio must be finite and non-negative, got {self.damp_ratio}")
+        if not _is_number(self.bits, numbers.Integral) or not 2 <= self.bits <= 8:
+            raise ConfigError(f"bits must be an integer in [2, 8], got {self.bits!r}")
+        gs = self.group_size
+        if gs is not None and (not _is_number(gs, numbers.Integral) or gs < 1):
+            raise ConfigError(f"group_size must be an integer >= 1 or None, got {gs!r}")
+        if not isinstance(self.symmetric, bool):
+            raise ConfigError(f"symmetric must be a bool, got {self.symmetric!r}")
+        if not _is_number(self.block_size, numbers.Integral) or self.block_size < 1:
+            raise ConfigError(f"block_size must be an integer >= 1, got {self.block_size!r}")
+        # written so that NaN fails too, and an int too large for a float
+        if not _is_number(self.beta, numbers.Real) or not 0 <= self.beta <= sys.float_info.max:
+            raise ConfigError(f"beta must be finite and non-negative, got {self.beta!r}")
+        if not _is_number(self.damp_ratio, numbers.Real) or not 0 <= self.damp_ratio <= sys.float_info.max:
+            raise ConfigError(f"damp_ratio must be finite and non-negative, got {self.damp_ratio!r}")
         if self.first_order_sign not in FIRST_ORDER_SIGNS:
             raise ConfigError(
                 f"first_order_sign must be one of {FIRST_ORDER_SIGNS}, "
@@ -162,25 +175,28 @@ class EngineConfig:
     def sign_factor(self) -> float:
         return -1.0 if self.first_order_sign == "minus" else 1.0
 
-    def to_dict(self) -> dict:
+    def applied(self) -> dict:
+        """The engine values a run with this config applies, 0 where it
+        applies none: beta only for foem, a block size only for gptq and
+        foem, and no damping for rtn."""
         return {
             "engine": self.engine,
-            "bits": self.bits,
-            "group_size": self.group_size,
-            "symmetric": self.symmetric,
-            "block_size": self.block_size,
-            "beta": self.beta,
-            "damp_ratio": self.damp_ratio,
+            "beta": self.beta if self.engine == "foem" else 0.0,
+            "damp_ratio": self.damp_ratio if self.engine != "rtn" else 0.0,
+            "block_size": self.block_size if self.engine in ("gptq", "foem") else 0,
             "first_order_sign": self.first_order_sign,
-            "scale_source": self.scale_source,
         }
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        known = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
-        cfg = cls(**known)
+        """The validated config of ``data``'s config fields; other keys are
+        ignored. ``beta`` and ``damp_ratio`` are recorded as floats."""
+        cfg = cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
         cfg.validate()
-        return cfg
+        return replace(cfg, beta=float(cfg.beta), damp_ratio=float(cfg.damp_ratio))
 
 
 @dataclass
@@ -445,7 +461,7 @@ def _run_blocked(
     T = factor.matrix
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
-    beta = config.beta if config.engine == "foem" else 0.0
+    beta = config.applied()["beta"]
     sign = config.sign_factor()
     c = sign * beta
     latent = config.scale_source == "latent"
@@ -609,7 +625,7 @@ class PreparedLayer:
 
         t0 = time.perf_counter()
         if config.engine == "rtn":
-            quantized = replace(self.baseline, first_order_sign=config.first_order_sign, extra={})
+            quantized = replace(self.baseline, config=config, extra={})
         else:
             # factoring first also refuses a matrix that is not positive
             # definite for the oracle, whose explicit inverse would not
@@ -619,7 +635,6 @@ class PreparedLayer:
                 codes, book = _run_oracle(bundle, damped, grid, config)
             else:
                 codes, book = _run_blocked(bundle, factor, grid, config)
-            first_order = config.engine == "foem"
             quantized = QuantizedLayer(
                 codes=codes.astype(np.int32),
                 scales=book.scales,
@@ -627,15 +642,10 @@ class PreparedLayer:
                 bits=grid.bits,
                 group_size=book.group_size,
                 symmetric=grid.symmetric,
-                engine=config.engine,
-                beta=config.beta if first_order else 0.0,
-                damp_ratio=config.damp_ratio,
-                block_size=config.block_size if config.engine != "obs_oracle" else 0,
-                first_order_sign=config.first_order_sign,
+                config=config,
             )
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name
-        quantized.extra["config"] = config.to_dict()
 
         loss_rtn = self.baseline_loss
         if config.engine == "rtn":
@@ -647,13 +657,14 @@ class PreparedLayer:
         else:
             rtn_relative = 1.0 if loss == loss_rtn else float("inf")
         drift = np.abs(bundle.drift())
+        applied = config.applied()
         report = LayerReport(
             layer=layer_name,
             engine=config.engine,
             bits=grid.bits,
             group_size=quantized.group_size,
-            beta=quantized.beta,
-            block_size=quantized.block_size,
+            beta=applied["beta"],
+            block_size=applied["block_size"],
             proxy_loss=loss,
             rtn_relative=rtn_relative,
             wall_time_s=wall,

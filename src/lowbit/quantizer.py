@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    from .engines import EngineConfig
 
 __all__ = [
     "QuantGrid",
@@ -130,7 +134,8 @@ class QuantizedLayer:
 
     ``codes`` is (d_out x d_in) int32, ``scales`` (d_out x n_groups) float64,
     ``zero_points`` (d_out x n_groups) int32 (all zero for symmetric grids).
-    The engine fields record how the artifact was produced.
+    ``config`` is the one record of the engine run that produced the layer
+    (None for a bare ``rtn_quantize``); ``extra`` holds free-form metadata.
     """
 
     codes: np.ndarray
@@ -139,11 +144,7 @@ class QuantizedLayer:
     bits: int
     group_size: int
     symmetric: bool
-    engine: str = "rtn"
-    beta: float = 0.0
-    damp_ratio: float = 0.0
-    block_size: int = 0
-    first_order_sign: str = "minus"
+    config: EngineConfig | None = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -236,7 +237,7 @@ class ScaleBook:
         return GroupScale(self.scales[:, g], self.zero_points[:, g])
 
 
-def rtn_quantize(weights: np.ndarray, grid: QuantGrid, **artifact_fields) -> QuantizedLayer:
+def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     """Round-to-nearest baseline: independent per-element quantization.
 
     No cross-column compensation; every element is fitted and rounded within
@@ -257,13 +258,6 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid, **artifact_fields) -> Qua
         gs = book.column_params(lo)
         c, _ = quantize_values(weights[:, lo:hi], GroupScale(gs.scale[:, None], gs.zero_point[:, None]), grid)
         codes[:, lo:hi] = c
-    fields = dict(
-        engine="rtn",
-        beta=0.0,
-        damp_ratio=0.0,
-        block_size=0,
-    )
-    fields.update(artifact_fields)
     return QuantizedLayer(
         codes=codes.astype(np.int32),
         scales=book.scales,
@@ -271,5 +265,4 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid, **artifact_fields) -> Qua
         bits=grid.bits,
         group_size=book.group_size,
         symmetric=grid.symmetric,
-        **fields,
     )

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TensorFormatError
+from .engines import EngineConfig
+from .errors import ConfigError, TensorFormatError
 from .quantizer import QuantizedLayer
 
 __all__ = [
@@ -193,32 +194,23 @@ def load_tensor(file: TensorFile | str | os.PathLike, name: str) -> np.ndarray:
     return file.load(name)
 
 
-def _meta_dump(value) -> str:
-    return json.dumps(value)
-
-
-def _meta_load(metadata: dict[str, str], key: str, default=None):
-    if key not in metadata:
-        return default
-    return json.loads(metadata[key])
-
-
 def save_quantized(layer: QuantizedLayer, path: str | os.PathLike) -> None:
-    """Persist a quantized layer; invariants are checked before any write."""
+    """Persist a quantized layer; invariants are checked before any write.
+
+    The header's engine keys are ``layer.config.applied()`` and ``x.config``
+    is ``layer.config.to_dict()``; a layer without a config (a bare
+    ``rtn_quantize``) records what ``EngineConfig(engine="rtn")`` applies and
+    no ``x.config``. Each ``extra`` entry is written as ``x.<key>``.
+    """
     layer.validate()
-    metadata = {
-        "format": "lowbit-quantized-v1",
-        "bits": _meta_dump(layer.bits),
-        "group_size": _meta_dump(layer.group_size),
-        "symmetric": _meta_dump(layer.symmetric),
-        "engine": _meta_dump(layer.engine),
-        "beta": _meta_dump(layer.beta),
-        "damp_ratio": _meta_dump(layer.damp_ratio),
-        "block_size": _meta_dump(layer.block_size),
-        "first_order_sign": _meta_dump(layer.first_order_sign),
-    }
-    for key, value in sorted(layer.extra.items()):
-        metadata[f"x.{key}"] = _meta_dump(value)
+    if "config" in layer.extra:
+        raise TensorFormatError("extra key 'config' is reserved for the layer's EngineConfig")
+    config = layer.config or EngineConfig(engine="rtn")
+    header = dict(bits=layer.bits, group_size=layer.group_size, symmetric=layer.symmetric)
+    header.update(config.applied())
+    header.update((f"x.{key}", value) for key, value in layer.extra.items())
+    if layer.config is not None:
+        header["x.config"] = layer.config.to_dict()
     save_tensors(
         path,
         {
@@ -226,31 +218,43 @@ def save_quantized(layer: QuantizedLayer, path: str | os.PathLike) -> None:
             "scales": layer.scales.astype(np.float64),
             "zero_points": layer.zero_points.astype(np.int32),
         },
-        metadata=metadata,
+        metadata={"format": "lowbit-quantized-v1", **{k: json.dumps(v) for k, v in header.items()}},
     )
 
 
 def load_quantized(path: str | os.PathLike) -> QuantizedLayer:
-    """Read back a quantized layer written by :func:`save_quantized`."""
+    """Read back a quantized layer written by :func:`save_quantized`.
+
+    ``config`` is rebuilt from ``x.config`` (None without one). Raises
+    TensorFormatError when ``x.config`` is not an object of exactly the
+    config fields with valid values, or when the header's engine keys are
+    not what that config (without one, a bare RTN) applies.
+    """
     tf = TensorFile.open(path)
-    meta = tf.metadata
-    if meta.get("format") != "lowbit-quantized-v1":
+    if tf.metadata.get("format") != "lowbit-quantized-v1":
         raise TensorFormatError(f"{tf.path}: not a lowbit quantized-layer file")
-    extra = {
-        key[2:]: _meta_load(meta, key) for key in sorted(meta) if key.startswith("x.")
-    }
+    try:
+        header = {k: json.loads(v) for k, v in tf.metadata.items() if k != "format"}
+        extra = {k[2:]: v for k, v in sorted(header.items()) if k.startswith("x.")}
+        raw = extra.pop("config", None)
+        fields = set(EngineConfig.__dataclass_fields__)
+        if raw is not None and (not isinstance(raw, dict) or set(raw) != fields):
+            raise ConfigError(f"x.config {raw!r} is not an object of the config fields")
+        config = None if raw is None else EngineConfig.from_dict(raw)
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise TensorFormatError(f"{tf.path}: malformed metadata: {exc}") from None
+    applied = (config or EngineConfig(engine="rtn")).applied()
+    recorded = {key: header.get(key) for key in applied}
+    if recorded != applied:
+        raise TensorFormatError(f"{tf.path}: header engine keys {recorded} disagree with {applied}")
     layer = QuantizedLayer(
         codes=tf.load("codes"),
         scales=tf.load("scales"),
         zero_points=tf.load("zero_points"),
-        bits=_meta_load(meta, "bits"),
-        group_size=_meta_load(meta, "group_size"),
-        symmetric=_meta_load(meta, "symmetric"),
-        engine=_meta_load(meta, "engine", "rtn"),
-        beta=_meta_load(meta, "beta", 0.0),
-        damp_ratio=_meta_load(meta, "damp_ratio", 0.0),
-        block_size=_meta_load(meta, "block_size", 0),
-        first_order_sign=_meta_load(meta, "first_order_sign", "minus"),
+        bits=header.get("bits"),
+        group_size=header.get("group_size"),
+        symmetric=header.get("symmetric"),
+        config=config,
         extra=extra,
     )
     layer.validate()

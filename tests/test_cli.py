@@ -185,7 +185,7 @@ class TestQuantize:
         assert run_cli(*quantize_args(ws, out, ws["hessians"])) == 0
         for name in ("blk0.fc", "blk1.fc"):
             layer = load_quantized(out / f"{name}.quantized.safetensors")
-            assert layer.engine == "gptq"
+            assert layer.config.engine == "gptq"
             assert layer.extra["layer"] == name
             rep = json.loads((out / f"{name}.report.json").read_text())
             assert rep["layer"] == name and rep["proxy_loss"] >= 0
@@ -258,7 +258,7 @@ class TestQuantize:
         eff = json.loads((out1 / "effective_config.json").read_text())
         assert eff["engine"] == "gptq" and eff["bits"] == 4 and eff["block_size"] == 8
         layer = load_quantized(out1 / "blk0.fc.quantized.safetensors")
-        assert layer.bits == 4 and layer.block_size == 8
+        assert layer.bits == 4 and layer.config.block_size == 8
         # re-running purely from the persisted effective config reproduces
         # the artifact byte for byte
         out2 = ws["dir"] / "c2"
@@ -526,6 +526,100 @@ class TestHessianFile:
         assert run_cli(*args) == rc
         if rc == 2:
             assert "n_samples" in capsys.readouterr().err
+
+
+def _run_with_config(ws, command, values):
+    cfg = ws["dir"] / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    return run_cli(command, "--config", cfg)
+
+
+class TestConfigTypes:
+    """Config-file values of the wrong JSON type exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta", "abc"), ("bits", None), ("bits", 3.9), ("group_size", 7.5),
+            ("symmetric", "false"), ("symmetric", 0), ("block_size", "8"), ("beta", True),
+            ("damp_ratio", "0.01"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_wrong_engine_field_type_exits_2(self, calibrated, capsys, command, field, value):
+        ws = calibrated
+        out = ws["dir"] / "out"
+        values = {"weights": str(ws["weights"]), "hessians": str(ws["hessians"]), "out": str(out),
+                  "engine": "foem", field: value}
+        if command == "compare":
+            values["engines"] = ["rtn", "foem(plus)"]
+        assert _run_with_config(ws, command, values) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_real_bool_symmetric_runs(self, calibrated):
+        ws = calibrated
+        out = ws["dir"] / "out"
+        values = {"weights": str(ws["weights"]), "hessians": str(ws["hessians"]), "out": str(out),
+                  "engine": "gptq", "symmetric": False}
+        assert _run_with_config(ws, "quantize", values) == 0
+        layer = load_quantized(out / "blk0.fc.quantized.safetensors")
+        assert layer.symmetric is False and layer.config.symmetric is False
+
+    def test_calibrate_damp_ratio_true_exits_2(self, workspace, capsys):
+        out = workspace["dir"] / "hes"
+        values = {"weights": str(workspace["weights"]), "synthetic": "n_tokens=16", "out": str(out),
+                  "damp_ratio": True}
+        assert _run_with_config(workspace, "calibrate", values) == 2
+        assert "damp_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("quantize", "layers", "blk0*"),
+            ("quantize", "layers", [1]),
+            ("quantize", "weights", 5),
+            ("calibrate", "activations", "acts.safetensors"),
+            ("compare", "engines", "rtn gptq"),
+            ("verify", "tol_scale", "x"),
+            ("verify", "tol_scale", True),
+            ("verify", "seed", "abc"),
+            ("verify", "seed", 1.5),
+        ],
+    )
+    def test_wrong_option_type_exits_2(self, calibrated, capsys, command, field, value):
+        ws = calibrated
+        out = ws["dir"] / "out"
+        values = {"out": str(out)}
+        if command != "verify":
+            values["weights"] = str(ws["weights"])
+        if command in ("quantize", "compare"):
+            values["hessians"] = str(ws["hessians"])
+        values[field] = value
+        assert _run_with_config(ws, command, values) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOSErrors:
+    @pytest.mark.parametrize("case", ["quantize_weights", "calibrate_weights", "activations", "out_is_file"])
+    def test_missing_or_blocked_path_exits_2(self, calibrated, capsys, case):
+        ws = calibrated
+        missing = ws["dir"] / "missing.safetensors"
+        blocker = ws["dir"] / "a_file"
+        blocker.write_text("")
+        args = {
+            "quantize_weights": quantize_args(ws, ws["dir"] / "q", ws["hessians"], **{"--weights": missing}),
+            "calibrate_weights": ["calibrate", "--weights", missing, "--synthetic", "n_tokens=16",
+                                  "--out", ws["dir"] / "h"],
+            "activations": ["calibrate", "--weights", ws["weights"], "--activations", missing,
+                            "--out", ws["dir"] / "h"],
+            "out_is_file": quantize_args(ws, blocker, ws["hessians"]),
+        }[case]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestVerify:

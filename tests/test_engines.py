@@ -416,6 +416,41 @@ class TestEngineConfig:
     def test_zero_strength_accepted(self, field):
         EngineConfig(**{field: 0.0}).validate()
 
+    @pytest.mark.parametrize(
+        "token, applied",
+        [
+            (dict(engine="rtn"), ("rtn", 0.0, 0.0, 0, "minus")),
+            (dict(engine="obs_oracle"), ("obs_oracle", 0.0, 0.02, 0, "minus")),
+            (dict(engine="gptq"), ("gptq", 0.0, 0.02, 7, "minus")),
+            (dict(engine="foem"), ("foem", 5e-4, 0.02, 7, "minus")),
+            (dict(engine="foem", first_order_sign="plus"), ("foem", 5e-4, 0.02, 7, "plus")),
+        ],
+    )
+    def test_applied_values(self, token, applied):
+        config = EngineConfig(beta=5e-4, damp_ratio=0.02, block_size=7, **token)
+        keys = ("engine", "beta", "damp_ratio", "block_size", "first_order_sign")
+        assert config.applied() == dict(zip(keys, applied))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("engine", 3), ("bits", 3.9), ("bits", None), ("bits", True), ("bits", "4"),
+            ("group_size", 7.5), ("group_size", False), ("symmetric", 0), ("symmetric", "false"),
+            ("block_size", "8"), ("block_size", 3.7), ("beta", "abc"), ("beta", True),
+            ("damp_ratio", "0.01"), ("damp_ratio", None), ("first_order_sign", None),
+            ("scale_source", ["latent"]), ("beta", 10**400),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig.from_dict({field: value})
+
+    def test_from_dict_records_reals_as_floats(self):
+        config = EngineConfig.from_dict({"beta": 0, "damp_ratio": 1, "bits": np.int64(3)})
+        assert (type(config.beta), type(config.damp_ratio)) == (float, float)
+        assert config.to_dict() == dict(EngineConfig().to_dict(), beta=0.0, damp_ratio=1.0, bits=3)
+        assert EngineConfig.from_dict({"group_size": None, "symmetric": False}).grid() == QuantGrid(4, None, False)
+
 
 class TestPreparedLayer:
     """One preparation shared by several engine runs on the same layer."""
@@ -441,9 +476,7 @@ class TestPreparedLayer:
             for name in ("codes", "scales", "zero_points"):
                 assert np.array_equal(getattr(q_shared, name), getattr(q_alone, name)), config
             assert q_shared.extra == q_alone.extra
-            assert (q_shared.engine, q_shared.beta, q_shared.block_size, q_shared.first_order_sign) == (
-                q_alone.engine, q_alone.beta, q_alone.block_size, q_alone.first_order_sign
-            )
+            assert q_shared.config == q_alone.config
             shared, alone = rep_shared.to_dict(), rep_alone.to_dict()
             shared.pop("wall_time_s"), alone.pop("wall_time_s")
             assert shared == alone, config

@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import token_hessian, traced_peak
+from lowbit.engines import EngineConfig, LayerBundle, run_engine
 from lowbit.errors import NumericalError, TensorFormatError
 from lowbit.quantizer import QuantGrid, QuantizedLayer, rtn_quantize
 from lowbit.tensorio import (
@@ -185,7 +186,6 @@ class TestQuantizedArtifacts:
         return rtn_quantize(
             rng.standard_normal((4, 8)),
             QuantGrid(4, 4),
-            engine="rtn",
         )
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -198,7 +198,7 @@ class TestQuantizedArtifacts:
         assert np.array_equal(back.scales, layer.scales)
         assert np.array_equal(back.zero_points, layer.zero_points)
         assert (back.bits, back.group_size, back.symmetric) == (4, 4, True)
-        assert back.engine == "rtn"
+        assert back.config is None
         assert back.extra["layer"] == "proj"
 
     def test_dequantized_reconstruction_identical(self, tmp_path, rng):
@@ -237,6 +237,76 @@ class TestQuantizedArtifacts:
         save_tensors(path, {"codes": np.zeros((1, 1), dtype=np.int32)})
         with pytest.raises(TensorFormatError, match="quantized-layer"):
             load_quantized(path)
+
+
+def _engine_artifact(tmp_path, rng, **token):
+    config = EngineConfig(bits=3, group_size=4, block_size=3, beta=5e-4, damp_ratio=0.02, **token)
+    layer, _ = run_engine(LayerBundle(rng.standard_normal((5, 8))), token_hessian(8, 32), config, "fc")
+    path = tmp_path / "q.safetensors"
+    save_quantized(layer, path)
+    return path, config
+
+
+def _rewrite_metadata(path, **changes):
+    """Rewrite a quantized artifact with some header values replaced."""
+    tf = TensorFile.open(path)
+    tensors = {name: tf.load(name, widen=False) for name in tf.names}
+    save_tensors(path, tensors, metadata=dict(tf.metadata, **changes))
+
+
+class TestArtifactHeader:
+    FIXED = {"format": "lowbit-quantized-v1", "bits": "3", "group_size": "4", "symmetric": "true"}
+
+    @pytest.mark.parametrize(
+        "token, header",
+        [
+            (dict(engine="rtn"), ('"rtn"', "0.0", "0.0", "0", '"minus"')),
+            (dict(engine="obs_oracle"), ('"obs_oracle"', "0.0", "0.02", "0", '"minus"')),
+            (dict(engine="gptq"), ('"gptq"', "0.0", "0.02", "3", '"minus"')),
+            (dict(engine="foem"), ('"foem"', "0.0005", "0.02", "3", '"minus"')),
+            (dict(engine="foem", first_order_sign="plus"), ('"foem"', "0.0005", "0.02", "3", '"plus"')),
+        ],
+    )
+    def test_engine_keys_pinned(self, tmp_path, rng, token, header):
+        path, config = _engine_artifact(tmp_path, rng, **token)
+        meta = TensorFile.open(path).metadata
+        keys = ("engine", "beta", "damp_ratio", "block_size", "first_order_sign")
+        assert {k: v for k, v in meta.items() if not k.startswith("x.")} == dict(self.FIXED, **dict(zip(keys, header)))
+        assert json.loads(meta["x.config"]) == config.to_dict()
+        assert json.loads(meta["x.layer"]) == "fc"
+        assert load_quantized(path).config == config
+
+    def test_bare_rtn_header(self, tmp_path, rng):
+        path = tmp_path / "q.safetensors"
+        save_quantized(rtn_quantize(rng.standard_normal((2, 8)), QuantGrid(3, 4)), path)
+        assert TensorFile.open(path).metadata == dict(
+            self.FIXED, engine='"rtn"', beta="0.0", damp_ratio="0.0", block_size="0",
+            first_order_sign='"minus"',
+        )
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"engine": '"gptq"'},
+            {"beta": "0.0"},
+            {"block_size": "4"},
+            {"x.config": "{not json"},
+            {"x.config": "[1, 2]"},
+            {"x.config": json.dumps(dict(EngineConfig().to_dict(), bits="3"))},
+            {"x.config": json.dumps({"engine": "foem"})},
+        ],
+    )
+    def test_inconsistent_or_malformed_header_refused(self, tmp_path, rng, changes):
+        path, _ = _engine_artifact(tmp_path, rng, engine="foem")
+        _rewrite_metadata(path, **changes)
+        with pytest.raises(TensorFormatError):
+            load_quantized(path)
+
+    def test_extra_config_key_reserved(self, tmp_path, rng):
+        layer = rtn_quantize(rng.standard_normal((2, 8)), QuantGrid(3, 4))
+        layer.extra["config"] = {}
+        with pytest.raises(TensorFormatError, match="reserved"):
+            save_quantized(layer, tmp_path / "q.safetensors")
 
 
 class TestConcurrentReads:
