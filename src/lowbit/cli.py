@@ -65,7 +65,7 @@ _DEFAULTS = {
 
 def _check_types(effective: dict) -> None:
     """Refuse a value outside the engine fields (``EngineConfig.from_dict``
-    checks those) whose JSON type is wrong; a path or list may be None."""
+    checks those) whose JSON type or range is wrong; a path or list may be None."""
     for key, value in effective.items():
         if key in ("weights", "hessians", "out", "synthetic"):
             ok, what = value is None or isinstance(value, str), "a string"
@@ -73,9 +73,11 @@ def _check_types(effective: dict) -> None:
             ok = value is None or isinstance(value, list) and all(isinstance(v, str) for v in value)
             what = "a list of strings"
         elif key == "tol_scale":
-            ok, what = type(value) in (int, float), "a real number"
+            # written so that NaN fails too, and an int too large for a float
+            ok = type(value) in (int, float) and 0 < value <= sys.float_info.max
+            what = "a finite number > 0"
         elif key == "seed":
-            ok, what = type(value) is int, "an integer"
+            ok, what = type(value) is int and value >= 0, "an integer >= 0"
         else:
             continue
         if not ok:

@@ -54,13 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .linalg import HessianState, InvCholFactor, inverse_cholesky, iterative_inverse_update
-from .quantizer import (
-    QuantGrid,
-    QuantizedLayer,
-    ScaleBook,
-    quantize_values,
-    rtn_quantize,
-)
+from .quantizer import QuantGrid, QuantizedLayer, ScaleBook, rtn_quantize
 from .report import LayerReport, proxy_loss
 
 __all__ = [
@@ -213,13 +207,10 @@ def obs_prune_step(w_row: np.ndarray, hinv: np.ndarray, q: int) -> np.ndarray:
     """Compensation for zeroing coordinate ``q`` of a row: the constrained
     minimizer of 0.5 * dw H dw^T subject to dw_q + w_q = 0.
 
-    Returns the full update row -(w_q / hinv[q, q]) * hinv[q, :].
+    Returns the full update row -(w_q / hinv[q, q]) * hinv[q, :]: the
+    quantization step with the coordinate pinned to 0.
     """
-    hinv = np.asarray(hinv, dtype=np.float64)
-    d = hinv[q, q]
-    if d <= 0:
-        raise NumericalError(f"hinv[{q}, {q}] = {d} is not positive; matrix not SPD")
-    return -(np.asarray(w_row, dtype=np.float64)[q] / d) * hinv[q, :]
+    return obc_quant_step(w_row, hinv, q, 0.0)
 
 
 def obc_quant_step(
@@ -228,14 +219,11 @@ def obc_quant_step(
     """Quantization variant of the pruning step: the constraint pins
     coordinate ``q`` to its quantized value instead of zero.
 
-    Returns -((w_q - quantized) / hinv[q, q]) * hinv[q, :].
+    Returns -((w_q - quantized) / hinv[q, q]) * hinv[q, :]: the
+    gradient-aware step with a zero gradient.
     """
-    hinv = np.asarray(hinv, dtype=np.float64)
-    d = hinv[q, q]
-    if d <= 0:
-        raise NumericalError(f"hinv[{q}, {q}] = {d} is not positive; matrix not SPD")
-    err = np.asarray(w_row, dtype=np.float64)[q] - quantized
-    return -(err / d) * hinv[q, :]
+    w_row = np.asarray(w_row, dtype=np.float64)
+    return first_order_quant_step(w_row[q] - quantized, np.zeros_like(w_row), hinv, q)
 
 
 def first_order_quant_step(
@@ -288,15 +276,13 @@ def gptq_column_step(
     """
     T = factor.matrix
     source = bundle.weights if scale_source == "latent" else bundle.original
-    book.ensure_group(col, source)
-    gs = book.column_params(col)
     w = bundle.weights[:, col]
-    codes, deq = quantize_values(w, gs, grid)
+    deq = book.quantize(col, w, source)
     err = (w - deq) / T[col, col]
     delta = -np.outer(err, T[col, col + 1 :])
     bundle.weights[:, col] = deq
     bundle.weights[:, col + 1 :] += delta
-    return ColumnStepResult(q_col=codes, deq_col=deq, delta_w=delta)
+    return ColumnStepResult(q_col=book.codes[:, col], deq_col=deq, delta_w=delta)
 
 
 def foem_column_step(
@@ -327,10 +313,8 @@ def foem_column_step(
     """
     T = factor.matrix
     source = bundle.weights if scale_source == "latent" else bundle.original
-    book.ensure_group(col, source)
-    gs = book.column_params(col)
     w = bundle.weights[:, col].copy()
-    codes, deq = quantize_values(w, gs, grid)
+    deq = book.quantize(col, w, source)
     err = (w - deq) / T[col, col]
     sl = slice(col, block_end)
     before = bundle.weights[:, sl].copy()
@@ -341,7 +325,7 @@ def foem_column_step(
         bundle.weights[:, sl] += (sign * beta) * (drift @ m_sub)
     bundle.weights[:, sl] -= err[:, None] * T[col, sl][None, :]
     delta = bundle.weights[:, sl] - before
-    return ColumnStepResult(q_col=codes, deq_col=deq, delta_w=delta)
+    return ColumnStepResult(q_col=book.codes[:, col], deq_col=deq, delta_w=delta)
 
 
 def foem_block_boundary(
@@ -428,8 +412,9 @@ def _run_blocked(
     factor: InvCholFactor,
     grid: QuantGrid,
     config: EngineConfig,
-) -> tuple[np.ndarray, ScaleBook]:
-    """Lazy blocked driver shared by gptq and foem.
+) -> ScaleBook:
+    """Lazy blocked driver shared by gptq and foem; returns the filled
+    ``ScaleBook``, which holds the codes, scales and zero points.
 
     Block [i, e) is quantized from its slab at block start: column r is
     slab0[:, r] + D0 A[:, r] + E N[:, r] with the coefficients of
@@ -468,7 +453,6 @@ def _run_blocked(
     source = W if latent else O
     book = ScaleBook(grid, d_out, d_in)
     gs = book.group_size
-    codes = np.zeros((d_out, d_in), dtype=np.int64)
     B = config.block_size
     coef = c != 0.0
     if coef:
@@ -507,10 +491,9 @@ def _run_blocked(
                 W[:, e:hi] += E[:, :i] @ Q[:i, e:hi]
                 book.ensure_group(j, source)
                 W[:, e:hi] = held
-            book.ensure_group(j, source)
             w = errs[:, :r] @ read[b : b + r, r]
             w += base[:, r]
-            codes[:, j], deq = quantize_values(w, book.column_params(j), grid)
+            deq = book.quantize(j, w, source)
             np.subtract(w, deq, out=errs[:, r])
             errs[:, r] /= Tb[r, r]
         W[:, i:e] = slab0 + G @ end
@@ -519,7 +502,7 @@ def _run_blocked(
             E[:, i:e] = errs
             t_tt = T[e:, e:]
             Q[:i, e:] += c * (((Q[:i, e:] - T[:i, e:]) @ t_tt.T) @ t_tt)
-    return codes, book
+    return book
 
 
 def _run_oracle(
@@ -527,25 +510,22 @@ def _run_oracle(
     damped: HessianState,
     grid: QuantGrid,
     config: EngineConfig,
-) -> tuple[np.ndarray, ScaleBook]:
-    """Dense reference driver: explicit inverse, shrunk column by column."""
+) -> ScaleBook:
+    """Dense reference driver: explicit inverse, shrunk column by column.
+    Returns the filled ``ScaleBook``, as ``_run_blocked`` does."""
     d_out, d_in = bundle.weights.shape
     source = bundle.weights if config.scale_source == "latent" else bundle.original
     book = ScaleBook(grid, d_out, d_in)
-    codes = np.zeros((d_out, d_in), dtype=np.int64)
     hinv = np.linalg.inv(damped.matrix)
     W = bundle.weights
     for j in range(d_in):
-        book.ensure_group(j, source)
-        gs = book.column_params(j)
         w = W[:, j]
-        col_codes, deq = quantize_values(w, gs, grid)
+        deq = book.quantize(j, w, source)
         err = (w - deq) / hinv[0, 0]
         W[:, j:] -= err[:, None] * hinv[0, :][None, :]
-        codes[:, j] = col_codes
         if j < d_in - 1:
             hinv = iterative_inverse_update(hinv, 0)
-    return codes, book
+    return book
 
 
 class PreparedLayer:
@@ -632,18 +612,10 @@ class PreparedLayer:
             factor = self.factor
             if config.engine == "obs_oracle":
                 damped = self.hessian.dampen(self.damp_ratio)
-                codes, book = _run_oracle(bundle, damped, grid, config)
+                book = _run_oracle(bundle, damped, grid, config)
             else:
-                codes, book = _run_blocked(bundle, factor, grid, config)
-            quantized = QuantizedLayer(
-                codes=codes.astype(np.int32),
-                scales=book.scales,
-                zero_points=book.zero_points.astype(np.int32),
-                bits=grid.bits,
-                group_size=book.group_size,
-                symmetric=grid.symmetric,
-                config=config,
-            )
+                book = _run_blocked(bundle, factor, grid, config)
+            quantized = book.layer(config)
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name
 

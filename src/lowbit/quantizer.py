@@ -89,7 +89,8 @@ def fit_scales(values: np.ndarray, grid: QuantGrid) -> GroupScale:
     Symmetric: scale = max(|w|) / q_max. Asymmetric: scale spans the value
     range and zero_point = round(-min / scale). Groups whose computed scale
     is zero (all-zero or constant) fall back to scale 1 so the function is
-    total and scales stay strictly positive.
+    total and scales stay strictly positive. Zero points are int32; one
+    past the int32 range raises NumericalError instead of wrapping.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] == 0:
@@ -97,35 +98,37 @@ def fit_scales(values: np.ndarray, grid: QuantGrid) -> GroupScale:
     if grid.symmetric:
         scale = np.abs(values).max(axis=-1) / grid.q_max
         scale = np.where(scale == 0.0, 1.0, scale)
-        zero_point = np.zeros_like(scale, dtype=np.int64)
+        zero_point = np.zeros_like(scale, dtype=np.int32)
     else:
         lo = values.min(axis=-1)
         hi = values.max(axis=-1)
         scale = (hi - lo) / (grid.q_max - grid.q_min)
         scale = np.where(scale == 0.0, 1.0, scale)
-        zero_point = np.round(-lo / scale).astype(np.int64)
+        zero_point = np.round(-lo / scale)
+        if np.any(np.abs(zero_point) > np.iinfo(np.int32).max):
+            raise NumericalError(f"zero point {np.abs(zero_point).max():.6g} does not fit int32")
+        zero_point = zero_point.astype(np.int32)
     return GroupScale(scale=np.asarray(scale, dtype=np.float64), zero_point=zero_point)
 
 
 def quantize_values(
     values: np.ndarray, gs: GroupScale, grid: QuantGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize values elementwise: returns (integer codes, dequantized values).
+    """Quantize values elementwise: returns (int32 codes, dequantized values).
 
     ``gs.scale`` must broadcast against ``values``. Codes are clamped to the
     grid range; dequantization is (code - zero_point) * scale, exact given
     the stored codes and scales.
     """
     values = np.asarray(values, dtype=np.float64)
-    codes = np.round(values / gs.scale) + gs.zero_point
-    codes = np.clip(codes, grid.q_min, grid.q_max).astype(np.int64)
+    codes = np.clip(np.round(values / gs.scale) + gs.zero_point, grid.q_min, grid.q_max)
     deq = (codes - gs.zero_point) * gs.scale
-    return codes, deq
+    return codes.astype(np.int32), deq
 
 
 def dequantize_codes(codes: np.ndarray, gs: GroupScale, grid: QuantGrid) -> np.ndarray:
     """Map integer codes back to real values. Depends only on codes/scale/zero."""
-    return (np.asarray(codes, dtype=np.int64) - gs.zero_point) * gs.scale
+    return (np.asarray(codes, dtype=np.float64) - gs.zero_point) * gs.scale
 
 
 @dataclass
@@ -199,11 +202,11 @@ class QuantizedLayer:
 
 
 class ScaleBook:
-    """Per-(row, group) scales fitted lazily during an engine pass.
-
-    Each group is fitted exactly once, from the weight slab handed in at the
-    moment the group's first column is reached. Engines choose whether that
-    slab comes from the live latent weights or from the frozen originals.
+    """The quantized layer an engine pass builds, in the dtypes it is stored
+    in: ``quantize`` fills a column of int32 codes, and ``layer`` hands out
+    the codes, scales and int32 zero points without a copy. Each group is
+    fitted exactly once, from the weight slab handed in when the group's
+    first column is reached: the live latent weights or the frozen originals.
     """
 
     def __init__(self, grid: QuantGrid, d_out: int, d_in: int):
@@ -211,8 +214,9 @@ class ScaleBook:
         self.d_in = d_in
         self.group_size = max(1, grid.resolved_group_size(d_in))
         n_groups = grid.n_groups(d_in)
+        self.codes = np.zeros((d_out, d_in), dtype=np.int32)
         self.scales = np.empty((d_out, n_groups), dtype=np.float64)
-        self.zero_points = np.zeros((d_out, n_groups), dtype=np.int64)
+        self.zero_points = np.zeros((d_out, n_groups), dtype=np.int32)
         self._fitted = np.zeros(n_groups, dtype=bool)
 
     def group_of(self, col: int) -> int:
@@ -236,6 +240,26 @@ class ScaleBook:
             raise NumericalError(f"group {g} used before being fitted")
         return GroupScale(self.scales[:, g], self.zero_points[:, g])
 
+    def quantize(self, col: int, values: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """Quantize column ``col`` from ``values``, fitting its group from
+        ``source`` first if needed; stores the codes, returns the
+        dequantized values."""
+        self.ensure_group(col, source)
+        self.codes[:, col], deq = quantize_values(values, self.column_params(col), self.grid)
+        return deq
+
+    def layer(self, config: EngineConfig | None = None) -> QuantizedLayer:
+        """The finished layer over the book's own arrays (no copy)."""
+        return QuantizedLayer(
+            codes=self.codes,
+            scales=self.scales,
+            zero_points=self.zero_points,
+            bits=self.grid.bits,
+            group_size=self.group_size,
+            symmetric=self.grid.symmetric,
+            config=config,
+        )
+
 
 def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     """Round-to-nearest baseline: independent per-element quantization.
@@ -250,19 +274,11 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
         raise NumericalError("weights contain non-finite values")
     d_out, d_in = weights.shape
     book = ScaleBook(grid, d_out, d_in)
-    codes = np.zeros((d_out, d_in), dtype=np.int64)
-    for g in range(grid.n_groups(d_in)):
-        lo = g * book.group_size
+    for lo in range(0, d_in, book.group_size):
         hi = min(lo + book.group_size, d_in)
         book.ensure_group(lo, weights)
         gs = book.column_params(lo)
-        c, _ = quantize_values(weights[:, lo:hi], GroupScale(gs.scale[:, None], gs.zero_point[:, None]), grid)
-        codes[:, lo:hi] = c
-    return QuantizedLayer(
-        codes=codes.astype(np.int32),
-        scales=book.scales,
-        zero_points=book.zero_points.astype(np.int32),
-        bits=grid.bits,
-        group_size=book.group_size,
-        symmetric=grid.symmetric,
-    )
+        book.codes[:, lo:hi], _ = quantize_values(
+            weights[:, lo:hi], GroupScale(gs.scale[:, None], gs.zero_point[:, None]), grid
+        )
+    return book.layer()

@@ -200,7 +200,9 @@ def save_quantized(layer: QuantizedLayer, path: str | os.PathLike) -> None:
     The header's engine keys are ``layer.config.applied()`` and ``x.config``
     is ``layer.config.to_dict()``; a layer without a config (a bare
     ``rtn_quantize``) records what ``EngineConfig(engine="rtn")`` applies and
-    no ``x.config``. Each ``extra`` entry is written as ``x.<key>``.
+    no ``x.config``. Each ``extra`` entry is written as ``x.<key>``. Codes
+    and zero points are stored as int32, scales as float64; an array already
+    in its stored dtype (every engine's is) is written without a copy.
     """
     layer.validate()
     if "config" in layer.extra:
@@ -214,9 +216,9 @@ def save_quantized(layer: QuantizedLayer, path: str | os.PathLike) -> None:
     save_tensors(
         path,
         {
-            "codes": layer.codes.astype(np.int32),
-            "scales": layer.scales.astype(np.float64),
-            "zero_points": layer.zero_points.astype(np.int32),
+            "codes": np.asarray(layer.codes, dtype=np.int32),
+            "scales": np.asarray(layer.scales, dtype=np.float64),
+            "zero_points": np.asarray(layer.zero_points, dtype=np.int32),
         },
         metadata={"format": "lowbit-quantized-v1", **{k: json.dumps(v) for k, v in header.items()}},
     )

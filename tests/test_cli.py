@@ -8,6 +8,7 @@ from conftest import count_calls
 from lowbit import engines
 from lowbit.cli import main
 from lowbit.engines import EngineConfig, LayerBundle, run_engine
+from lowbit.errors import TensorFormatError
 from lowbit.linalg import HessianState
 from lowbit.tensorio import TensorFile, load_quantized, save_tensors
 
@@ -107,7 +108,11 @@ class TestCalibrate:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("spec", ["n_tokens=abc", "n_tokens=0", "n_tokens=16,rho=1.5", "n_tokens=16,seed=-1"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["n_tokens=abc", "n_tokens=0", "n_tokens=16,rho=1.5", "n_tokens=16,seed=-1",
+         "n_tokens", "foo=1", "rho=0.5"],
+    )
     def test_malformed_synthetic_spec_is_config_error(self, workspace, spec, capsys):
         rc = run_cli(
             "calibrate", "--weights", workspace["weights"],
@@ -141,6 +146,31 @@ class TestCalibrate:
         )
         assert rc == 2
         assert "overlap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"{not json", "invalid JSON header"),
+            (b'{"w": "\xff"}', "invalid JSON header"),
+            (b"[1, 2]", "must be a JSON object"),
+            (b'{"w": {"shape": [1], "data_offsets": [0, 8]}}', "malformed entry"),
+            (b'{"w": {"dtype": "F64", "shape": ["x"], "data_offsets": [0, 8]}}', "malformed entry"),
+            (b'{"w": {"dtype": "F64", "shape": [2], "data_offsets": [0, 16]}}', "offsets outside payload"),
+        ],
+        ids=["invalid_json", "non_utf8", "json_array", "no_dtype", "non_integer_shape", "past_payload"],
+    )
+    def test_malformed_container_header_exits_2(self, workspace, capsys, header, message):
+        bad = workspace["dir"] / "bad.safetensors"
+        # an 8-byte payload: one F64 element fits, two do not
+        bad.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
+        with pytest.raises(TensorFormatError, match=message):
+            TensorFile.open(bad)
+        rc = run_cli(
+            "calibrate", "--weights", bad,
+            "--synthetic", "n_tokens=16", "--out", workspace["dir"] / "x",
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratio", ["nan", "inf", "-0.5"])
     def test_recorded_damp_ratio_must_be_finite_and_non_negative(self, workspace, ratio, capsys):
@@ -312,6 +342,17 @@ class TestQuantize:
             )
         assert run_cli(*quantize_args(ws, ws["dir"] / "x", hes)) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_zero_point_outside_int32_exits_3(self, tmp_path, rng, capsys):
+        # a layer far from zero relative to its spread: the asymmetric zero
+        # point would wrap in int32, so quantize refuses it
+        wpath = tmp_path / "w.safetensors"
+        save_tensors(wpath, {"fc.weight": 1e6 + 1e-3 * rng.random((2, 8))})
+        hes, out = tmp_path / "hes", tmp_path / "q"
+        assert run_cli("calibrate", "--weights", wpath, "--synthetic", "n_tokens=32", "--out", hes) == 0
+        assert run_cli(*quantize_args({"weights": wpath}, out, hes), "--asymmetric") == 3
+        assert "does not fit int32" in capsys.readouterr().err
+        assert not (out / "fc.quantized.safetensors").exists()
 
     def test_default_engine_on_128_layer_beats_rtn(self, tmp_path, rng):
         # one correlated 128x128 layer at 3-bit under the default engine:
@@ -602,6 +643,34 @@ class TestConfigTypes:
         assert not out.exists()
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read config file"),
+            ("{not json", "cannot read config file"),
+            ("[1, 2]", "must hold a JSON object"),
+            ('{"bogus": 1}', "unknown config keys"),
+        ],
+        ids=["missing", "invalid_json", "json_array", "unknown_key"],
+    )
+    def test_unusable_config_file_exits_2(self, calibrated, capsys, content, message):
+        ws = calibrated
+        cfg = ws["dir"] / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = ws["dir"] / "out"
+        assert run_cli(*quantize_args(ws, out, ws["hessians"]), "--config", cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quantize_without_out_exits_2(self, calibrated, capsys, monkeypatch):
+        monkeypatch.delenv("LOWBIT_OUTDIR", raising=False)
+        ws = calibrated
+        assert run_cli(*quantize_args(ws, None, ws["hessians"])) == 2
+        assert "missing required option --out" in capsys.readouterr().err
+
+
 class TestOSErrors:
     @pytest.mark.parametrize("case", ["quantize_weights", "calibrate_weights", "activations", "out_is_file"])
     def test_missing_or_blocked_path_exits_2(self, calibrated, capsys, case):
@@ -638,6 +707,26 @@ class TestVerify:
         assert report["tol_scale"] == 10.0
         scaled = [c for c in report["checks"] if c["name"] == "inverse_factor_identity"]
         assert scaled[0]["threshold"] == pytest.approx(1e-7)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tol_scale", "nan"), ("tol_scale", "-1"), ("tol_scale", "0"), ("tol_scale", "inf"),
+         ("seed", "-1")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, field, value, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            rc = run_cli("verify", "--out", out, "--" + field.replace("_", "-"), value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            # json writes the non-finite floats as NaN / Infinity and reads them back
+            parsed = int(value) if field == "seed" else float(value)
+            cfg.write_text(json.dumps({"out": str(out), field: parsed}))
+            rc = run_cli("verify", "--config", cfg)
+        assert rc == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_checks_exit_4(self, tmp_path):
         # shrinking every scalable threshold below machine precision must

@@ -286,9 +286,9 @@ class TestNoCopyFactor:
         state = token_hessian(40, 160, 0.9, 3)
         config = EngineConfig(engine="obs_oracle", bits=3, group_size=8)
         quantized, _ = run_engine(LayerBundle(W), state, config)
-        codes, _ = _run_oracle(
+        codes = _run_oracle(
             LayerBundle(W), _explicitly_damped(state, config.damp_ratio), config.grid(), config
-        )
+        ).codes
         assert np.array_equal(quantized.codes, codes)
 
 

@@ -72,6 +72,22 @@ class TestFitScales:
         assert codes.tolist() == [0, 15]
         np.testing.assert_allclose(deq, [-1.0, 0.0], atol=1e-15)
 
+    def test_zero_point_at_int32_limit_fits(self):
+        # 8-bit asymmetric span of 255 at offset k: scale 1, zero point -k
+        limit = 2**31 - 1
+        gs = fit_scales(np.array([[limit, limit + 255.0]]), QuantGrid(8, None, False))
+        assert gs.zero_point.dtype == np.int32
+        assert gs.zero_point.tolist() == [-limit]
+
+    def test_zero_point_past_int32_refused(self):
+        grid = QuantGrid(8, None, False)
+        with pytest.raises(NumericalError, match="int32"):
+            fit_scales(np.array([[2.0**31, 2.0**31 + 255]]), grid)
+        # a group far from zero relative to its spread, through rtn_quantize
+        w = 1e6 + 1e-3 * np.random.default_rng(0).random((2, 8))
+        with pytest.raises(NumericalError, match="does not fit int32"):
+            rtn_quantize(w, grid)
+
     def test_rowwise_fit(self):
         w = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
         gs = fit_scales(w, QuantGrid(4))
@@ -202,10 +218,11 @@ class TestRtn:
             rtn_quantize(np.array([[np.nan, 1.0]]), QuantGrid(4))
 
     def test_zero_row_layer_is_valid(self):
-        layer = rtn_quantize(np.zeros((0, 8)), QuantGrid(4, 4))
-        layer.validate()
-        assert layer.codes.shape == (0, 8)
-        assert layer.scales.shape == (0, 2)
+        for symmetric in (True, False):
+            layer = rtn_quantize(np.zeros((0, 8)), QuantGrid(4, 4, symmetric))
+            layer.validate()
+            assert layer.codes.shape == (0, 8)
+            assert layer.scales.shape == (0, 2)
 
     def test_half_step_bound_holds_within_fit_range(self, rng):
         w = rng.standard_normal((16, 32))
@@ -217,6 +234,20 @@ class TestRtn:
 
 
 class TestScaleBook:
+    def test_quantize_stores_int32_codes_and_layer_shares_arrays(self, rng):
+        grid = QuantGrid(3, 4, False)
+        w = rng.standard_normal((3, 8))
+        book = ScaleBook(grid, 3, 8)
+        for j in range(8):
+            deq = book.quantize(j, w[:, j], w)
+            assert np.array_equal(deq, dequantize_codes(book.codes[:, j], book.column_params(j), grid))
+        layer = book.layer()
+        assert layer.codes is book.codes and layer.zero_points is book.zero_points
+        assert layer.codes.dtype == layer.zero_points.dtype == np.int32
+        ref = rtn_quantize(w, grid)
+        for name in ("codes", "scales", "zero_points"):
+            assert np.array_equal(getattr(layer, name), getattr(ref, name))
+
     def test_groups_fit_once_from_first_touch(self, rng):
         grid = QuantGrid(4, 4)
         w = rng.standard_normal((3, 8))
