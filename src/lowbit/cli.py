@@ -362,7 +362,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="use an asymmetric grid with zero points",
     )
-    p.add_argument("--block-size", dest="block_size", type=int, help="columns per lazy-update block")
+    p.add_argument("--block-size", dest="block_size", type=int, help="columns per lazy-update block, and the reach of foem's first-order term (foem at block size 1 is gptq)")
     p.add_argument("--beta", type=float, help="drift-to-gradient scale for the first-order engines")
     p.add_argument("--damp-ratio", dest="damp_ratio", type=float, help="Hessian damping as a fraction of the mean diagonal")
     p.add_argument(

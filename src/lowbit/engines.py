@@ -16,19 +16,19 @@ the rounding error already committed.
 * ``foem`` - gptq plus a first-order correction: compensation drags the
   latent weights away from the originals, so a drift-proportional gradient
   estimate beta * (W - W_orig) is folded into each update through the
-  trailing inverse recovered from T. It runs in gptq's lazy block: the
-  in-block drift correction is carried in b x b factors that depend only
-  on T, so it adds no per-column work proportional to d_out * b^2. Across
-  blocks the drift is linear in the errors committed so far, so while the
-  block start i is below d_out its first-order part is carried in a
-  coefficient matrix over the committed columns, and a block boundary costs
-  4 * min(i, d_out) * n_t^2 flops for n_t trailing columns instead of
-  4 * d_out * n_t^2. The sign of the correction is configurable ("minus"
-  is the default; "plus" is the additive variant kept for ablation).
-  Neither sign descends the layer proxy loss: on the still-latent columns
-  the exact proxy gradient is -2 * damping * (W - W_orig), so there the
-  drift estimate points exactly against it and the correction only acts
-  on what the damping left behind.
+  inverse recovered from T. The term is block-local: at each column it acts
+  on the rest of the column's block through T_s^T T_s, T_s = T[col:e, col:e]
+  for the block [i, e), and the block boundary applies only gptq's
+  cross-block term. So ``block_size`` also bounds the term's reach, and
+  foem at block size 1 gives gptq's codes. It runs in gptq's lazy block:
+  the in-block correction is carried in b x b factors that depend only on
+  T, so it adds no per-column work proportional to d_out * b^2, and no work
+  at all past the block. The sign of the correction is configurable
+  ("minus" is the default; "plus" is the additive variant kept for
+  ablation). Neither sign descends the layer proxy loss: on the
+  still-latent columns the exact proxy gradient is -2 * damping *
+  (W - W_orig), so there the drift estimate points exactly against it and
+  the correction only acts on what the damping left behind.
 
 Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
@@ -118,7 +118,8 @@ class EngineConfig:
 
     ``beta`` scales latent drift into gradient space for the first-order
     engines; ``block_size`` is the width of the lazy in-block batch before
-    the batched boundary update fires. Fields that do not apply to
+    the batched boundary update fires, and so also the reach of foem's
+    first-order term. Fields that do not apply to
     the selected engine are ignored; ``applied`` gives the values a run
     actually uses.
     """
@@ -258,6 +259,11 @@ def first_order_quant_step(
     return -g_hinv - lam * hinv[q, :]
 
 
+def _check_grid(grid: QuantGrid, book: ScaleBook) -> None:
+    if grid != book.grid:
+        raise ConfigError(f"column step got grid {grid}, but its ScaleBook has {book.grid}")
+
+
 def gptq_column_step(
     bundle: LayerBundle,
     factor: InvCholFactor,
@@ -272,8 +278,9 @@ def gptq_column_step(
     into the latent column, and propagates -err * T[col, col+1:] into all
     remaining columns. The blocked driver reaches the same result through
     lazy block-local updates; this form exists for oracle tests and
-    diagnostics.
+    diagnostics. ``grid`` must be the book's (``ConfigError`` otherwise).
     """
+    _check_grid(grid, book)
     T = factor.matrix
     source = bundle.weights if scale_source == "latent" else bundle.original
     w = bundle.weights[:, col]
@@ -309,8 +316,10 @@ def foem_column_step(
 
     No engine runs this step: it is the eager reference for the lazy
     blocked driver, which the tests drive column by column and compare
-    against ``run_engine``.
+    against ``run_engine``. ``grid`` must be the book's (``ConfigError``
+    otherwise).
     """
+    _check_grid(grid, book)
     T = factor.matrix
     source = bundle.weights if scale_source == "latent" else bundle.original
     w = bundle.weights[:, col].copy()
@@ -337,31 +346,20 @@ def foem_block_boundary(
     beta: float,
     sign: float = -1.0,
 ) -> None:
-    """Batched update of all columns past ``block_end``.
+    """Batched update of all columns past ``block_end``: the factor-route
+    cross-block term -errs @ T[block, trailing].
 
-    One combined update: the factor-route cross-block term
-    -errs @ T[block, trailing] plus (for beta > 0) the drift correction
-    against the trailing inverse T_t^T T_t, both evaluated from the latent
-    state before this boundary fires. The trailing correction runs as two
-    back-to-back products so the trailing inverse is never materialized.
-
-    The blocked driver passes beta = 0 while it carries the first-order
-    term in its coefficient matrix (block starts below d_out), so only the
-    cross-block term touches the data there; later boundaries get beta.
+    foem's first-order term is block-local, so no boundary carries it:
+    ``beta`` must be 0 (``ConfigError`` otherwise). ``beta`` and ``sign``
+    stay in the signature for callers that bind them by name.
     """
-    T = factor.matrix
+    if beta != 0.0:
+        raise ConfigError(f"the block boundary applies no first-order term, got beta {beta!r}")
     d_in = bundle.d_in
     if block_end >= d_in:
         return
     t = slice(block_end, d_in)
-    if beta != 0.0:
-        t_trail = np.ascontiguousarray(T[t, t])
-        drift = bundle.weights[:, t] - bundle.original[:, t]
-        correction = (sign * beta) * ((drift @ t_trail.T) @ t_trail)
-        bundle.weights[:, t] -= errs @ T[block_start:block_end, t]
-        bundle.weights[:, t] += correction
-    else:
-        bundle.weights[:, t] -= errs @ T[block_start:block_end, t]
+    bundle.weights[:, t] -= errs @ factor.matrix[block_start:block_end, t]
 
 
 def _lazy_block_plan(
@@ -419,55 +417,32 @@ def _run_blocked(
     Block [i, e) is quantized from its slab at block start: column r is
     slab0[:, r] + D0 A[:, r] + E N[:, r] with the coefficients of
     ``_lazy_block_plan``, so a column costs one product over the errors
-    committed so far in the block, and the drift term of every column comes
-    from one block-level product. The slab is written back once, before the
-    batched boundary update of the trailing columns. For c = 0 (gptq, or
-    foem with beta = 0) this is gptq's lazy batch, so foem with beta = 0
-    runs gptq's arithmetic.
-
-    For c != 0 the bundle starts undrifted (``run_engine`` checks it), so
-    every drift is linear in the scaled errors E committed so far. While i < d_out the boundary's
-    first-order term is carried in a coefficient matrix Q instead of the
-    data: ``bundle.weights`` holds only gptq's cross-block term, and the
-    full latent value of an unprocessed column m is
-    W[:, m] + E[:, :i] @ Q[:i, m]. Each block adds that term to its slab
-    when it starts; each boundary updates
-    Q[:i, t] += c * (Q - T)[:i, t] T_tt^T T_tt, which costs 4 i n_t^2 flops
-    instead of 4 d_out n_t^2. Once i reaches d_out the data is the smaller
-    form: Q is folded into the trailing weights once and the remaining
-    boundaries run ``foem_block_boundary`` with beta in data space.
+    committed so far in the block, and the first-order term of every column
+    comes from one block-level product over the drift D0 at block start.
+    The slab is written back once, before the boundary applies gptq's
+    cross-block term to the trailing columns. The first-order term is
+    block-local, so the boundary is the same for both engines and
+    ``bundle.weights`` always holds the full latent value of every column
+    past the current block. For c = 0 (gptq, or foem with beta = 0) this is
+    gptq's lazy batch, so foem with beta = 0 runs gptq's arithmetic.
 
     A scale group that starts inside a block is fitted from the latent
     weights, so with ``scale_source="latent"`` its columns in the block are
-    written back to ``bundle.weights`` before the group is fitted; columns
-    past the block end get their pending first-order term for the fit
-    only.
+    written back to ``bundle.weights`` before the group is fitted.
     """
     T = factor.matrix
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
-    beta = config.applied()["beta"]
-    sign = config.sign_factor()
-    c = sign * beta
+    c = config.sign_factor() * config.applied()["beta"]
     latent = config.scale_source == "latent"
     source = W if latent else O
     book = ScaleBook(grid, d_out, d_in)
     gs = book.group_size
     B = config.block_size
-    coef = c != 0.0
-    if coef:
-        E = np.zeros((d_out, d_in))
-        Q = np.zeros((min(d_out, d_in), d_in))
     for i in range(0, d_in, B):
         e = min(i + B, d_in)
         b = e - i
         Tb = T[i:e, i:e]
-        if coef and i >= d_out:
-            # fold Q into the data once; here Q has d_out rows, all it uses
-            W[:, i:] += E[:, :d_out] @ Q[:, i:]
-            coef, E, Q = False, None, None
-        if coef:
-            W[:, i:e] += E[:, :i] @ Q[:i, i:e]
         # scale groups that start inside the block, as local column windows
         fits = {r: min(r + gs, b) for r in range(1, b) if (i + r) % gs == 0} if latent else {}
         read, end, snaps = _lazy_block_plan(Tb, c, fits)
@@ -484,24 +459,13 @@ def _run_blocked(
             if r in snaps:
                 stop = fits[r]
                 W[:, j : i + stop] = slab0[:, r:stop] + G[:, : b + r] @ snaps[r][: b + r]
-            hi = min(j + gs, d_in)
-            if coef and latent and j % gs == 0 and hi > e:
-                # fit with the pending first-order term past e, not stored
-                held = W[:, e:hi].copy()
-                W[:, e:hi] += E[:, :i] @ Q[:i, e:hi]
-                book.ensure_group(j, source)
-                W[:, e:hi] = held
             w = errs[:, :r] @ read[b : b + r, r]
             w += base[:, r]
             deq = book.quantize(j, w, source)
             np.subtract(w, deq, out=errs[:, r])
             errs[:, r] /= Tb[r, r]
         W[:, i:e] = slab0 + G @ end
-        foem_block_boundary(bundle, factor, errs, i, e, 0.0 if coef else beta, sign)
-        if coef:
-            E[:, i:e] = errs
-            t_tt = T[e:, e:]
-            Q[:i, e:] += c * (((Q[:i, e:] - T[:i, e:]) @ t_tt.T) @ t_tt)
+        foem_block_boundary(bundle, factor, errs, i, e, 0.0)
     return book
 
 

@@ -166,6 +166,13 @@ class TestGptqColumnStep:
         res = gptq_column_step(bundle, factor, grid, 0, book)
         assert np.array_equal(bundle.weights[:, 0], res.deq_col)
 
+    def test_grid_other_than_the_books_refused(self, rng):
+        _, _, factor = _factor_for(6, 3)
+        bundle = LayerBundle(rng.standard_normal((3, 6)))
+        book = ScaleBook(QuantGrid(4, None, True), 3, 6)
+        with pytest.raises(ConfigError, match="grid"):
+            gptq_column_step(bundle, factor, QuantGrid(3, None, True), 0, book)
+
     def test_full_pass_matches_dense_oracle_engine(self, rng):
         d = 16
         hess, _, factor = _factor_for(d, 5)
@@ -215,6 +222,14 @@ class TestFoemColumnStep:
         foem_column_step(b_zero, factor, grid, 0, d, ScaleBook(grid, 4, d), beta=0.0)
         foem_column_step(b_beta, factor, grid, 0, d, ScaleBook(grid, 4, d), beta=0.1)
         assert np.array_equal(b_zero.weights, b_beta.weights)
+
+    def test_grid_other_than_the_books_refused(self, rng):
+        d = 12
+        _, _, factor = _factor_for(d, 7)
+        bundle = LayerBundle(rng.standard_normal((4, d)))
+        book = ScaleBook(QuantGrid(4, None, True), 4, d)
+        with pytest.raises(ConfigError, match="grid"):
+            foem_column_step(bundle, factor, QuantGrid(4, None, False), 0, d, book, beta=0.1)
 
     def test_mid_run_term_matches_dense_slice_inverse(self, rng):
         # single block spanning the layer: the slice product T_s^T T_s is the
@@ -287,11 +302,35 @@ class TestFoemBlockBoundary:
             res = foem_column_step(bundle, factor, grid, j, B, book, beta=beta, sign=sign)
             errs[:, j] = (w_pre - res.deq_col) / T[j, j]
         pre = bundle.weights.copy()
-        drift_pre = bundle.drift()[:, B:]
-        foem_block_boundary(bundle, factor, errs, 0, B, beta=beta, sign=sign)
-        M = recover_inverse_submatrix(factor, B - 1)
-        expected = pre[:, B:] - errs @ T[:B, B:] + sign * beta * (drift_pre @ M)
+        foem_block_boundary(bundle, factor, errs, 0, B, beta=0.0, sign=sign)
+        expected = pre[:, B:] - errs @ T[:B, B:]
         np.testing.assert_allclose(bundle.weights[:, B:], expected, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(bundle.weights[:, :B], pre[:, :B])
+
+    def test_nonzero_beta_refused(self, rng):
+        # the first-order term is block-local: no boundary applies it
+        d = 12
+        _, _, factor = _factor_for(d, 11)
+        bundle = LayerBundle(rng.standard_normal((5, d)))
+        before = bundle.weights.copy()
+        with pytest.raises(ConfigError, match="beta"):
+            foem_block_boundary(bundle, factor, np.zeros((5, 4)), 0, 4, beta=3e-4)
+        assert np.array_equal(bundle.weights, before)
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("beta", [3e-4, 3e-2, 1.0])
+    def test_foem_at_block_size_one_is_gptq(self, rng, beta, sign):
+        # a block of one column leaves the first-order term nothing to reach
+        hess = token_hessian(48, 192, 0.9, 12)
+        W = rng.standard_normal((24, 48))
+        codes = {}
+        for engine in ("gptq", "foem"):
+            config = EngineConfig(
+                engine=engine, bits=3, group_size=16, block_size=1, beta=beta,
+                first_order_sign=sign,
+            )
+            codes[engine] = run_engine(LayerBundle(W), hess, config)[0].codes
+        assert np.array_equal(codes["foem"], codes["gptq"])
 
 
 class TestRunEngine:
@@ -516,9 +555,10 @@ def _eager_reference(W, hess, config):
     """Column-at-a-time reference for ``run_engine`` on gptq and foem.
 
     Drives ``foem_column_step`` over each block (beta = 0 for gptq, which is
-    exactly the blocked gptq step) and ``foem_block_boundary`` at each block
-    end, updating the whole slab at every column. Returns codes, the scale
-    book and the latent weights.
+    exactly the blocked gptq step) and ``foem_block_boundary`` with beta = 0
+    at each block end, since the first-order term is block-local, updating
+    the whole slab at every column. Returns codes, the scale book and the
+    latent weights.
     """
     factor = inverse_cholesky(hess.dampen(config.damp_ratio))
     T = factor.matrix
@@ -539,7 +579,7 @@ def _eager_reference(W, hess, config):
             )
             errs[:, j - i] = (w - step.deq_col) / T[j, j]
             codes[:, j] = step.q_col
-        foem_block_boundary(bundle, factor, errs, i, e, beta, sign)
+        foem_block_boundary(bundle, factor, errs, i, e, 0.0, sign)
     return codes, book, bundle.weights
 
 
@@ -567,28 +607,24 @@ class TestLazyBlockDriver:
     @pytest.mark.parametrize("group_size", [32, 200, None])
     @pytest.mark.parametrize("block_size", [1, 7, 128])
     def test_matches_eager_reference_on_taller_layers(self, d_out, group_size, block_size):
-        # foem carries its first-order drift in coefficient form while the
-        # block start is below d_out: d_out = 64 switches to data space
-        # early, d_out = 320 never does, and both fit latent groups that
-        # cross a block end while the coefficients are live
+        # d_out below and above d_in, both fitting latent groups that cross
+        # a block end after foem's in-block term has acted
         self._check_against_eager(d_out, group_size, block_size)
 
-    def test_boundary_takes_the_first_order_term_from_block_start_d_out(self, rng, monkeypatch):
-        # while a block starts below d_out the drift term is carried in
-        # coefficients (beta = 0 at the boundary); from there on the data
-        # form is the smaller one and the boundary applies beta itself
+    def test_boundary_gets_no_first_order_term(self, rng, monkeypatch):
+        # one boundary per block, the last included, each with beta = 0
         calls = []
         boundary = engines.foem_block_boundary
 
         def spy(bundle, factor, errs, block_start, block_end, beta, sign=-1.0):
-            calls.append((block_start, beta))
+            calls.append((block_start, block_end, beta))
             boundary(bundle, factor, errs, block_start, block_end, beta, sign)
 
         monkeypatch.setattr(engines, "foem_block_boundary", spy)
         hess = token_hessian(100, 200, 0.9, 43)
         W = rng.standard_normal((30, 100))
         run_engine(LayerBundle(W), hess, EngineConfig(engine="foem", bits=3, block_size=8))
-        assert calls == [(i, 0.0 if i < 30 else 3e-4) for i in range(0, 100, 8)]
+        assert calls == [(i, min(i + 8, 100), 0.0) for i in range(0, 100, 8)]
 
     def _check_against_eager(self, d_out, group_size, block_size):
         d_in = 300
