@@ -9,7 +9,9 @@ Usage (from the repository root):
 first-order term across blocks (the commit before the block-local change).
 The block-local side is this repository's own ``src``. Each side runs in its
 own interpreter, one after the other, and reports the proxy loss of every
-run; this process pairs them up.
+run; this process pairs them up. The worker passes ``scale_source``, which
+the commit after 9883fc1 removed, so run the script from a checkout of
+9883fc1.
 
 The rule, fixed before it was first run:
 

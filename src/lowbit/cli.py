@@ -22,7 +22,6 @@ from .calib import SyntheticSpec, activation_entries, generate_synthetic
 from .engines import (
     ENGINES,
     FIRST_ORDER_SIGNS,
-    SCALE_SOURCES,
     EngineConfig,
     LayerBundle,
     PreparedLayer,
@@ -370,12 +369,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         dest="first_order_sign",
         choices=FIRST_ORDER_SIGNS,
         help="sign of the first-order correction",
-    )
-    p.add_argument(
-        "--scale-source",
-        dest="scale_source",
-        choices=SCALE_SOURCES,
-        help="fit group scales from live latent weights or frozen originals",
     )
 
 

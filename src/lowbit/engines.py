@@ -30,6 +30,10 @@ the rounding error already committed.
   (W - W_orig), so there the drift estimate points exactly against it and
   the correction only acts on what the damping left behind.
 
+Every engine fits each scale group from the original weights, never from
+the compensated latent ones, so the compensating engines share the RTN
+baseline's scales and zero points and differ from it only in their codes.
+
 Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
 damping: the factor T and the RTN baseline with its proxy loss.
@@ -60,7 +64,6 @@ from .report import LayerReport, proxy_loss
 __all__ = [
     "ENGINES",
     "FIRST_ORDER_SIGNS",
-    "SCALE_SOURCES",
     "LayerBundle",
     "EngineConfig",
     "ColumnStepResult",
@@ -76,7 +79,6 @@ __all__ = [
 
 ENGINES = ("rtn", "obs_oracle", "gptq", "foem")
 FIRST_ORDER_SIGNS = ("minus", "plus")
-SCALE_SOURCES = ("latent", "original")
 
 
 class LayerBundle:
@@ -119,7 +121,8 @@ class EngineConfig:
     ``beta`` scales latent drift into gradient space for the first-order
     engines; ``block_size`` is the width of the lazy in-block batch before
     the batched boundary update fires, and so also the reach of foem's
-    first-order term. Fields that do not apply to
+    first-order term. Scale groups are always fitted from the original
+    weights, so no field chooses their source. Fields that do not apply to
     the selected engine are ignored; ``applied`` gives the values a run
     actually uses.
     """
@@ -132,7 +135,6 @@ class EngineConfig:
     beta: float = 3e-4
     damp_ratio: float = 0.01
     first_order_sign: str = "minus"
-    scale_source: str = "latent"
 
     def validate(self) -> None:
         """Raise ConfigError unless every field has its JSON type (a bool is
@@ -158,10 +160,6 @@ class EngineConfig:
             raise ConfigError(
                 f"first_order_sign must be one of {FIRST_ORDER_SIGNS}, "
                 f"got {self.first_order_sign!r}"
-            )
-        if self.scale_source not in SCALE_SOURCES:
-            raise ConfigError(
-                f"scale_source must be one of {SCALE_SOURCES}, got {self.scale_source!r}"
             )
 
     def grid(self) -> QuantGrid:
@@ -270,21 +268,21 @@ def gptq_column_step(
     grid: QuantGrid,
     col: int,
     book: ScaleBook,
-    scale_source: str = "latent",
 ) -> ColumnStepResult:
     """Reference (unblocked) factor-route step for one column.
 
-    Quantizes column ``col`` for every row, writes the dequantized values
-    into the latent column, and propagates -err * T[col, col+1:] into all
-    remaining columns. The blocked driver reaches the same result through
-    lazy block-local updates; this form exists for oracle tests and
-    diagnostics. ``grid`` must be the book's (``ConfigError`` otherwise).
+    Quantizes column ``col`` for every row on its group's scales, fitted
+    from ``bundle.original`` when the group is first reached, writes the
+    dequantized values into the latent column, and propagates
+    -err * T[col, col+1:] into all remaining columns. The blocked driver
+    reaches the same result through lazy block-local updates; this form
+    exists for oracle tests and diagnostics. ``grid`` must be the book's
+    (``ConfigError`` otherwise).
     """
     _check_grid(grid, book)
     T = factor.matrix
-    source = bundle.weights if scale_source == "latent" else bundle.original
     w = bundle.weights[:, col]
-    deq = book.quantize(col, w, source)
+    deq = book.quantize(col, w, bundle.original)
     err = (w - deq) / T[col, col]
     delta = -np.outer(err, T[col, col + 1 :])
     bundle.weights[:, col] = deq
@@ -301,7 +299,6 @@ def foem_column_step(
     book: ScaleBook,
     beta: float,
     sign: float = -1.0,
-    scale_source: str = "latent",
 ) -> ColumnStepResult:
     """One in-block column step of the first-order engine.
 
@@ -321,9 +318,8 @@ def foem_column_step(
     """
     _check_grid(grid, book)
     T = factor.matrix
-    source = bundle.weights if scale_source == "latent" else bundle.original
     w = bundle.weights[:, col].copy()
-    deq = book.quantize(col, w, source)
+    deq = book.quantize(col, w, bundle.original)
     err = (w - deq) / T[col, col]
     sl = slice(col, block_end)
     before = bundle.weights[:, sl].copy()
@@ -344,14 +340,13 @@ def foem_block_boundary(
     block_start: int,
     block_end: int,
     beta: float,
-    sign: float = -1.0,
 ) -> None:
     """Batched update of all columns past ``block_end``: the factor-route
     cross-block term -errs @ T[block, trailing].
 
     foem's first-order term is block-local, so no boundary carries it:
-    ``beta`` must be 0 (``ConfigError`` otherwise). ``beta`` and ``sign``
-    stay in the signature for callers that bind them by name.
+    ``beta`` must be 0 (``ConfigError`` otherwise). It stays in the
+    signature for callers that bind it by name.
     """
     if beta != 0.0:
         raise ConfigError(f"the block boundary applies no first-order term, got beta {beta!r}")
@@ -362,9 +357,7 @@ def foem_block_boundary(
     bundle.weights[:, t] -= errs @ factor.matrix[block_start:block_end, t]
 
 
-def _lazy_block_plan(
-    Tb: np.ndarray, c: float, windows: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+def _lazy_block_plan(Tb: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the lazy in-block update for one block.
 
     The eager step for local column r of a block of width b is
@@ -380,9 +373,7 @@ def _lazy_block_plan(
 
     * ``read``: column r holds F's column r at the start of step r, which
       is what quantizing column r sees;
-    * ``end``: F after the last step, which gives the final slab;
-    * ``snaps[r]``: F[:, r:windows[r]] at the start of step r, for each
-      step r in ``windows``.
+    * ``end``: F after the last step, which gives the final slab.
 
     Each step costs O(b * k^2) flops with k = b - r. With c = 0 A stays
     zero and N is -Tb, row by row.
@@ -390,19 +381,16 @@ def _lazy_block_plan(
     b = Tb.shape[0]
     F = np.zeros((2 * b, b))
     read = np.empty_like(F)
-    snaps = {}
     if c != 0.0:
         M = Tb.T @ Tb
     for r in range(b):
-        if r in windows:
-            snaps[r] = F[:, r : windows[r]].copy()
         read[:, r] = F[:, r]
         if c != 0.0:
             F[: b + r, r:] += c * (F[: b + r, r:] @ M)
             F[r:b, r:] += c * M
             M = M[1:, 1:] - np.outer(Tb[r, r + 1 :], Tb[r, r + 1 :])
         F[b + r, r:] = -Tb[r, r:]
-    return read, F, snaps
+    return read, F
 
 
 def _run_blocked(
@@ -426,26 +414,20 @@ def _run_blocked(
     past the current block. For c = 0 (gptq, or foem with beta = 0) this is
     gptq's lazy batch, so foem with beta = 0 runs gptq's arithmetic.
 
-    A scale group that starts inside a block is fitted from the latent
-    weights, so with ``scale_source="latent"`` its columns in the block are
-    written back to ``bundle.weights`` before the group is fitted.
+    Every scale group is fitted from the original weights, so the scales
+    and zero points are the RTN baseline's whatever the block structure.
     """
     T = factor.matrix
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
     c = config.sign_factor() * config.applied()["beta"]
-    latent = config.scale_source == "latent"
-    source = W if latent else O
     book = ScaleBook(grid, d_out, d_in)
-    gs = book.group_size
     B = config.block_size
     for i in range(0, d_in, B):
         e = min(i + B, d_in)
         b = e - i
         Tb = T[i:e, i:e]
-        # scale groups that start inside the block, as local column windows
-        fits = {r: min(r + gs, b) for r in range(1, b) if (i + r) % gs == 0} if latent else {}
-        read, end, snaps = _lazy_block_plan(Tb, c, fits)
+        read, end = _lazy_block_plan(Tb, c)
         slab0 = W[:, i:e].copy()
         # G = [D0 | E]: the slab at any step is slab0 + G @ F
         G = np.zeros((d_out, 2 * b))
@@ -456,12 +438,9 @@ def _run_blocked(
         errs = G[:, b:]
         for r in range(b):
             j = i + r
-            if r in snaps:
-                stop = fits[r]
-                W[:, j : i + stop] = slab0[:, r:stop] + G[:, : b + r] @ snaps[r][: b + r]
             w = errs[:, :r] @ read[b : b + r, r]
             w += base[:, r]
-            deq = book.quantize(j, w, source)
+            deq = book.quantize(j, w, O)
             np.subtract(w, deq, out=errs[:, r])
             errs[:, r] /= Tb[r, r]
         W[:, i:e] = slab0 + G @ end
@@ -473,18 +452,16 @@ def _run_oracle(
     bundle: LayerBundle,
     damped: HessianState,
     grid: QuantGrid,
-    config: EngineConfig,
 ) -> ScaleBook:
     """Dense reference driver: explicit inverse, shrunk column by column.
     Returns the filled ``ScaleBook``, as ``_run_blocked`` does."""
     d_out, d_in = bundle.weights.shape
-    source = bundle.weights if config.scale_source == "latent" else bundle.original
     book = ScaleBook(grid, d_out, d_in)
     hinv = np.linalg.inv(damped.matrix)
     W = bundle.weights
     for j in range(d_in):
         w = W[:, j]
-        deq = book.quantize(j, w, source)
+        deq = book.quantize(j, w, bundle.original)
         err = (w - deq) / hinv[0, 0]
         W[:, j:] -= err[:, None] * hinv[0, :][None, :]
         if j < d_in - 1:
@@ -576,7 +553,7 @@ class PreparedLayer:
             factor = self.factor
             if config.engine == "obs_oracle":
                 damped = self.hessian.dampen(self.damp_ratio)
-                book = _run_oracle(bundle, damped, grid, config)
+                book = _run_oracle(bundle, damped, grid)
             else:
                 book = _run_blocked(bundle, factor, grid, config)
             quantized = book.layer(config)

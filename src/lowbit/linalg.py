@@ -212,9 +212,6 @@ class InvCholFactor:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.matrix)
-
 
 _BASE_DIM = 64
 

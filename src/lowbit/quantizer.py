@@ -4,7 +4,8 @@ A grid maps real weights onto a small signed integer range. Scales (and
 zero points, for asymmetric grids) are fitted per output row and per
 contiguous group of input channels. ``rtn_quantize`` is the baseline that
 rounds every element independently; the compensation engines reuse the
-same fitting and rounding rules column by column.
+same scales, fitted from the same original weights, and the same rounding
+rule column by column.
 
 Rounding is round-half-to-even throughout, so symmetric grids are exactly
 sign-equivariant and long compensation chains pick up no rounding bias.
@@ -206,7 +207,8 @@ class ScaleBook:
     in: ``quantize`` fills a column of int32 codes, and ``layer`` hands out
     the codes, scales and int32 zero points without a copy. Each group is
     fitted exactly once, from the weight slab handed in when the group's
-    first column is reached: the live latent weights or the frozen originals.
+    first column is reached. The engines always hand in the original
+    weights, so their books hold the RTN baseline's scales and zero points.
     """
 
     def __init__(self, grid: QuantGrid, d_out: int, d_in: int):

@@ -643,6 +643,35 @@ class TestConfigTypes:
         assert not out.exists()
 
 
+class TestScaleSourceRemoved:
+    """Every group is fitted from the originals: no flag or key chooses it."""
+
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_flag_exits_2(self, calibrated, command):
+        ws = calibrated
+        out = ws["dir"] / "out"
+        args = [command, "--weights", ws["weights"], "--hessians", ws["hessians"], "--out", out,
+                "--scale-source", "original"]
+        if command == "compare":
+            args += ["--engines", "rtn", "gptq"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_config_key_exits_2(self, calibrated, capsys, command):
+        ws = calibrated
+        out = ws["dir"] / "out"
+        values = {"weights": str(ws["weights"]), "hessians": str(ws["hessians"]), "out": str(out),
+                  "scale_source": "original"}
+        if command == "compare":
+            values["engines"] = ["rtn", "gptq"]
+        assert _run_with_config(ws, command, values) == 2
+        assert "scale_source" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigFile:
     @pytest.mark.parametrize(
         "content, message",

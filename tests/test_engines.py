@@ -295,14 +295,13 @@ class TestFoemBlockBoundary:
         T = factor.matrix
         bundle = LayerBundle(rng.standard_normal((5, d)))
         book = ScaleBook(grid, 5, d)
-        beta, sign = 3e-4, -1.0
         errs = np.empty((5, B))
         for j in range(B):
             w_pre = bundle.weights[:, j].copy()
-            res = foem_column_step(bundle, factor, grid, j, B, book, beta=beta, sign=sign)
+            res = foem_column_step(bundle, factor, grid, j, B, book, beta=3e-4)
             errs[:, j] = (w_pre - res.deq_col) / T[j, j]
         pre = bundle.weights.copy()
-        foem_block_boundary(bundle, factor, errs, 0, B, beta=0.0, sign=sign)
+        foem_block_boundary(bundle, factor, errs, 0, B, beta=0.0)
         expected = pre[:, B:] - errs @ T[:B, B:]
         np.testing.assert_allclose(bundle.weights[:, B:], expected, rtol=1e-12, atol=1e-14)
         assert np.array_equal(bundle.weights[:, :B], pre[:, :B])
@@ -477,7 +476,7 @@ class TestEngineConfig:
             ("group_size", 7.5), ("group_size", False), ("symmetric", 0), ("symmetric", "false"),
             ("block_size", "8"), ("block_size", 3.7), ("beta", "abc"), ("beta", True),
             ("damp_ratio", "0.01"), ("damp_ratio", None), ("first_order_sign", None),
-            ("scale_source", ["latent"]), ("beta", 10**400),
+            ("first_order_sign", ["minus"]), ("beta", 10**400),
         ],
     )
     def test_wrong_json_type_rejected(self, field, value):
@@ -574,12 +573,10 @@ def _eager_reference(W, hess, config):
         errs = np.empty((d_out, e - i))
         for j in range(i, e):
             w = bundle.weights[:, j].copy()
-            step = foem_column_step(
-                bundle, factor, grid, j, e, book, beta, sign, config.scale_source
-            )
+            step = foem_column_step(bundle, factor, grid, j, e, book, beta, sign)
             errs[:, j - i] = (w - step.deq_col) / T[j, j]
             codes[:, j] = step.q_col
-        foem_block_boundary(bundle, factor, errs, i, e, 0.0, sign)
+        foem_block_boundary(bundle, factor, errs, i, e, 0.0)
     return codes, book, bundle.weights
 
 
@@ -588,18 +585,18 @@ class TestLazyBlockDriver:
 
     VARIANTS = [
         dict(engine="gptq"),
-        dict(engine="gptq", symmetric=False, scale_source="original"),
+        dict(engine="gptq", symmetric=False),
         dict(engine="foem", beta=0.0),
         dict(engine="foem", beta=3e-4),
         dict(engine="foem", beta=3e-4, symmetric=False, first_order_sign="plus"),
-        dict(engine="foem", beta=3e-3, scale_source="original", first_order_sign="plus"),
+        dict(engine="foem", beta=3e-3, first_order_sign="plus"),
         dict(engine="foem", beta=3e-3, symmetric=False),
     ]
 
     @pytest.mark.parametrize("group_size", [32, 200, None])
     @pytest.mark.parametrize("block_size", [1, 7, 128])
     def test_matches_eager_reference(self, group_size, block_size):
-        # d_in = 300 puts scale groups of 32 and 200 mid-block for every
+        # d_in = 300 starts scale groups of 32 and 200 mid-block for every
         # block size above 1, and leaves a ragged last block
         self._check_against_eager(20, group_size, block_size)
 
@@ -607,8 +604,8 @@ class TestLazyBlockDriver:
     @pytest.mark.parametrize("group_size", [32, 200, None])
     @pytest.mark.parametrize("block_size", [1, 7, 128])
     def test_matches_eager_reference_on_taller_layers(self, d_out, group_size, block_size):
-        # d_out below and above d_in, both fitting latent groups that cross
-        # a block end after foem's in-block term has acted
+        # d_out below and above d_in, both with groups that cross a block
+        # end after foem's in-block term has acted
         self._check_against_eager(d_out, group_size, block_size)
 
     def test_boundary_gets_no_first_order_term(self, rng, monkeypatch):
@@ -616,9 +613,9 @@ class TestLazyBlockDriver:
         calls = []
         boundary = engines.foem_block_boundary
 
-        def spy(bundle, factor, errs, block_start, block_end, beta, sign=-1.0):
+        def spy(bundle, factor, errs, block_start, block_end, beta):
             calls.append((block_start, block_end, beta))
-            boundary(bundle, factor, errs, block_start, block_end, beta, sign)
+            boundary(bundle, factor, errs, block_start, block_end, beta)
 
         monkeypatch.setattr(engines, "foem_block_boundary", spy)
         hess = token_hessian(100, 200, 0.9, 43)
@@ -644,24 +641,50 @@ class TestLazyBlockDriver:
             assert gap <= 1e-9 * np.abs(latent).max(), (variant, gap)
 
     def test_unblocked_gptq_step_agrees_with_original_scales(self, rng):
-        # with scales from the originals, block structure cannot move a
-        # group fit, so the unblocked reference step gives the same codes
-        d = 96
-        hess = token_hessian(d, 384, 0.9, 42)
-        W = rng.standard_normal((12, d))
-        config = EngineConfig(
-            engine="gptq", bits=3, group_size=40, block_size=32, scale_source="original"
-        )
-        q, _ = run_engine(LayerBundle(W), hess, config)
-        factor = inverse_cholesky(hess.dampen(config.damp_ratio))
-        grid = config.grid()
-        bundle = LayerBundle(W)
-        book = ScaleBook(grid, 12, d)
-        codes = np.stack(
-            [gptq_column_step(bundle, factor, grid, j, book, "original").q_col for j in range(d)],
-            axis=1,
-        )
-        assert np.array_equal(q.codes, codes)
+        # scales come from the originals, so block structure cannot move a
+        # group fit and the unblocked reference step gives the same codes;
+        # d_in = 300 starts groups of 32 and 200 mid-block
+        cases = [(96, 40, 32)] + [(300, g, b) for g in (32, 200) for b in (1, 7, 128)]
+        for d, group_size, block_size in cases:
+            hess = token_hessian(d, 4 * d, 0.9, 42)
+            W = rng.standard_normal((12, d))
+            config = EngineConfig(
+                engine="gptq", bits=3, group_size=group_size, block_size=block_size
+            )
+            q, _ = run_engine(LayerBundle(W), hess, config)
+            factor = inverse_cholesky(hess.dampen(config.damp_ratio))
+            grid = config.grid()
+            bundle = LayerBundle(W)
+            book = ScaleBook(grid, 12, d)
+            codes = np.stack(
+                [gptq_column_step(bundle, factor, grid, j, book).q_col for j in range(d)], axis=1
+            )
+            assert np.array_equal(q.codes, codes), (d, group_size, block_size)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("group_size", [32, 200, None])
+    @pytest.mark.parametrize("block_size", [1, 7, 128])
+    def test_scales_are_the_rtn_baselines(self, symmetric, group_size, block_size):
+        # every group is fitted from the originals, so every compensating
+        # engine's scales and zero points are RTN's, bit for bit
+        d_in = 300
+        hess = token_hessian(d_in, 600, 0.9, 40)
+        W = np.random.default_rng(41).standard_normal((20, d_in))
+        grid = QuantGrid(3, group_size, symmetric)
+        prepared = PreparedLayer(W, hess, grid, 0.01)
+        baseline = prepared.baseline
+        for token in (
+            dict(engine="obs_oracle"),
+            dict(engine="gptq"),
+            dict(engine="foem", first_order_sign="minus"),
+            dict(engine="foem", first_order_sign="plus"),
+        ):
+            config = EngineConfig(
+                bits=3, group_size=group_size, block_size=block_size, symmetric=symmetric, **token
+            )
+            q, _ = prepared.run(LayerBundle(W), config)
+            assert np.array_equal(q.scales, baseline.scales), token
+            assert np.array_equal(q.zero_points, baseline.zero_points), token
 
 
 class TestScaleInvariance:

@@ -287,7 +287,7 @@ class TestNoCopyFactor:
         config = EngineConfig(engine="obs_oracle", bits=3, group_size=8)
         quantized, _ = run_engine(LayerBundle(W), state, config)
         codes = _run_oracle(
-            LayerBundle(W), _explicitly_damped(state, config.damp_ratio), config.grid(), config
+            LayerBundle(W), _explicitly_damped(state, config.damp_ratio), config.grid()
         ).codes
         assert np.array_equal(quantized.codes, codes)
 

@@ -302,6 +302,13 @@ class TestArtifactHeader:
         with pytest.raises(TensorFormatError):
             load_quantized(path)
 
+    def test_config_with_scale_source_refused(self, tmp_path, rng):
+        # artifacts written while the config had a scale_source field
+        path, config = _engine_artifact(tmp_path, rng, engine="foem")
+        _rewrite_metadata(path, **{"x.config": json.dumps(dict(config.to_dict(), scale_source="latent"))})
+        with pytest.raises(TensorFormatError, match="config fields"):
+            load_quantized(path)
+
     def test_extra_config_key_reserved(self, tmp_path, rng):
         layer = rtn_quantize(rng.standard_normal((2, 8)), QuantGrid(3, 4))
         layer.extra["config"] = {}
