@@ -180,7 +180,8 @@ def _parse_engine_token(token: str, effective: dict) -> tuple[str, EngineConfig]
     if token.endswith(")") and "(" in token:
         name, rest = token.split("(", 1)
         sign = rest[:-1]
-    return token, EngineConfig.from_dict(dict(effective, engine=name, first_order_sign=sign))
+    fields = {k: effective[k] for k in _ENGINE_DEFAULTS}
+    return token, EngineConfig.from_dict(dict(fields, engine=name, first_order_sign=sign))
 
 
 def _load_hessian(hessians_dir: str, layer: str) -> HessianState:
@@ -252,7 +253,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_quantize(args: argparse.Namespace) -> int:
     effective = _merged_config(args, "quantize")
     _require(effective, "weights", "hessians", "out")
-    engine_cfg = EngineConfig.from_dict(effective)
+    engine_cfg = EngineConfig.from_dict({k: effective[k] for k in _ENGINE_DEFAULTS})
     config_blob = _persist_config(effective, "quantize")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])

@@ -11,8 +11,8 @@ the rounding error already committed.
 * ``gptq`` - the production route: one upper-triangular factor T of the
   inverse (T^T T = H^(-1)) drives all compensation. Inside a block the
   updates are lazy: each column is read from the block's starting slab
-  plus the errors committed so far in the block, and the slab is written
-  once at block end; updates past the block boundary are batched.
+  plus the errors committed so far in the block; updates past the block
+  boundary are batched.
 * ``foem`` - gptq plus a first-order correction: compensation drags the
   latent weights away from the originals, so a drift-proportional gradient
   estimate beta * (W - W_orig) is folded into each update through the
@@ -33,6 +33,10 @@ the rounding error already committed.
 Every engine fits each scale group from the original weights, never from
 the compensated latent ones, so the compensating engines share the RTN
 baseline's scales and zero points and differ from it only in their codes.
+
+Once quantized, a column is never read again, so every driver writes its
+dequantized value into ``bundle.weights`` on the spot: a compensating run
+leaves the bundle holding the dequantized layer, which its report prices.
 
 Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
@@ -185,9 +189,12 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        """The validated config of ``data``'s config fields; other keys are
-        ignored. ``beta`` and ``damp_ratio`` are recorded as floats."""
-        cfg = cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
+        """The validated config of ``data``, whose keys must all be config
+        fields; ``beta`` and ``damp_ratio`` are recorded as floats."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config fields {sorted(unknown)}")
+        cfg = cls(**data)
         cfg.validate()
         return replace(cfg, beta=float(cfg.beta), damp_ratio=float(cfg.damp_ratio))
 
@@ -195,7 +202,7 @@ class EngineConfig:
 @dataclass
 class ColumnStepResult:
     """Outcome of quantizing one column: codes, dequantized values, and the
-    compensation update applied to the still-latent columns."""
+    compensation update applied to the still-latent columns after it."""
 
     q_col: np.ndarray
     deq_col: np.ndarray
@@ -302,14 +309,14 @@ def foem_column_step(
 ) -> ColumnStepResult:
     """One in-block column step of the first-order engine.
 
-    One combined update of the block slice [col, block_end): the
-    factor-route error propagation plus the drift correction
-    sign * beta * (W - W_orig)[:, slice] @ (T_s^T T_s), with
-    T_s = T[col:block_end, col:block_end]. Both terms are evaluated from
-    the latent state at the start of the step (the drift seen by column 0
-    of an untouched layer is therefore exactly zero); the drift still
-    reflects every previous column's update, it is never cached across
-    steps. With beta = 0 this is exactly the blocked gptq step.
+    Writes the dequantized values into column ``col`` and one combined
+    update into columns col+1 .. block_end-1: the factor-route error
+    propagation plus the drift correction sign * beta * (W - W_orig)[:, s]
+    @ (T_s^T T_s) on them, with s = [col, block_end) and T_s = T[s, s].
+    Both terms are evaluated from the latent state at the start of the step
+    (the drift seen by column 0 of an untouched layer is therefore exactly
+    zero); the drift still reflects every previous column's update, it is
+    never cached across steps. With beta = 0 this is the blocked gptq step.
 
     No engine runs this step: it is the eager reference for the lazy
     blocked driver, which the tests drive column by column and compare
@@ -318,18 +325,18 @@ def foem_column_step(
     """
     _check_grid(grid, book)
     T = factor.matrix
-    w = bundle.weights[:, col].copy()
+    w = bundle.weights[:, col]
     deq = book.quantize(col, w, bundle.original)
     err = (w - deq) / T[col, col]
-    sl = slice(col, block_end)
-    before = bundle.weights[:, sl].copy()
+    rest = slice(col + 1, block_end)
+    delta = -np.outer(err, T[col, rest])
     if beta != 0.0:
+        sl = slice(col, block_end)
         t_sub = T[sl, sl]
-        m_sub = t_sub.T @ t_sub
         drift = bundle.weights[:, sl] - bundle.original[:, sl]
-        bundle.weights[:, sl] += (sign * beta) * (drift @ m_sub)
-    bundle.weights[:, sl] -= err[:, None] * T[col, sl][None, :]
-    delta = bundle.weights[:, sl] - before
+        delta += (sign * beta) * (drift @ (t_sub.T @ t_sub[:, 1:]))
+    bundle.weights[:, col] = deq
+    bundle.weights[:, rest] += delta
     return ColumnStepResult(q_col=book.codes[:, col], deq_col=deq, delta_w=delta)
 
 
@@ -357,7 +364,7 @@ def foem_block_boundary(
     bundle.weights[:, t] -= errs @ factor.matrix[block_start:block_end, t]
 
 
-def _lazy_block_plan(Tb: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     """Coefficients of the lazy in-block update for one block.
 
     The eager step for local column r of a block of width b is
@@ -369,11 +376,8 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     drift after any number of steps is D0 (I + A) + E N, with D0 the drift
     at block start, E the errors committed so far, and the b x b factors A
     and N depending only on Tb and c, never on the data. This returns them
-    stacked as F = [A; N] (2b x b):
-
-    * ``read``: column r holds F's column r at the start of step r, which
-      is what quantizing column r sees;
-    * ``end``: F after the last step, which gives the final slab.
+    stacked as F = [A; N] (2b x b), column r taken at the start of step r:
+    what quantizing column r sees.
 
     Each step costs O(b * k^2) flops with k = b - r. With c = 0 A stays
     zero and N is -Tb, row by row.
@@ -390,7 +394,7 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
             F[r:b, r:] += c * M
             M = M[1:, 1:] - np.outer(Tb[r, r + 1 :], Tb[r, r + 1 :])
         F[b + r, r:] = -Tb[r, r:]
-    return read, F
+    return read
 
 
 def _run_blocked(
@@ -407,12 +411,13 @@ def _run_blocked(
     ``_lazy_block_plan``, so a column costs one product over the errors
     committed so far in the block, and the first-order term of every column
     comes from one block-level product over the drift D0 at block start.
-    The slab is written back once, before the boundary applies gptq's
-    cross-block term to the trailing columns. The first-order term is
-    block-local, so the boundary is the same for both engines and
-    ``bundle.weights`` always holds the full latent value of every column
-    past the current block. For c = 0 (gptq, or foem with beta = 0) this is
-    gptq's lazy batch, so foem with beta = 0 runs gptq's arithmetic.
+    Each column is written to ``bundle.weights`` as its dequantized value,
+    and the boundary applies gptq's cross-block term to the trailing
+    columns. The first-order term is block-local, so the boundary is the
+    same for both engines and ``bundle.weights`` always holds the full
+    latent value of every column past the current block. For c = 0 (gptq,
+    or foem with beta = 0) this is gptq's lazy batch, so foem with beta = 0
+    runs gptq's arithmetic.
 
     Every scale group is fitted from the original weights, so the scales
     and zero points are the RTN baseline's whatever the block structure.
@@ -427,15 +432,12 @@ def _run_blocked(
         e = min(i + B, d_in)
         b = e - i
         Tb = T[i:e, i:e]
-        read, end = _lazy_block_plan(Tb, c)
-        slab0 = W[:, i:e].copy()
-        # G = [D0 | E]: the slab at any step is slab0 + G @ F
-        G = np.zeros((d_out, 2 * b))
-        base = slab0
+        read = _lazy_block_plan(Tb, c)
+        # a view for c = 0: step r reads column r before writing it
+        base = W[:, i:e]
         if c != 0.0:
-            np.subtract(slab0, O[:, i:e], out=G[:, :b])
-            base = slab0 + G[:, :b] @ read[:b]
-        errs = G[:, b:]
+            base = base + (base - O[:, i:e]) @ read[:b]
+        errs = np.empty((d_out, b))
         for r in range(b):
             j = i + r
             w = errs[:, :r] @ read[b : b + r, r]
@@ -443,7 +445,7 @@ def _run_blocked(
             deq = book.quantize(j, w, O)
             np.subtract(w, deq, out=errs[:, r])
             errs[:, r] /= Tb[r, r]
-        W[:, i:e] = slab0 + G @ end
+            W[:, j] = deq
         foem_block_boundary(bundle, factor, errs, i, e, 0.0)
     return book
 
@@ -454,7 +456,8 @@ def _run_oracle(
     grid: QuantGrid,
 ) -> ScaleBook:
     """Dense reference driver: explicit inverse, shrunk column by column.
-    Returns the filled ``ScaleBook``, as ``_run_blocked`` does."""
+    Sets each column to its dequantized value. Returns the filled
+    ``ScaleBook``, as ``_run_blocked`` does."""
     d_out, d_in = bundle.weights.shape
     book = ScaleBook(grid, d_out, d_in)
     hinv = np.linalg.inv(damped.matrix)
@@ -463,7 +466,8 @@ def _run_oracle(
         w = W[:, j]
         deq = book.quantize(j, w, bundle.original)
         err = (w - deq) / hinv[0, 0]
-        W[:, j:] -= err[:, None] * hinv[0, :][None, :]
+        W[:, j + 1 :] -= err[:, None] * hinv[0, 1:][None, :]
+        W[:, j] = deq
         if j < d_in - 1:
             hinv = iterative_inverse_update(hinv, 0)
     return book
@@ -522,7 +526,8 @@ class PreparedLayer:
         self, bundle: LayerBundle, config: EngineConfig, layer_name: str = "layer"
     ) -> tuple[QuantizedLayer, LayerReport]:
         """Quantize ``bundle`` (undrifted, holding this layer's weights) with
-        ``config``; the bundle's latent weights are consumed in place.
+        ``config``; the bundle's latent weights are consumed in place, and a
+        compensating engine leaves them equal to the dequantized layer.
 
         ``wall_time_s`` covers producing the codes, including any shared
         piece this run was the first to need (T for a compensating engine,
@@ -564,7 +569,8 @@ class PreparedLayer:
         if config.engine == "rtn":
             loss = loss_rtn
         else:
-            loss = proxy_loss(quantized.dequantize(), self.original, self.hessian)
+            # every quantized column holds its dequantized value
+            loss = proxy_loss(bundle.weights, self.original, self.hessian)
         if loss_rtn > 0:
             rtn_relative = loss / loss_rtn
         else:

@@ -164,22 +164,20 @@ class HessianState:
         return self._wrap(base, self.n_samples, damped=True, damping=lam, shift=lam)
 
     @classmethod
-    def from_matrix(
-        cls, H: np.ndarray, n_samples: int, damped: bool = False, damping: float = 0.0
-    ) -> "HessianState":
-        """Wrap a precomputed symmetric matrix (upper triangle is trusted).
+    def from_matrix(cls, H: np.ndarray, n_samples: int) -> "HessianState":
+        """Wrap a precomputed symmetric matrix (upper triangle is trusted) as
+        an undamped state.
 
         The state holds one new d x d array: the upper triangle of H
-        mirrored into the lower. With ``damped=True`` the matrix is taken to
-        include its ``damping`` already. Raises NumericalError if the matrix
-        has non-finite entries.
+        mirrored into the lower. Raises NumericalError if the matrix has
+        non-finite entries.
         """
         H = np.array(H, dtype=np.float64, order="C")
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise NumericalError(f"Hessian must be square, got {H.shape}")
         if not np.isfinite(H).all():
             raise NumericalError("Hessian contains non-finite values")
-        return cls._wrap(_mirror_upper(H), int(n_samples), damped=damped, damping=damping)
+        return cls._wrap(_mirror_upper(H), int(n_samples))
 
 
 # fastest of 16 to 128 at d = 512 and d = 4096

@@ -24,24 +24,11 @@ __all__ = ["LayerReport", "proxy_loss", "compare_table"]
 
 CSV_SCHEMA = "lowbit-compare-v1"
 
-_CSV_COLUMNS = [
-    "layer",
-    "engine",
-    "bits",
-    "group_size",
-    "beta",
-    "block_size",
-    "proxy_loss",
-    "rtn_relative",
-    "wall_time_s",
-    "drift_max",
-    "drift_mean",
-]
-
-
 @dataclass
 class LayerReport:
-    """Outcome of quantizing one layer with one engine configuration."""
+    """Outcome of quantizing one layer with one engine configuration.
+    ``drift_*`` compare the run's final weights with the originals: the
+    dequantized layer for a compensating engine, untouched (0) for rtn."""
 
     layer: str
     engine: str
@@ -120,11 +107,11 @@ def compare_table(
     ordered = sorted(reports, key=lambda r: (r.layer, r.engine))
     buf = io.StringIO()
     buf.write(f"# schema: {CSV_SCHEMA}\n")
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+    columns = list(LayerReport.__dataclass_fields__)
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     for rep in ordered:
-        row = rep.to_dict()
-        writer.writerow({k: row[k] for k in _CSV_COLUMNS})
+        writer.writerow(rep.to_dict())
     csv_text = buf.getvalue()
 
     layers = sorted(reference)

@@ -17,7 +17,7 @@ from lowbit.engines import (
 )
 from lowbit.errors import ConfigError, FactorizationError, NumericalError
 from lowbit.linalg import HessianState, inverse_cholesky, recover_inverse_submatrix
-from lowbit.quantizer import QuantGrid, ScaleBook, rtn_quantize
+from lowbit.quantizer import QuantGrid, QuantizedLayer, ScaleBook, rtn_quantize
 from lowbit.report import proxy_loss
 
 
@@ -190,11 +190,11 @@ class TestGptqColumnStep:
         q_blocked, _ = run_engine(
             blocked_bundle, hess, EngineConfig(engine="gptq", bits=4, group_size=None)
         )
-        # all three routes agree on codes; latents agree to rounding noise
+        # all three routes agree on codes, and so on the dequantized layer
+        # that each leaves in its bundle
         assert np.array_equal(q_blocked.codes, q_oracle.codes)
-        scale = np.abs(oracle_bundle.weights).max()
-        assert np.abs(bundle.weights - oracle_bundle.weights).max() / scale <= 1e-6
-        assert np.abs(blocked_bundle.weights - oracle_bundle.weights).max() / scale <= 1e-6
+        assert np.array_equal(bundle.weights, oracle_bundle.weights)
+        assert np.array_equal(blocked_bundle.weights, oracle_bundle.weights)
 
 
 class TestFoemColumnStep:
@@ -211,7 +211,9 @@ class TestFoemColumnStep:
             if j == 0:
                 # untouched layer: the drift term is exactly the zero matrix
                 assert np.array_equal(r1.delta_w, r2.delta_w)
-        assert not np.array_equal(b1.weights, b2.weights)  # beta did act later
+            if j == 1:
+                # column 0's update drifted the rest: beta acts from here on
+                assert not np.array_equal(r1.delta_w, r2.delta_w)
 
     def test_first_column_of_pristine_layer_has_zero_drift_term(self, rng):
         d = 12
@@ -247,17 +249,17 @@ class TestFoemColumnStep:
         drift_pre = bundle.drift()[:, j:]
         w = bundle.weights[:, j].copy()
         res = foem_column_step(bundle, factor, grid, j, d, book, beta=beta, sign=sign)
-        # reconstruct the drift term from the recorded delta: subtract the
-        # pure error-propagation part
+        # reconstruct the drift term from the recorded delta, which covers
+        # the columns after j: subtract the pure error-propagation part
         T = factor.matrix
         err = (w - res.deq_col) / T[j, j]
-        gptq_part = -np.outer(err, T[j, j:])
+        gptq_part = -np.outer(err, T[j, j + 1 :])
         term = res.delta_w - gptq_part
         M_rec = recover_inverse_submatrix(factor, j - 1)
         dense = np.linalg.inv(damped.matrix[j:, j:])
         np.testing.assert_allclose(M_rec, dense, rtol=1e-9, atol=1e-12)
         expected = sign * beta * (drift_pre @ M_rec)
-        np.testing.assert_allclose(term, expected, rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(term, expected[:, 1:], rtol=1e-9, atol=1e-14)
 
 
 class TestFoemBlockBoundary:
@@ -483,6 +485,12 @@ class TestEngineConfig:
         with pytest.raises(ConfigError, match=field):
             EngineConfig.from_dict({field: value})
 
+    def test_from_dict_refuses_unknown_keys(self):
+        # a removed or misspelt field must not fall back to the defaults
+        for data in ({"engine": "gptq", "scale_source": "latent"}, {"beta": 0.0, "bta": 1.0}):
+            with pytest.raises(ConfigError, match="unknown config fields"):
+                EngineConfig.from_dict(data)
+
     def test_from_dict_records_reals_as_floats(self):
         config = EngineConfig.from_dict({"beta": 0, "damp_ratio": 1, "bits": np.int64(3)})
         assert (type(config.beta), type(config.damp_ratio)) == (float, float)
@@ -531,6 +539,17 @@ class TestPreparedLayer:
                 assert rep.rtn_relative == 1.0
         assert len(factors) == 1
         assert len(baselines) == 1
+
+    def test_only_the_baseline_is_dequantized(self, rng, monkeypatch):
+        # a compensating run leaves the dequantized layer in its bundle, and
+        # its report prices that instead of dequantizing the codes again
+        dequantized = count_calls(monkeypatch, QuantizedLayer, "dequantize")
+        hess = token_hessian(16, 64, 0.9, 53)
+        W = rng.standard_normal((8, 16))
+        prepared = PreparedLayer(W, hess, QuantGrid(3, 8, True), 0.01)
+        for token in self.TOKENS:
+            prepared.run(LayerBundle(W), EngineConfig(bits=3, group_size=8, **token))
+        assert len(dequantized) == 1
 
     @pytest.mark.parametrize(
         "change", [dict(bits=3), dict(group_size=64), dict(symmetric=False), dict(damp_ratio=0.02)]
@@ -685,6 +704,30 @@ class TestLazyBlockDriver:
             q, _ = prepared.run(LayerBundle(W), config)
             assert np.array_equal(q.scales, baseline.scales), token
             assert np.array_equal(q.zero_points, baseline.zero_points), token
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("group_size", [32, 200, None])
+    @pytest.mark.parametrize("block_size", [1, 7, 128])
+    def test_weights_end_as_the_dequantized_layer(self, symmetric, group_size, block_size):
+        # every driver writes a column's dequantized value as it quantizes
+        # it, so the bundle ends holding exactly the dequantized layer
+        d_in = 300
+        hess = token_hessian(d_in, 600, 0.9, 40)
+        W = np.random.default_rng(41).standard_normal((20, d_in))
+        prepared = PreparedLayer(W, hess, QuantGrid(3, group_size, symmetric), 0.01)
+        for token in (
+            dict(engine="obs_oracle"),
+            dict(engine="gptq"),
+            dict(engine="foem", first_order_sign="minus"),
+            dict(engine="foem", first_order_sign="plus"),
+        ):
+            config = EngineConfig(
+                bits=3, group_size=group_size, block_size=block_size, symmetric=symmetric, **token
+            )
+            bundle = LayerBundle(W)
+            q, rep = prepared.run(bundle, config)
+            assert np.array_equal(bundle.weights, q.dequantize()), token
+            assert rep.proxy_loss == proxy_loss(q.dequantize(), W, hess), token
 
 
 class TestScaleInvariance:

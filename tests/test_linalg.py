@@ -229,7 +229,7 @@ def _explicitly_damped(state, ratio):
     """The damped state as a matrix holding its damping, factored as given."""
     lam = state.dampen(ratio).damping
     H = state.matrix + lam * np.eye(state.dim)
-    return HessianState.from_matrix(H, state.n_samples, damped=True, damping=lam)
+    return HessianState.from_matrix(H, state.n_samples).dampen(0.0)
 
 
 class TestNoCopyFactor:
