@@ -50,7 +50,7 @@ assert rc == 0
 
 layer = load_quantized(os.path.join(quantized, "encoder.fc.quantized.safetensors"))
 print(
-    f"\nreloaded encoder.fc: {layer.bits}-bit codes {layer.codes.shape}, "
+    f"\nreloaded encoder.fc: {layer.config.bits}-bit codes {layer.codes.shape}, "
     f"{layer.n_groups} groups/row, engine={layer.config.engine}"
 )
 report = json.loads(open(os.path.join(quantized, "encoder.fc.report.json")).read())

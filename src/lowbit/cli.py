@@ -19,16 +19,10 @@ import sys
 from dataclasses import replace
 
 from .calib import SyntheticSpec, activation_entries, generate_synthetic
-from .engines import (
-    ENGINES,
-    FIRST_ORDER_SIGNS,
-    EngineConfig,
-    LayerBundle,
-    PreparedLayer,
-    run_engine,
-)
+from .engines import LayerBundle, PreparedLayer, run_engine
 from .errors import ConfigError, LowbitError, NumericalError, TensorFormatError
 from .linalg import HessianState
+from .quantizer import ENGINES, FIRST_ORDER_SIGNS, EngineConfig
 from .report import compare_table
 from .tensorio import TensorFile, save_quantized, save_tensors
 from .verification import run_checks

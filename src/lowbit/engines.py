@@ -35,8 +35,8 @@ the compensated latent ones, so the compensating engines share the RTN
 baseline's scales and zero points and differ from it only in their codes.
 
 Once quantized, a column is never read again, so every driver writes its
-dequantized value into ``bundle.weights`` on the spot: a compensating run
-leaves the bundle holding the dequantized layer, which its report prices.
+dequantized value into ``bundle.weights`` on the spot, and ``rtn`` writes
+its baseline's: every run leaves the bundle holding the dequantized layer.
 
 Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
@@ -52,22 +52,19 @@ row-vectorized; column order is strictly sequential.
 
 from __future__ import annotations
 
-import numbers
-import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .linalg import HessianState, InvCholFactor, inverse_cholesky, iterative_inverse_update
-from .quantizer import QuantGrid, QuantizedLayer, ScaleBook, rtn_quantize
+from .quantizer import ENGINES, EngineConfig, QuantGrid, QuantizedLayer, ScaleBook, rtn_quantize
 from .report import LayerReport, proxy_loss
 
 __all__ = [
     "ENGINES",
-    "FIRST_ORDER_SIGNS",
     "LayerBundle",
     "EngineConfig",
     "ColumnStepResult",
@@ -80,10 +77,6 @@ __all__ = [
     "PreparedLayer",
     "run_engine",
 ]
-
-ENGINES = ("rtn", "obs_oracle", "gptq", "foem")
-FIRST_ORDER_SIGNS = ("minus", "plus")
-
 
 class LayerBundle:
     """Latent weights being calibrated plus the frozen originals.
@@ -111,92 +104,6 @@ class LayerBundle:
     def drift(self) -> np.ndarray:
         """Current deviation of the latent weights from the originals."""
         return self.weights - self.original
-
-
-def _is_number(value, kind) -> bool:
-    """JSON number check: a bool is not one."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Everything an engine run depends on besides the data itself.
-
-    ``beta`` scales latent drift into gradient space for the first-order
-    engines; ``block_size`` is the width of the lazy in-block batch before
-    the batched boundary update fires, and so also the reach of foem's
-    first-order term. Scale groups are always fitted from the original
-    weights, so no field chooses their source. Fields that do not apply to
-    the selected engine are ignored; ``applied`` gives the values a run
-    actually uses.
-    """
-
-    engine: str = "gptq"
-    bits: int = 4
-    group_size: int | None = 128
-    symmetric: bool = True
-    block_size: int = 128
-    beta: float = 3e-4
-    damp_ratio: float = 0.01
-    first_order_sign: str = "minus"
-
-    def validate(self) -> None:
-        """Raise ConfigError unless every field has its JSON type (a bool is
-        no number, and ``group_size`` may be None) and a value in range."""
-        # a name that is not a string fails its membership test
-        if self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if not _is_number(self.bits, numbers.Integral) or not 2 <= self.bits <= 8:
-            raise ConfigError(f"bits must be an integer in [2, 8], got {self.bits!r}")
-        gs = self.group_size
-        if gs is not None and (not _is_number(gs, numbers.Integral) or gs < 1):
-            raise ConfigError(f"group_size must be an integer >= 1 or None, got {gs!r}")
-        if not isinstance(self.symmetric, bool):
-            raise ConfigError(f"symmetric must be a bool, got {self.symmetric!r}")
-        if not _is_number(self.block_size, numbers.Integral) or self.block_size < 1:
-            raise ConfigError(f"block_size must be an integer >= 1, got {self.block_size!r}")
-        # written so that NaN fails too, and an int too large for a float
-        if not _is_number(self.beta, numbers.Real) or not 0 <= self.beta <= sys.float_info.max:
-            raise ConfigError(f"beta must be finite and non-negative, got {self.beta!r}")
-        if not _is_number(self.damp_ratio, numbers.Real) or not 0 <= self.damp_ratio <= sys.float_info.max:
-            raise ConfigError(f"damp_ratio must be finite and non-negative, got {self.damp_ratio!r}")
-        if self.first_order_sign not in FIRST_ORDER_SIGNS:
-            raise ConfigError(
-                f"first_order_sign must be one of {FIRST_ORDER_SIGNS}, "
-                f"got {self.first_order_sign!r}"
-            )
-
-    def grid(self) -> QuantGrid:
-        return QuantGrid(self.bits, self.group_size, self.symmetric)
-
-    def sign_factor(self) -> float:
-        return -1.0 if self.first_order_sign == "minus" else 1.0
-
-    def applied(self) -> dict:
-        """The engine values a run with this config applies, 0 where it
-        applies none: beta only for foem, a block size only for gptq and
-        foem, and no damping for rtn."""
-        return {
-            "engine": self.engine,
-            "beta": self.beta if self.engine == "foem" else 0.0,
-            "damp_ratio": self.damp_ratio if self.engine != "rtn" else 0.0,
-            "block_size": self.block_size if self.engine in ("gptq", "foem") else 0,
-            "first_order_sign": self.first_order_sign,
-        }
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineConfig":
-        """The validated config of ``data``, whose keys must all be config
-        fields; ``beta`` and ``damp_ratio`` are recorded as floats."""
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return replace(cfg, beta=float(cfg.beta), damp_ratio=float(cfg.damp_ratio))
 
 
 @dataclass
@@ -400,7 +307,6 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
 def _run_blocked(
     bundle: LayerBundle,
     factor: InvCholFactor,
-    grid: QuantGrid,
     config: EngineConfig,
 ) -> ScaleBook:
     """Lazy blocked driver shared by gptq and foem; returns the filled
@@ -426,7 +332,7 @@ def _run_blocked(
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
     c = config.sign_factor() * config.applied()["beta"]
-    book = ScaleBook(grid, d_out, d_in)
+    book = ScaleBook(config.grid(), d_out, d_in)
     B = config.block_size
     for i in range(0, d_in, B):
         e = min(i + B, d_in)
@@ -526,8 +432,8 @@ class PreparedLayer:
         self, bundle: LayerBundle, config: EngineConfig, layer_name: str = "layer"
     ) -> tuple[QuantizedLayer, LayerReport]:
         """Quantize ``bundle`` (undrifted, holding this layer's weights) with
-        ``config``; the bundle's latent weights are consumed in place, and a
-        compensating engine leaves them equal to the dequantized layer.
+        ``config``; the bundle's latent weights are consumed in place, and
+        every engine leaves them equal to the dequantized layer.
 
         ``wall_time_s`` covers producing the codes, including any shared
         piece this run was the first to need (T for a compensating engine,
@@ -552,6 +458,7 @@ class PreparedLayer:
         t0 = time.perf_counter()
         if config.engine == "rtn":
             quantized = replace(self.baseline, config=config, extra={})
+            bundle.weights[...] = quantized.dequantize()
         else:
             # factoring first also refuses a matrix that is not positive
             # definite for the oracle, whose explicit inverse would not
@@ -560,7 +467,7 @@ class PreparedLayer:
                 damped = self.hessian.dampen(self.damp_ratio)
                 book = _run_oracle(bundle, damped, grid)
             else:
-                book = _run_blocked(bundle, factor, grid, config)
+                book = _run_blocked(bundle, factor, config)
             quantized = book.layer(config)
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name

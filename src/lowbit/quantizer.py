@@ -9,22 +9,27 @@ rule column by column.
 
 Rounding is round-half-to-even throughout, so symmetric grids are exactly
 sign-equivariant and long compensation chains pick up no rounding bias.
+
+A ``QuantizedLayer`` records the ``EngineConfig`` that made it (a bare
+``rtn_quantize`` the ``rtn`` engine's) and no second copy of its grid: the
+bit width, group size and symmetry are the config's, ``config.grid()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+import numbers
+import sys
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericalError
-
-if TYPE_CHECKING:
-    from .engines import EngineConfig
+from .errors import ConfigError, NumericalError
 
 __all__ = [
+    "ENGINES",
+    "FIRST_ORDER_SIGNS",
+    "EngineConfig",
     "QuantGrid",
     "GroupScale",
     "QuantizedLayer",
@@ -33,6 +38,10 @@ __all__ = [
     "dequantize_codes",
     "rtn_quantize",
 ]
+
+
+ENGINES = ("rtn", "obs_oracle", "gptq", "foem")
+FIRST_ORDER_SIGNS = ("minus", "plus")
 
 
 @dataclass(frozen=True)
@@ -64,12 +73,99 @@ class QuantGrid:
         return 2 ** (self.bits - 1) - 1 if self.symmetric else 2**self.bits - 1
 
     def resolved_group_size(self, d_in: int) -> int:
-        return d_in if self.group_size is None else self.group_size
+        """Width of a scale group on ``d_in`` input columns (at least 1)."""
+        return max(1, d_in) if self.group_size is None else self.group_size
 
     def n_groups(self, d_in: int) -> int:
         if d_in == 0:
             return 0
         return math.ceil(d_in / self.resolved_group_size(d_in))
+
+
+def _is_number(value, kind) -> bool:
+    """JSON number check: a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Everything an engine run depends on besides the data itself.
+
+    ``beta`` scales latent drift into gradient space for the first-order
+    engines; ``block_size`` is the width of the lazy in-block batch before
+    the batched boundary update fires, and so also the reach of foem's
+    first-order term. Scale groups are always fitted from the original
+    weights, so no field chooses their source. Fields that do not apply to
+    the selected engine are ignored; ``applied`` gives the values a run
+    actually uses.
+    """
+
+    engine: str = "gptq"
+    bits: int = 4
+    group_size: int | None = 128
+    symmetric: bool = True
+    block_size: int = 128
+    beta: float = 3e-4
+    damp_ratio: float = 0.01
+    first_order_sign: str = "minus"
+
+    def validate(self) -> None:
+        """Raise ConfigError unless every field has its JSON type (a bool is
+        no number, and ``group_size`` may be None) and a value in range."""
+        # a name that is not a string fails its membership test
+        if self.engine not in ENGINES:
+            raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if not _is_number(self.bits, numbers.Integral) or not 2 <= self.bits <= 8:
+            raise ConfigError(f"bits must be an integer in [2, 8], got {self.bits!r}")
+        gs = self.group_size
+        if gs is not None and (not _is_number(gs, numbers.Integral) or gs < 1):
+            raise ConfigError(f"group_size must be an integer >= 1 or None, got {gs!r}")
+        if not isinstance(self.symmetric, bool):
+            raise ConfigError(f"symmetric must be a bool, got {self.symmetric!r}")
+        if not _is_number(self.block_size, numbers.Integral) or self.block_size < 1:
+            raise ConfigError(f"block_size must be an integer >= 1, got {self.block_size!r}")
+        # written so that NaN fails too, and an int too large for a float
+        if not _is_number(self.beta, numbers.Real) or not 0 <= self.beta <= sys.float_info.max:
+            raise ConfigError(f"beta must be finite and non-negative, got {self.beta!r}")
+        if not _is_number(self.damp_ratio, numbers.Real) or not 0 <= self.damp_ratio <= sys.float_info.max:
+            raise ConfigError(f"damp_ratio must be finite and non-negative, got {self.damp_ratio!r}")
+        if self.first_order_sign not in FIRST_ORDER_SIGNS:
+            raise ConfigError(
+                f"first_order_sign must be one of {FIRST_ORDER_SIGNS}, "
+                f"got {self.first_order_sign!r}"
+            )
+
+    def grid(self) -> QuantGrid:
+        return QuantGrid(self.bits, self.group_size, self.symmetric)
+
+    def sign_factor(self) -> float:
+        return -1.0 if self.first_order_sign == "minus" else 1.0
+
+    def applied(self) -> dict:
+        """The engine values a run with this config applies, 0 where it
+        applies none: beta only for foem, a block size only for gptq and
+        foem, and no damping for rtn."""
+        return {
+            "engine": self.engine,
+            "beta": self.beta if self.engine == "foem" else 0.0,
+            "damp_ratio": self.damp_ratio if self.engine != "rtn" else 0.0,
+            "block_size": self.block_size if self.engine in ("gptq", "foem") else 0,
+            "first_order_sign": self.first_order_sign,
+        }
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EngineConfig":
+        """The validated config of ``data``, whose keys must all be config
+        fields; ``beta`` and ``damp_ratio`` are recorded as floats."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config fields {sorted(unknown)}")
+        cfg = cls(**data)
+        cfg.validate()
+        return replace(cfg, beta=float(cfg.beta), damp_ratio=float(cfg.damp_ratio))
 
 
 @dataclass
@@ -138,17 +234,14 @@ class QuantizedLayer:
 
     ``codes`` is (d_out x d_in) int32, ``scales`` (d_out x n_groups) float64,
     ``zero_points`` (d_out x n_groups) int32 (all zero for symmetric grids).
-    ``config`` is the one record of the engine run that produced the layer
-    (None for a bare ``rtn_quantize``); ``extra`` holds free-form metadata.
+    ``config`` is the one record of how the layer was quantized, its grid
+    included (``config.grid()``); ``extra`` holds free-form metadata.
     """
 
     codes: np.ndarray
     scales: np.ndarray
     zero_points: np.ndarray
-    bits: int
-    group_size: int
-    symmetric: bool
-    config: EngineConfig | None = None
+    config: EngineConfig
     extra: dict = field(default_factory=dict)
 
     @property
@@ -163,12 +256,14 @@ class QuantizedLayer:
     def n_groups(self) -> int:
         return self.scales.shape[1]
 
-    def grid(self) -> QuantGrid:
-        return QuantGrid(self.bits, self.group_size, self.symmetric)
+    @property
+    def group_size(self) -> int:
+        """Width of the layer's scale groups, resolved against ``d_in``."""
+        return self.config.grid().resolved_group_size(self.d_in)
 
     def validate(self) -> None:
         """Check internal consistency; raises NumericalError on violation."""
-        grid = self.grid()
+        grid = self.config.grid()
         d_out, d_in = self.codes.shape
         expected_groups = grid.n_groups(d_in)
         if self.scales.shape != (d_out, expected_groups):
@@ -183,11 +278,11 @@ class QuantizedLayer:
         ):
             raise NumericalError(
                 f"codes outside grid range [{grid.q_min}, {grid.q_max}] "
-                f"for {self.bits}-bit {'symmetric' if self.symmetric else 'asymmetric'} grid"
+                f"for {grid.bits}-bit {'symmetric' if grid.symmetric else 'asymmetric'} grid"
             )
         if self.scales.size and not (self.scales > 0).all():
             raise NumericalError("all scales must be strictly positive")
-        if self.symmetric and self.zero_points.size and np.any(self.zero_points != 0):
+        if grid.symmetric and self.zero_points.size and np.any(self.zero_points != 0):
             raise NumericalError("symmetric layers must have all-zero zero_points")
 
     def group_index(self) -> np.ndarray:
@@ -214,7 +309,7 @@ class ScaleBook:
     def __init__(self, grid: QuantGrid, d_out: int, d_in: int):
         self.grid = grid
         self.d_in = d_in
-        self.group_size = max(1, grid.resolved_group_size(d_in))
+        self.group_size = grid.resolved_group_size(d_in)
         n_groups = grid.n_groups(d_in)
         self.codes = np.zeros((d_out, d_in), dtype=np.int32)
         self.scales = np.empty((d_out, n_groups), dtype=np.float64)
@@ -250,24 +345,20 @@ class ScaleBook:
         self.codes[:, col], deq = quantize_values(values, self.column_params(col), self.grid)
         return deq
 
-    def layer(self, config: EngineConfig | None = None) -> QuantizedLayer:
-        """The finished layer over the book's own arrays (no copy)."""
-        return QuantizedLayer(
-            codes=self.codes,
-            scales=self.scales,
-            zero_points=self.zero_points,
-            bits=self.grid.bits,
-            group_size=self.group_size,
-            symmetric=self.grid.symmetric,
-            config=config,
-        )
+    def layer(self, config: EngineConfig) -> QuantizedLayer:
+        """The finished layer over the book's own arrays (no copy), made by
+        ``config``, whose grid must be the book's (``ConfigError`` otherwise)."""
+        if config.grid() != self.grid:
+            raise ConfigError(f"config has grid {config.grid()}, but the ScaleBook has {self.grid}")
+        return QuantizedLayer(self.codes, self.scales, self.zero_points, config)
 
 
 def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     """Round-to-nearest baseline: independent per-element quantization.
 
     No cross-column compensation; every element is fitted and rounded within
-    its own (row, group). Rejects non-finite weights.
+    its own (row, group). Rejects non-finite weights. The layer's config is
+    the ``rtn`` engine's on ``grid``, its other fields at their defaults.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
@@ -283,4 +374,4 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
         book.codes[:, lo:hi], _ = quantize_values(
             weights[:, lo:hi], GroupScale(gs.scale[:, None], gs.zero_point[:, None]), grid
         )
-    return book.layer()
+    return book.layer(EngineConfig(engine="rtn", **asdict(grid)))

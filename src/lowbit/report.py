@@ -27,8 +27,8 @@ CSV_SCHEMA = "lowbit-compare-v1"
 @dataclass
 class LayerReport:
     """Outcome of quantizing one layer with one engine configuration.
-    ``drift_*`` compare the run's final weights with the originals: the
-    dequantized layer for a compensating engine, untouched (0) for rtn."""
+    ``drift_*`` compare the run's final weights, which every engine leaves
+    as its dequantized layer, with the originals."""
 
     layer: str
     engine: str

@@ -9,6 +9,10 @@ vice versa for the supported element kinds (F32/F64/I32/I64).
 All floating payloads are widened to float64 on load; internal computation
 is 64-bit throughout so oracle tolerances hold. Writers sort tensor names
 and header keys, which makes output bytes a pure function of the content.
+
+A quantized-layer artifact records its ``EngineConfig`` as ``x.config``, and
+its grid and engine header keys are derived from it: load refuses an
+artifact without ``x.config`` or with a key that disagrees with it.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import EngineConfig
 from .errors import ConfigError, TensorFormatError
-from .quantizer import QuantizedLayer
+from .quantizer import EngineConfig, QuantizedLayer
 
 __all__ = [
     "TensorFile",
@@ -194,25 +197,30 @@ def load_tensor(file: TensorFile | str | os.PathLike, name: str) -> np.ndarray:
     return file.load(name)
 
 
+def _config_keys(config: EngineConfig, d_in: int) -> dict:
+    """The header keys ``config`` fixes for a layer of ``d_in`` columns: its
+    grid, with the group size resolved, and the engine values it applies."""
+    grid = config.grid()
+    group_size = grid.resolved_group_size(d_in)
+    return dict(bits=grid.bits, group_size=group_size, symmetric=grid.symmetric, **config.applied())
+
+
 def save_quantized(layer: QuantizedLayer, path: str | os.PathLike) -> None:
     """Persist a quantized layer; invariants are checked before any write.
 
-    The header's engine keys are ``layer.config.applied()`` and ``x.config``
-    is ``layer.config.to_dict()``; a layer without a config (a bare
-    ``rtn_quantize``) records what ``EngineConfig(engine="rtn")`` applies and
-    no ``x.config``. Each ``extra`` entry is written as ``x.<key>``. Codes
-    and zero points are stored as int32, scales as float64; an array already
-    in its stored dtype (every engine's is) is written without a copy.
+    ``x.config`` is ``layer.config.to_dict()``, and the header's grid and
+    engine keys are derived from it: ``bits``, the resolved ``group_size``,
+    ``symmetric`` and what the config applies. Each ``extra`` entry is
+    written as ``x.<key>``. Codes and zero points are stored as int32,
+    scales as float64; an array already in its stored dtype (every
+    engine's is) is written without a copy.
     """
     layer.validate()
     if "config" in layer.extra:
         raise TensorFormatError("extra key 'config' is reserved for the layer's EngineConfig")
-    config = layer.config or EngineConfig(engine="rtn")
-    header = dict(bits=layer.bits, group_size=layer.group_size, symmetric=layer.symmetric)
-    header.update(config.applied())
+    header = _config_keys(layer.config, layer.d_in)
     header.update((f"x.{key}", value) for key, value in layer.extra.items())
-    if layer.config is not None:
-        header["x.config"] = layer.config.to_dict()
+    header["x.config"] = layer.config.to_dict()
     save_tensors(
         path,
         {
@@ -227,10 +235,10 @@ def save_quantized(layer: QuantizedLayer, path: str | os.PathLike) -> None:
 def load_quantized(path: str | os.PathLike) -> QuantizedLayer:
     """Read back a quantized layer written by :func:`save_quantized`.
 
-    ``config`` is rebuilt from ``x.config`` (None without one). Raises
-    TensorFormatError when ``x.config`` is not an object of exactly the
-    config fields with valid values, or when the header's engine keys are
-    not what that config (without one, a bare RTN) applies.
+    ``config`` is rebuilt from ``x.config``, which every artifact must
+    carry. Raises TensorFormatError when ``x.config`` is missing or not an
+    object of exactly the config fields with valid values, or when any
+    header key the config fixes (grid or engine) is not what it fixes.
     """
     tf = TensorFile.open(path)
     if tf.metadata.get("format") != "lowbit-quantized-v1":
@@ -239,23 +247,22 @@ def load_quantized(path: str | os.PathLike) -> QuantizedLayer:
         header = {k: json.loads(v) for k, v in tf.metadata.items() if k != "format"}
         extra = {k[2:]: v for k, v in sorted(header.items()) if k.startswith("x.")}
         raw = extra.pop("config", None)
-        fields = set(EngineConfig.__dataclass_fields__)
-        if raw is not None and (not isinstance(raw, dict) or set(raw) != fields):
+        if not isinstance(raw, dict) or set(raw) != set(EngineConfig.__dataclass_fields__):
             raise ConfigError(f"x.config {raw!r} is not an object of the config fields")
-        config = None if raw is None else EngineConfig.from_dict(raw)
+        config = EngineConfig.from_dict(raw)
     except (json.JSONDecodeError, ConfigError) as exc:
         raise TensorFormatError(f"{tf.path}: malformed metadata: {exc}") from None
-    applied = (config or EngineConfig(engine="rtn")).applied()
-    recorded = {key: header.get(key) for key in applied}
-    if recorded != applied:
-        raise TensorFormatError(f"{tf.path}: header engine keys {recorded} disagree with {applied}")
+    codes = tf.load("codes")
+    if codes.ndim != 2:
+        raise TensorFormatError(f"{tf.path}: codes must be 2-D, got shape {codes.shape}")
+    fixed = _config_keys(config, codes.shape[1])
+    recorded = {key: tf.metadata.get(key) for key in fixed}
+    if recorded != {key: json.dumps(value) for key, value in fixed.items()}:
+        raise TensorFormatError(f"{tf.path}: header keys {recorded} disagree with x.config {raw}")
     layer = QuantizedLayer(
-        codes=tf.load("codes"),
+        codes=codes,
         scales=tf.load("scales"),
         zero_points=tf.load("zero_points"),
-        bits=header.get("bits"),
-        group_size=header.get("group_size"),
-        symmetric=header.get("symmetric"),
         config=config,
         extra=extra,
     )

@@ -17,20 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calib import SyntheticSpec, generate_synthetic, gradient_alignment, exact_proxy_gradient
-from .engines import (
-    EngineConfig,
-    LayerBundle,
-    first_order_quant_step,
-    gptq_column_step,
-    run_engine,
-)
+from .engines import LayerBundle, first_order_quant_step, gptq_column_step, run_engine
 from .linalg import (
     HessianState,
     inverse_cholesky,
     iterative_inverse_update,
     recover_inverse_submatrix,
 )
-from .quantizer import QuantGrid, ScaleBook, fit_scales, quantize_values
+from .quantizer import EngineConfig, QuantGrid, ScaleBook, fit_scales, quantize_values
 from .report import proxy_loss
 
 __all__ = ["CheckResult", "run_checks"]

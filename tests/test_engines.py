@@ -427,12 +427,13 @@ class TestRunEngine:
         with pytest.raises(ConfigError, match="foem_plus"):
             EngineConfig(engine="foem_plus").validate()
 
-    def test_drift_stats_zero_for_rtn(self, rng):
+    def test_drift_stats_of_rtn_are_its_rounding_error(self, rng):
         hess = token_hessian(4, 16, 0.9, 21)
-        _, rep = run_engine(
-            LayerBundle(rng.standard_normal((2, 4))), hess, EngineConfig(engine="rtn")
-        )
-        assert rep.drift_max == 0.0 and rep.drift_mean == 0.0
+        W = rng.standard_normal((2, 4))
+        _, rep = run_engine(LayerBundle(W), hess, EngineConfig(engine="rtn"))
+        err = np.abs(rtn_quantize(W, QuantGrid(4, 128)).dequantize() - W)
+        assert err.max() > 0.0
+        assert (rep.drift_max, rep.drift_mean) == (float(err.max()), float(err.mean()))
 
     def test_original_never_mutates(self, rng):
         d = 16
@@ -542,14 +543,18 @@ class TestPreparedLayer:
 
     def test_only_the_baseline_is_dequantized(self, rng, monkeypatch):
         # a compensating run leaves the dequantized layer in its bundle, and
-        # its report prices that instead of dequantizing the codes again
+        # its report prices that instead of dequantizing the codes again; the
+        # baseline is dequantized once for its loss and once by the rtn run,
+        # which leaves it in its bundle
         dequantized = count_calls(monkeypatch, QuantizedLayer, "dequantize")
         hess = token_hessian(16, 64, 0.9, 53)
         W = rng.standard_normal((8, 16))
         prepared = PreparedLayer(W, hess, QuantGrid(3, 8, True), 0.01)
         for token in self.TOKENS:
             prepared.run(LayerBundle(W), EngineConfig(bits=3, group_size=8, **token))
-        assert len(dequantized) == 1
+            if token["engine"] == "rtn":
+                assert len(dequantized) == 2
+        assert len(dequantized) == 2
 
     @pytest.mark.parametrize(
         "change", [dict(bits=3), dict(group_size=64), dict(symmetric=False), dict(damp_ratio=0.02)]
@@ -710,12 +715,14 @@ class TestLazyBlockDriver:
     @pytest.mark.parametrize("block_size", [1, 7, 128])
     def test_weights_end_as_the_dequantized_layer(self, symmetric, group_size, block_size):
         # every driver writes a column's dequantized value as it quantizes
-        # it, so the bundle ends holding exactly the dequantized layer
+        # it, and rtn writes its baseline's, so the bundle ends holding
+        # exactly the dequantized layer
         d_in = 300
         hess = token_hessian(d_in, 600, 0.9, 40)
         W = np.random.default_rng(41).standard_normal((20, d_in))
         prepared = PreparedLayer(W, hess, QuantGrid(3, group_size, symmetric), 0.01)
         for token in (
+            dict(engine="rtn"),
             dict(engine="obs_oracle"),
             dict(engine="gptq"),
             dict(engine="foem", first_order_sign="minus"),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lowbit.errors import NumericalError
+from lowbit.errors import ConfigError, NumericalError
 from lowbit.quantizer import (
+    EngineConfig,
     GroupScale,
     QuantGrid,
     QuantizedLayer,
@@ -162,9 +163,7 @@ class TestQuantizedLayer:
             codes=codes,
             scales=np.full((d_out, n_groups), 0.5),
             zero_points=np.zeros((d_out, n_groups), dtype=np.int32),
-            bits=bits,
-            group_size=group_size,
-            symmetric=symmetric,
+            config=EngineConfig(engine="rtn", bits=bits, group_size=group_size, symmetric=symmetric),
         )
 
     def test_validate_accepts_consistent_layer(self):
@@ -241,12 +240,24 @@ class TestScaleBook:
         for j in range(8):
             deq = book.quantize(j, w[:, j], w)
             assert np.array_equal(deq, dequantize_codes(book.codes[:, j], book.column_params(j), grid))
-        layer = book.layer()
+        layer = book.layer(EngineConfig(bits=3, group_size=4, symmetric=False))
         assert layer.codes is book.codes and layer.zero_points is book.zero_points
         assert layer.codes.dtype == layer.zero_points.dtype == np.int32
         ref = rtn_quantize(w, grid)
         for name in ("codes", "scales", "zero_points"):
             assert np.array_equal(getattr(layer, name), getattr(ref, name))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(bits=4, group_size=4, symmetric=False),
+            EngineConfig(bits=3, group_size=8, symmetric=False),
+            EngineConfig(bits=3, group_size=4, symmetric=True),
+        ],
+    )
+    def test_layer_refuses_a_config_on_another_grid(self, config):
+        with pytest.raises(ConfigError, match="grid"):
+            ScaleBook(QuantGrid(3, 4, False), 3, 8).layer(config)
 
     def test_groups_fit_once_from_first_touch(self, rng):
         grid = QuantGrid(4, 4)

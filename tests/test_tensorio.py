@@ -197,8 +197,7 @@ class TestQuantizedArtifacts:
         assert np.array_equal(back.codes, layer.codes)
         assert np.array_equal(back.scales, layer.scales)
         assert np.array_equal(back.zero_points, layer.zero_points)
-        assert (back.bits, back.group_size, back.symmetric) == (4, 4, True)
-        assert back.config is None
+        assert back.config == layer.config
         assert back.extra["layer"] == "proj"
 
     def test_dequantized_reconstruction_identical(self, tmp_path, rng):
@@ -215,9 +214,7 @@ class TestQuantizedArtifacts:
             codes=np.full((2, 4), 9, dtype=np.int32),
             scales=np.ones((2, 1)),
             zero_points=np.zeros((2, 1), dtype=np.int32),
-            bits=4,
-            group_size=4,
-            symmetric=True,
+            config=EngineConfig(engine="rtn", bits=4, group_size=4),
         )
         path = tmp_path / "q.safetensors"
         with pytest.raises(NumericalError):
@@ -282,6 +279,7 @@ class TestArtifactHeader:
         assert TensorFile.open(path).metadata == dict(
             self.FIXED, engine='"rtn"', beta="0.0", damp_ratio="0.0", block_size="0",
             first_order_sign='"minus"',
+            **{"x.config": json.dumps(EngineConfig(engine="rtn", bits=3, group_size=4).to_dict())},
         )
 
     @pytest.mark.parametrize(
@@ -294,12 +292,31 @@ class TestArtifactHeader:
             {"x.config": "[1, 2]"},
             {"x.config": json.dumps(dict(EngineConfig().to_dict(), bits="3"))},
             {"x.config": json.dumps({"engine": "foem"})},
+            {"bits": "4"},
+            {"group_size": "8"},
+            {"symmetric": "false"},
         ],
     )
     def test_inconsistent_or_malformed_header_refused(self, tmp_path, rng, changes):
         path, _ = _engine_artifact(tmp_path, rng, engine="foem")
         _rewrite_metadata(path, **changes)
         with pytest.raises(TensorFormatError):
+            load_quantized(path)
+
+    def test_artifact_without_config_refused(self, tmp_path, rng):
+        path, _ = _engine_artifact(tmp_path, rng, engine="gptq")
+        tf = TensorFile.open(path)
+        metadata = {k: v for k, v in tf.metadata.items() if k != "x.config"}
+        save_tensors(path, {name: tf.load(name, widen=False) for name in tf.names}, metadata=metadata)
+        with pytest.raises(TensorFormatError, match="x.config"):
+            load_quantized(path)
+
+    def test_codes_not_2d_refused(self, tmp_path, rng):
+        path, _ = _engine_artifact(tmp_path, rng, engine="gptq")
+        tf = TensorFile.open(path)
+        tensors = {name: tf.load(name, widen=False) for name in tf.names}
+        save_tensors(path, dict(tensors, codes=tensors["codes"].ravel()), metadata=tf.metadata)
+        with pytest.raises(TensorFormatError, match="2-D"):
             load_quantized(path)
 
     def test_config_with_scale_source_refused(self, tmp_path, rng):
