@@ -23,7 +23,10 @@ the rounding error already committed.
   foem at block size 1 gives gptq's codes. It runs in gptq's lazy block:
   the in-block correction is carried in b x b factors that depend only on
   T, so it adds no per-column work proportional to d_out * b^2, and no work
-  at all past the block. The sign of the correction is configurable
+  at all past the block. The factors are planned once per block by one
+  backward sweep in the coordinates z = Tb x (Tb the block's diagonal
+  block of T), about (2/3) b^4 flops in b-row products whatever d_out is.
+  The sign of the correction is configurable
   ("minus" is the default; "plus" is the additive variant kept for
   ablation). Neither sign descends the layer proxy loss: on the
   still-latent columns the exact proxy gradient is -2 * damping *
@@ -47,7 +50,9 @@ it shares them; ``run_engine`` is one preparation and one run, and
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
-row-vectorized; column order is strictly sequential.
+row-vectorized; column order is strictly sequential. The blocked driver
+runs each block on its slab transposed, (b, d_out), so that a column of
+the layer is a contiguous row of the slab.
 """
 
 from __future__ import annotations
@@ -274,34 +279,45 @@ def foem_block_boundary(
 def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     """Coefficients of the lazy in-block update for one block.
 
-    The eager step for local column r of a block of width b is
+    The eager step for local column a of a block of width b is
 
-        D[:, r:] <- D[:, r:] (I + c M_r) - err_r t_r,
+        D <- D (I + c Tb^T P_a Tb) - err_a Tb[a, :],
 
-    with D the slab's drift from the originals, c = sign * beta,
-    M_r = T_r^T T_r for T_r = Tb[r:, r:] and t_r = Tb[r, r:]. Unrolled, the
-    drift after any number of steps is D0 (I + A) + E N, with D0 the drift
-    at block start, E the errors committed so far, and the b x b factors A
-    and N depending only on Tb and c, never on the data. This returns them
-    stacked as F = [A; N] (2b x b), column r taken at the start of step r:
-    what quantizing column r sees.
+    with D the slab's drift from the originals (one row per output row),
+    c = sign * beta and P_a the projector onto coordinates >= a:
+    Tb^T P_a Tb is T_a^T T_a for T_a = Tb[a:, a:], padded with zeros.
+    Unrolled, the drift after any number of steps is D0 (I + A) + E N,
+    with D0 the drift at block start, E the errors committed so far, and
+    the b x b factors A and N depending only on Tb and c, never on the
+    data. This returns them stacked as F = [A; N] (2b x b), column r taken
+    at the start of step r: what quantizing column r sees.
 
-    Each step costs O(b * k^2) flops with k = b - r. With c = 0 A stays
-    zero and N is -Tb, row by row.
+    With Phi_a = I + c Tb^T P_a Tb the step map, column r of I + A is
+    (Phi_0 ... Phi_{r-1}) e_r and entry (a, r) of N, a < r, is
+    -e_a^T Tb Phi_{a+1} ... Phi_{r-1} e_r. Both come out of one backward
+    sweep over a in the coordinates Z = Tb (I + A), where Phi_a acts as
+    I + c K P_a with K = Tb Tb^T fixed: the sweep keeps
+    Z = Tb + dZ, reads N's row a as -Z[a, a+1:] before step a acts on
+    columns a+1 onward, and ends with A = Tb^(-1) dZ. Step a is one
+    b x (b - a) x (b - a - 1) product, so a plan costs about (2/3) b^4
+    flops in b-row products, whatever d_out is. With c = 0 A is zero and
+    N is -triu(Tb, 1).
     """
     b = Tb.shape[0]
     F = np.zeros((2 * b, b))
-    read = np.empty_like(F)
-    if c != 0.0:
-        M = Tb.T @ Tb
-    for r in range(b):
-        read[:, r] = F[:, r]
-        if c != 0.0:
-            F[: b + r, r:] += c * (F[: b + r, r:] @ M)
-            F[r:b, r:] += c * M
-            M = M[1:, 1:] - np.outer(Tb[r, r + 1 :], Tb[r, r + 1 :])
-        F[b + r, r:] = -Tb[r, r:]
-    return read
+    N = F[b:]
+    if c == 0.0:
+        N[...] = -np.triu(Tb, 1)
+        return F
+    cK = c * (Tb @ Tb.T)
+    # dZ is kept apart from Tb: it is c-sized, and Z - Tb would cancel
+    dZ = np.zeros((b, b))
+    for a in range(b - 1, -1, -1):
+        Z = Tb[a:, a + 1 :] + dZ[a:, a + 1 :]
+        np.negative(Z[0], out=N[a, a + 1 :])
+        dZ[:, a + 1 :] += cK[:, a:] @ Z
+    F[:b] = np.linalg.solve(Tb, dZ)
+    return F
 
 
 def _run_blocked(
@@ -317,13 +333,16 @@ def _run_blocked(
     ``_lazy_block_plan``, so a column costs one product over the errors
     committed so far in the block, and the first-order term of every column
     comes from one block-level product over the drift D0 at block start.
-    Each column is written to ``bundle.weights`` as its dequantized value,
-    and the boundary applies gptq's cross-block term to the trailing
-    columns. The first-order term is block-local, so the boundary is the
-    same for both engines and ``bundle.weights`` always holds the full
-    latent value of every column past the current block. For c = 0 (gptq,
-    or foem with beta = 0) this is gptq's lazy batch, so foem with beta = 0
-    runs gptq's arithmetic.
+    The loop runs on the slab transposed, a (b, d_out) copy, so that
+    reading a column, storing its scaled errors, the product over them and
+    the dequantized write are all contiguous rows; the slab, holding each
+    column's dequantized value, is written back into ``bundle.weights``
+    once per block, and the boundary applies gptq's cross-block term to the
+    trailing columns. The first-order term is block-local, so the boundary
+    is the same for both engines and ``bundle.weights`` always holds the
+    full latent value of every column past the current block. For c = 0
+    (gptq, or foem with beta = 0) this is gptq's lazy batch, so foem with
+    beta = 0 runs gptq's arithmetic.
 
     Every scale group is fitted from the original weights, so the scales
     and zero points are the RTN baseline's whatever the block structure.
@@ -338,21 +357,24 @@ def _run_blocked(
         e = min(i + B, d_in)
         b = e - i
         Tb = T[i:e, i:e]
-        read = _lazy_block_plan(Tb, c)
-        # a view for c = 0: step r reads column r before writing it
-        base = W[:, i:e]
+        plan = _lazy_block_plan(Tb, c)
+        slab = W[:, i:e]
         if c != 0.0:
-            base = base + (base - O[:, i:e]) @ read[:b]
-        errs = np.empty((d_out, b))
+            # in the layer's own layout: reading O's block transposed costs
+            # more than the one transposed copy below
+            slab = slab + (slab - O[:, i:e]) @ plan[:b]
+        slab = slab.T.copy()
+        N = plan[b:]
+        errs = np.empty((b, d_out))
         for r in range(b):
-            j = i + r
-            w = errs[:, :r] @ read[b : b + r, r]
-            w += base[:, r]
-            deq = book.quantize(j, w, O)
-            np.subtract(w, deq, out=errs[:, r])
-            errs[:, r] /= Tb[r, r]
-            W[:, j] = deq
-        foem_block_boundary(bundle, factor, errs, i, e, 0.0)
+            w = N[:r, r] @ errs[:r]
+            w += slab[r]
+            deq = book.quantize(i + r, w, O)
+            np.subtract(w, deq, out=errs[r])
+            errs[r] /= Tb[r, r]
+            slab[r] = deq
+        W[:, i:e] = slab.T
+        foem_block_boundary(bundle, factor, errs.T, i, e, 0.0)
     return book
 
 
@@ -482,7 +504,8 @@ class PreparedLayer:
             rtn_relative = loss / loss_rtn
         else:
             rtn_relative = 1.0 if loss == loss_rtn else float("inf")
-        drift = np.abs(bundle.drift())
+        drift = bundle.drift()
+        np.abs(drift, out=drift)
         applied = config.applied()
         report = LayerReport(
             layer=layer_name,

@@ -290,11 +290,28 @@ class QuantizedLayer:
         return np.arange(self.d_in) // self.group_size
 
     def dequantize(self) -> np.ndarray:
-        """Reconstruct the real-valued weight matrix from codes and scales."""
-        if self.codes.size == 0:
-            return np.zeros(self.codes.shape, dtype=np.float64)
-        g = self.group_index()
-        return (self.codes.astype(np.float64) - self.zero_points[:, g]) * self.scales[:, g]
+        """Reconstruct the real-valued weight matrix from codes and scales.
+
+        Each element is (code - zero point) * scale of its group, computed
+        in float64 with no per-element copy of the scales: the whole groups
+        broadcast over a (d_out, n_groups, group) view of the result, and a
+        ragged last group is done apart.
+        """
+        d_out, d_in = self.codes.shape
+        out = np.empty((d_out, d_in), dtype=np.float64)
+        gs = self.group_size
+        n = d_in // gs
+        whole = n * gs
+        # splitting the contiguous column axis keeps ``dst`` a view of ``out``
+        dst = out[:, :whole].reshape(d_out, n, gs)
+        codes = self.codes[:, :whole].reshape(d_out, n, gs)
+        np.subtract(codes, self.zero_points[:, :n, None], out=dst, dtype=np.float64)
+        dst *= self.scales[:, :n, None]
+        if whole < d_in:
+            dst = out[:, whole:]
+            np.subtract(self.codes[:, whole:], self.zero_points[:, n:], out=dst, dtype=np.float64)
+            dst *= self.scales[:, n:]
+        return out
 
 
 class ScaleBook:

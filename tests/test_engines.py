@@ -604,6 +604,50 @@ def _eager_reference(W, hess, config):
     return codes, book, bundle.weights
 
 
+def _reference_lazy_block_plan(Tb, c):
+    """The plan's forward recursion, kept as a reference: F = [A; N] is
+    carried through the eager steps in data coordinates, each step costing
+    about 2 (b + r) (b - r)^2 flops, and column r is read before step r."""
+    b = Tb.shape[0]
+    F = np.zeros((2 * b, b))
+    read = np.empty_like(F)
+    if c != 0.0:
+        M = Tb.T @ Tb
+    for r in range(b):
+        read[:, r] = F[:, r]
+        if c != 0.0:
+            F[: b + r, r:] += c * (F[: b + r, r:] @ M)
+            F[r:b, r:] += c * M
+            M = M[1:, 1:] - np.outer(Tb[r, r + 1 :], Tb[r, r + 1 :])
+        F[b + r, r:] = -Tb[r, r:]
+    return read
+
+
+class TestLazyBlockPlan:
+    """The plan, swept backward in Tb-coordinates, against the forward
+    recursion it replaced."""
+
+    @pytest.mark.parametrize("c", [0.0, 3e-4, -3e-4, 3e-3, -3e-3])
+    @pytest.mark.parametrize("b", [1, 2, 7, 128])
+    def test_matches_forward_recursion(self, b, c):
+        Tb = _factor_for(b, 60 + b)[2].matrix
+        plan = engines._lazy_block_plan(Tb, c)
+        ref = _reference_lazy_block_plan(Tb, c)
+        assert plan.shape == ref.shape == (2 * b, b)
+        for half in (slice(0, b), slice(b, 2 * b)):
+            scale = np.abs(ref[half]).max()
+            np.testing.assert_allclose(plan[half], ref[half], rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 128])
+    def test_zero_strength_plan_is_exact(self, b):
+        # gptq's lazy batch: no drift coefficients, and each column reads
+        # the errors of the columns before it through -Tb
+        Tb = _factor_for(b, 70 + b)[2].matrix
+        plan = engines._lazy_block_plan(Tb, 0.0)
+        assert np.array_equal(plan[:b], np.zeros((b, b)))
+        assert np.array_equal(plan[b:], -np.triu(Tb, 1))
+
+
 class TestLazyBlockDriver:
     """The lazy blocked driver against the eager column-step reference."""
 
@@ -646,6 +690,25 @@ class TestLazyBlockDriver:
         W = rng.standard_normal((30, 100))
         run_engine(LayerBundle(W), hess, EngineConfig(engine="foem", bits=3, block_size=8))
         assert calls == [(i, min(i + 8, 100), 0.0) for i in range(0, 100, 8)]
+
+    @pytest.mark.parametrize("d_in", [1, 5])
+    @pytest.mark.parametrize("d_out", [0, 1])
+    def test_empty_and_single_row_layers(self, d_out, d_in):
+        # the driver's slab is (b, d_out): empty or a single column
+        hess = token_hessian(d_in, 4 * d_in + 8, 0.9, 44)
+        W = np.random.default_rng(45).standard_normal((d_out, d_in))
+        for variant in (
+            dict(engine="gptq"),
+            dict(engine="foem", beta=3e-3),
+            dict(engine="foem", beta=3e-3, first_order_sign="plus"),
+        ):
+            config = EngineConfig(bits=3, block_size=7, **variant)
+            bundle = LayerBundle(W)
+            q, _ = run_engine(bundle, hess, config)
+            codes, _, latent = _eager_reference(W, hess, config)
+            assert q.codes.shape == (d_out, d_in), variant
+            assert np.array_equal(q.codes, codes), variant
+            assert np.array_equal(bundle.weights, latent), variant
 
     def _check_against_eager(self, d_out, group_size, block_size):
         d_in = 300

@@ -197,6 +197,23 @@ class TestQuantizedLayer:
             manual[:, j] = (layer.codes[:, j] - layer.zero_points[:, g]) * layer.scales[:, g]
         assert np.array_equal(layer.dequantize(), manual)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize(
+        "d_in, group_size", [(24, 8), (24, 24), (26, 8), (5, 8), (26, None), (0, 8), (0, None)]
+    )
+    def test_dequantize_matches_gather_formula(self, rng, d_in, group_size, symmetric):
+        # groups dividing d_in or leaving a ragged last group, one group per
+        # row, and no columns at all, against the per-element gathered form
+        grid = QuantGrid(3, group_size, symmetric)
+        layer = rtn_quantize(rng.standard_normal((6, d_in)) * 2.0 + 0.5, grid)
+        g = np.arange(d_in) // layer.group_size
+        gathered = (layer.codes.astype(np.float64) - layer.zero_points[:, g]) * layer.scales[:, g]
+        deq = layer.dequantize()
+        assert deq.dtype == np.float64 and deq.shape == (6, d_in)
+        assert np.array_equal(deq, gathered)
+        if not symmetric and d_in:
+            assert layer.zero_points.any()
+
 
 class TestRtn:
     def test_on_grid_weights_round_trip_exactly(self):
