@@ -22,20 +22,17 @@ the rounding error already committed.
   cross-block term. So ``block_size`` also bounds the term's reach, and
   foem at block size 1 gives gptq's codes. It runs in gptq's lazy block:
   the in-block correction is carried in b x b factors that depend only on
-  T, so it adds no per-column work proportional to d_out * b^2, and no work
-  at all past the block. The factors are planned once per block by one
-  backward sweep in the coordinates z = Tb x (Tb the block's diagonal
-  block of T), about (2/3) b^4 flops in b-row products whatever d_out is.
-  The sign of the correction is configurable
-  ("minus" is the default; "plus" is the additive variant kept for
-  ablation). Neither sign descends the layer proxy loss: on the
-  still-latent columns the exact proxy gradient is -2 * damping *
-  (W - W_orig), so there the drift estimate points exactly against it and
-  the correction only acts on what the damping left behind.
+  T (``_lazy_block_plan``), so it adds no per-column work proportional to
+  d_out * b^2, and no work at all past the block. The sign of the
+  correction is configurable ("minus" is the default; "plus" is the
+  additive variant kept for ablation). Neither sign descends the layer
+  proxy loss: on the still-latent columns the exact proxy gradient is
+  -2 * damping * (W - W_orig), so there the drift estimate points exactly
+  against it and the correction only acts on what the damping left behind.
 
-Every engine fits each scale group from the original weights, never from
-the compensated latent ones, so the compensating engines share the RTN
-baseline's scales and zero points and differ from it only in their codes.
+No engine fits scales: the compensating engines quantize every column on
+the RTN baseline's scales and zero points, fitted from the original
+weights, so they differ from the baseline only in their codes.
 
 Once quantized, a column is never read again, so every driver writes its
 dequantized value into ``bundle.weights`` on the spot, and ``rtn`` writes
@@ -50,9 +47,7 @@ it shares them; ``run_engine`` is one preparation and one run, and
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
-row-vectorized; column order is strictly sequential. The blocked driver
-runs each block on its slab transposed, (b, d_out), so that a column of
-the layer is a contiguous row of the slab.
+row-vectorized; column order is strictly sequential.
 """
 
 from __future__ import annotations
@@ -65,7 +60,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .linalg import HessianState, InvCholFactor, inverse_cholesky, iterative_inverse_update
-from .quantizer import ENGINES, EngineConfig, QuantGrid, QuantizedLayer, ScaleBook, rtn_quantize
+from .quantizer import ENGINES, EngineConfig, GroupScale, QuantGrid, QuantizedLayer, ScaleBook
+from .quantizer import quantize_values, rtn_quantize
 from .report import LayerReport, proxy_loss
 
 __all__ = [
@@ -176,11 +172,6 @@ def first_order_quant_step(
     return -g_hinv - lam * hinv[q, :]
 
 
-def _check_grid(grid: QuantGrid, book: ScaleBook) -> None:
-    if grid != book.grid:
-        raise ConfigError(f"column step got grid {grid}, but its ScaleBook has {book.grid}")
-
-
 def gptq_column_step(
     bundle: LayerBundle,
     factor: InvCholFactor,
@@ -191,14 +182,15 @@ def gptq_column_step(
     """Reference (unblocked) factor-route step for one column.
 
     Quantizes column ``col`` for every row on its group's scales, fitted
-    from ``bundle.original`` when the group is first reached, writes the
-    dequantized values into the latent column, and propagates
+    with the whole book from ``bundle.original`` at its first column,
+    writes the dequantized values into the latent column, and propagates
     -err * T[col, col+1:] into all remaining columns. The blocked driver
     reaches the same result through lazy block-local updates; this form
     exists for oracle tests and diagnostics. ``grid`` must be the book's
     (``ConfigError`` otherwise).
     """
-    _check_grid(grid, book)
+    if grid != book.grid:
+        raise ConfigError(f"column step got grid {grid}, but its ScaleBook has {book.grid}")
     T = factor.matrix
     w = bundle.weights[:, col]
     deq = book.quantize(col, w, bundle.original)
@@ -212,7 +204,6 @@ def gptq_column_step(
 def foem_column_step(
     bundle: LayerBundle,
     factor: InvCholFactor,
-    grid: QuantGrid,
     col: int,
     block_end: int,
     book: ScaleBook,
@@ -232,10 +223,8 @@ def foem_column_step(
 
     No engine runs this step: it is the eager reference for the lazy
     blocked driver, which the tests drive column by column and compare
-    against ``run_engine``. ``grid`` must be the book's (``ConfigError``
-    otherwise).
+    against ``run_engine``. The grid is the book's.
     """
-    _check_grid(grid, book)
     T = factor.matrix
     w = bundle.weights[:, col]
     deq = book.quantize(col, w, bundle.original)
@@ -269,10 +258,7 @@ def foem_block_boundary(
     """
     if beta != 0.0:
         raise ConfigError(f"the block boundary applies no first-order term, got beta {beta!r}")
-    d_in = bundle.d_in
-    if block_end >= d_in:
-        return
-    t = slice(block_end, d_in)
+    t = slice(block_end, None)  # empty past the last block
     bundle.weights[:, t] -= errs @ factor.matrix[block_start:block_end, t]
 
 
@@ -320,39 +306,49 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     return F
 
 
+def _column_params(baseline: QuantizedLayer) -> list[GroupScale]:
+    """Each column's group scales and zero points in ``baseline``, as
+    contiguous (d_out,) rows; the zero points as exact float64, never cast."""
+    zero_points = baseline.zero_points.T.astype(np.float64, order="C")
+    groups = list(map(GroupScale, baseline.scales.T.copy(), zero_points))
+    return [groups[j // baseline.group_size] for j in range(baseline.d_in)]
+
+
 def _run_blocked(
     bundle: LayerBundle,
     factor: InvCholFactor,
     config: EngineConfig,
-) -> ScaleBook:
-    """Lazy blocked driver shared by gptq and foem; returns the filled
-    ``ScaleBook``, which holds the codes, scales and zero points.
+    baseline: QuantizedLayer,
+) -> np.ndarray:
+    """Lazy blocked driver shared by gptq and foem: quantizes every column
+    on the scales and zero points of ``baseline``, the layer's RTN
+    quantization, so it fits none, and returns the int32 codes.
 
     Block [i, e) is quantized from its slab at block start: column r is
     slab0[:, r] + D0 A[:, r] + E N[:, r] with the coefficients of
     ``_lazy_block_plan``, so a column costs one product over the errors
     committed so far in the block, and the first-order term of every column
     comes from one block-level product over the drift D0 at block start.
-    The loop runs on the slab transposed, a (b, d_out) copy, so that
-    reading a column, storing its scaled errors, the product over them and
-    the dequantized write are all contiguous rows; the slab, holding each
-    column's dequantized value, is written back into ``bundle.weights``
-    once per block, and the boundary applies gptq's cross-block term to the
+    The loop runs on the slab transposed, (b, d_out), so that a column, its
+    row of N, its scaled errors and its codes are contiguous rows; the slab,
+    then holding the dequantized block, and the codes are written back once
+    per block, and the boundary applies gptq's cross-block term to the
     trailing columns. The first-order term is block-local, so the boundary
     is the same for both engines and ``bundle.weights`` always holds the
     full latent value of every column past the current block. For c = 0
     (gptq, or foem with beta = 0) this is gptq's lazy batch, so foem with
     beta = 0 runs gptq's arithmetic.
-
-    Every scale group is fitted from the original weights, so the scales
-    and zero points are the RTN baseline's whatever the block structure.
     """
     T = factor.matrix
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
     c = config.sign_factor() * config.applied()["beta"]
-    book = ScaleBook(config.grid(), d_out, d_in)
+    grid, params = config.grid(), _column_params(baseline)
+    codes = np.empty((d_out, d_in), dtype=np.int32)
     B = config.block_size
+    # one buffer each for all blocks: per-block ones read 1.2 MB more peak RSS at 512 x 4096
+    slabs, all_errs = np.empty((2, min(B, d_in), d_out))
+    all_codes = np.empty((min(B, d_in), d_out), dtype=np.int32)
     for i in range(0, d_in, B):
         e = min(i + B, d_in)
         b = e - i
@@ -363,42 +359,41 @@ def _run_blocked(
             # in the layer's own layout: reading O's block transposed costs
             # more than the one transposed copy below
             slab = slab + (slab - O[:, i:e]) @ plan[:b]
-        slab = slab.T.copy()
-        N = plan[b:]
-        errs = np.empty((b, d_out))
-        for r in range(b):
-            w = N[:r, r] @ errs[:r]
-            w += slab[r]
-            deq = book.quantize(i + r, w, O)
-            np.subtract(w, deq, out=errs[r])
-            errs[r] /= Tb[r, r]
-            slab[r] = deq
-        W[:, i:e] = slab.T
+        slabT, errs, block_codes = slabs[:b], all_errs[:b], all_codes[:b]
+        # in chunks of 64 rows: one strided copy of the whole slab is about
+        # three times slower at d_out 512 and four at 4096
+        for k in range(0, d_out, 64):
+            slabT[:, k : k + 64] = slab[k : k + 64].T
+        NT = plan[b:].T.copy()
+        rows = zip(NT, slabT, errs, block_codes, Tb.diagonal().tolist())
+        for r, (n_r, w, err, code, t_rr) in enumerate(rows):
+            w += n_r[:r] @ errs[:r]
+            code[...], deq = quantize_values(w, params[i + r], grid)
+            np.subtract(w, deq, out=err)
+            err /= t_rr
+            w[...] = deq
+        W[:, i:e] = slabT.T
+        codes[:, i:e] = block_codes.T
         foem_block_boundary(bundle, factor, errs.T, i, e, 0.0)
-    return book
+    return codes
 
 
-def _run_oracle(
-    bundle: LayerBundle,
-    damped: HessianState,
-    grid: QuantGrid,
-) -> ScaleBook:
-    """Dense reference driver: explicit inverse, shrunk column by column.
-    Sets each column to its dequantized value. Returns the filled
-    ``ScaleBook``, as ``_run_blocked`` does."""
-    d_out, d_in = bundle.weights.shape
-    book = ScaleBook(grid, d_out, d_in)
-    hinv = np.linalg.inv(damped.matrix)
+def _run_oracle(bundle: LayerBundle, damped: HessianState, baseline: QuantizedLayer) -> np.ndarray:
+    """Dense reference driver: explicit inverse, shrunk column by column,
+    quantizing on the baseline's scales as ``_run_blocked`` does. Sets each
+    column to its dequantized value; returns the int32 codes."""
     W = bundle.weights
-    for j in range(d_in):
+    grid, params = baseline.config.grid(), _column_params(baseline)
+    codes = np.empty(W.shape, dtype=np.int32)
+    hinv = np.linalg.inv(damped.matrix)
+    for j, gs in enumerate(params):
         w = W[:, j]
-        deq = book.quantize(j, w, bundle.original)
+        codes[:, j], deq = quantize_values(w, gs, grid)
         err = (w - deq) / hinv[0, 0]
         W[:, j + 1 :] -= err[:, None] * hinv[0, 1:][None, :]
         W[:, j] = deq
-        if j < d_in - 1:
-            hinv = iterative_inverse_update(hinv, 0)
-    return book
+        hinv = iterative_inverse_update(hinv, 0)
+    return codes
 
 
 class PreparedLayer:
@@ -407,13 +402,14 @@ class PreparedLayer:
     The factor T depends only on the undamped Hessian and ``damp_ratio``,
     the RTN baseline only on the weights and the grid, so runs that differ
     in engine, sign or block size can share them. Both are built on first
-    use: T by the first compensating engine, the baseline by the ``rtn``
-    engine or by the first report that needs its loss. T is factored
-    straight from the undamped H, with the damping added on its diagonal as
-    it is read, so the layer holds no damped copy of H: its d x d arrays are
-    the caller's H and T (an ``obs_oracle`` run builds the damped matrix and
-    its inverse for itself). ``run`` refuses a config whose grid or damping
-    differs from the preparation's.
+    use: T by the first compensating engine, the baseline by the first run
+    of any engine, since the compensating engines quantize on its scales
+    and every report prices its loss. T is factored straight from the
+    undamped H, with the damping added on its diagonal as it is read, so
+    the layer holds no damped copy of H: its d x d arrays are the caller's
+    H and T (an ``obs_oracle`` run builds the damped matrix and its inverse
+    for itself). ``run`` refuses a config whose grid or damping differs
+    from the preparation's.
     """
 
     def __init__(
@@ -455,11 +451,13 @@ class PreparedLayer:
     ) -> tuple[QuantizedLayer, LayerReport]:
         """Quantize ``bundle`` (undrifted, holding this layer's weights) with
         ``config``; the bundle's latent weights are consumed in place, and
-        every engine leaves them equal to the dequantized layer.
+        every engine leaves them equal to the dequantized layer. Every run's
+        layer holds the baseline's own scale and zero-point arrays.
 
         ``wall_time_s`` covers producing the codes, including any shared
-        piece this run was the first to need (T for a compensating engine,
-        the baseline for ``rtn``); the report's losses are outside it.
+        piece this run was the first to need (T and the baseline, whose
+        scales a compensating engine quantizes on, or the baseline alone
+        for ``rtn``); the report's losses are outside it.
         """
         config.validate()
         grid = config.grid()
@@ -479,18 +477,17 @@ class PreparedLayer:
 
         t0 = time.perf_counter()
         if config.engine == "rtn":
-            quantized = replace(self.baseline, config=config, extra={})
-            bundle.weights[...] = quantized.dequantize()
+            codes = self.baseline.codes
+            bundle.weights[...] = self.baseline.dequantize()
         else:
             # factoring first also refuses a matrix that is not positive
             # definite for the oracle, whose explicit inverse would not
             factor = self.factor
             if config.engine == "obs_oracle":
-                damped = self.hessian.dampen(self.damp_ratio)
-                book = _run_oracle(bundle, damped, grid)
+                codes = _run_oracle(bundle, self.hessian.dampen(self.damp_ratio), self.baseline)
             else:
-                book = _run_blocked(bundle, factor, config)
-            quantized = book.layer(config)
+                codes = _run_blocked(bundle, factor, config, self.baseline)
+        quantized = replace(self.baseline, codes=codes, config=config, extra={})
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name
 

@@ -3,9 +3,9 @@
 A grid maps real weights onto a small signed integer range. Scales (and
 zero points, for asymmetric grids) are fitted per output row and per
 contiguous group of input channels. ``rtn_quantize`` is the baseline that
-rounds every element independently; the compensation engines reuse the
-same scales, fitted from the same original weights, and the same rounding
-rule column by column.
+rounds every element independently; the compensation engines quantize
+column by column on its scales and zero points, with the same rounding
+rule, and fit none of their own.
 
 Rounding is round-half-to-even throughout, so symmetric grids are exactly
 sign-equivariant and long compensation chains pick up no rounding bias.
@@ -213,14 +213,22 @@ def quantize_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantize values elementwise: returns (int32 codes, dequantized values).
 
-    ``gs.scale`` must broadcast against ``values``. Codes are clamped to the
-    grid range; dequantization is (code - zero_point) * scale, exact given
-    the stored codes and scales.
+    ``gs.scale`` must broadcast against ``values``. Each value is divided by
+    its scale, rounded half to even, offset by the zero point and clamped to
+    the grid range; dequantization is (code - zero_point) * scale, exact
+    given the stored codes and scales. The steps run in place on the
+    buffer that is returned as the dequantized values.
     """
-    values = np.asarray(values, dtype=np.float64)
-    codes = np.clip(np.round(values / gs.scale) + gs.zero_point, grid.q_min, grid.q_max)
-    deq = (codes - gs.zero_point) * gs.scale
-    return codes.astype(np.int32), deq
+    # a 0-d quotient is a scalar, which the in-place steps cannot write
+    q = np.asarray(np.divide(values, gs.scale, dtype=np.float64))
+    np.rint(q, out=q)
+    q += gs.zero_point
+    np.maximum(q, grid.q_min, out=q)
+    np.minimum(q, grid.q_max, out=q)
+    codes = q.astype(np.int32)
+    q -= gs.zero_point
+    q *= gs.scale
+    return (codes[()], q[()]) if q.ndim == 0 else (codes, q)
 
 
 def dequantize_codes(codes: np.ndarray, gs: GroupScale, grid: QuantGrid) -> np.ndarray:
@@ -315,51 +323,40 @@ class QuantizedLayer:
 
 
 class ScaleBook:
-    """The quantized layer an engine pass builds, in the dtypes it is stored
-    in: ``quantize`` fills a column of int32 codes, and ``layer`` hands out
-    the codes, scales and int32 zero points without a copy. Each group is
-    fitted exactly once, from the weight slab handed in when the group's
-    first column is reached. The engines always hand in the original
-    weights, so their books hold the RTN baseline's scales and zero points.
+    """The quantized layer a reference column step or ``rtn_quantize``
+    builds, in the dtypes it is stored in: ``quantize`` fills a column of
+    int32 codes, and ``layer`` hands out the codes, scales and int32 zero
+    points without a copy. Every group is fitted at once, from the weights
+    handed in at first use; the reference steps hand in the originals, so
+    their books hold the RTN baseline's scales. The engines keep no book.
     """
 
     def __init__(self, grid: QuantGrid, d_out: int, d_in: int):
         self.grid = grid
-        self.d_in = d_in
         self.group_size = grid.resolved_group_size(d_in)
         n_groups = grid.n_groups(d_in)
         self.codes = np.zeros((d_out, d_in), dtype=np.int32)
         self.scales = np.empty((d_out, n_groups), dtype=np.float64)
         self.zero_points = np.zeros((d_out, n_groups), dtype=np.int32)
-        self._fitted = np.zeros(n_groups, dtype=bool)
+        self.fitted = False
 
-    def group_of(self, col: int) -> int:
-        return col // self.group_size
-
-    def ensure_group(self, col: int, source: np.ndarray) -> None:
-        """Fit the group containing ``col`` from ``source`` if not already fit."""
-        g = self.group_of(col)
-        if self._fitted[g]:
+    def fit(self, source: np.ndarray) -> None:
+        """Fit every group from ``source`` (d_out x d_in), unless fitted."""
+        if self.fitted:
             return
-        lo = g * self.group_size
-        hi = min(lo + self.group_size, self.d_in)
-        gs = fit_scales(source[:, lo:hi], self.grid)
-        self.scales[:, g] = gs.scale
-        self.zero_points[:, g] = gs.zero_point
-        self._fitted[g] = True
-
-    def column_params(self, col: int) -> GroupScale:
-        g = self.group_of(col)
-        if not self._fitted[g]:
-            raise NumericalError(f"group {g} used before being fitted")
-        return GroupScale(self.scales[:, g], self.zero_points[:, g])
+        for g, lo in enumerate(range(0, self.codes.shape[1], self.group_size)):
+            gs = fit_scales(source[:, lo : lo + self.group_size], self.grid)
+            self.scales[:, g], self.zero_points[:, g] = gs.scale, gs.zero_point
+        self.fitted = True
 
     def quantize(self, col: int, values: np.ndarray, source: np.ndarray) -> np.ndarray:
-        """Quantize column ``col`` from ``values``, fitting its group from
+        """Quantize column ``col`` from ``values``, fitting the book from
         ``source`` first if needed; stores the codes, returns the
         dequantized values."""
-        self.ensure_group(col, source)
-        self.codes[:, col], deq = quantize_values(values, self.column_params(col), self.grid)
+        self.fit(source)
+        g = col // self.group_size
+        gs = GroupScale(self.scales[:, g], self.zero_points[:, g])
+        self.codes[:, col], deq = quantize_values(values, gs, self.grid)
         return deq
 
     def layer(self, config: EngineConfig) -> QuantizedLayer:
@@ -367,6 +364,8 @@ class ScaleBook:
         ``config``, whose grid must be the book's (``ConfigError`` otherwise)."""
         if config.grid() != self.grid:
             raise ConfigError(f"config has grid {config.grid()}, but the ScaleBook has {self.grid}")
+        if not self.fitted:
+            raise NumericalError("ScaleBook has no scales before being fitted")
         return QuantizedLayer(self.codes, self.scales, self.zero_points, config)
 
 
@@ -384,11 +383,9 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
         raise NumericalError("weights contain non-finite values")
     d_out, d_in = weights.shape
     book = ScaleBook(grid, d_out, d_in)
-    for lo in range(0, d_in, book.group_size):
-        hi = min(lo + book.group_size, d_in)
-        book.ensure_group(lo, weights)
-        gs = book.column_params(lo)
-        book.codes[:, lo:hi], _ = quantize_values(
-            weights[:, lo:hi], GroupScale(gs.scale[:, None], gs.zero_point[:, None]), grid
-        )
+    book.fit(weights)
+    for g, lo in enumerate(range(0, d_in, book.group_size)):
+        cols = slice(lo, lo + book.group_size)
+        gs = GroupScale(book.scales[:, g, None], book.zero_points[:, g, None])
+        book.codes[:, cols], _ = quantize_values(weights[:, cols], gs, grid)
     return book.layer(EngineConfig(engine="rtn", **asdict(grid)))

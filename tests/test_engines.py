@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, random_spd, token_hessian
-from lowbit import engines
+from lowbit import engines, quantizer
 from lowbit.engines import (
     EngineConfig,
     LayerBundle,
@@ -206,8 +206,8 @@ class TestFoemColumnStep:
         b1, b2 = LayerBundle(W), LayerBundle(W)
         book1, book2 = ScaleBook(grid, 8, d), ScaleBook(grid, 8, d)
         for j in range(d):
-            r1 = foem_column_step(b1, factor, grid, j, d, book1, beta=0.0)
-            r2 = foem_column_step(b2, factor, grid, j, d, book2, beta=3e-4)
+            r1 = foem_column_step(b1, factor, j, d, book1, beta=0.0)
+            r2 = foem_column_step(b2, factor, j, d, book2, beta=3e-4)
             if j == 0:
                 # untouched layer: the drift term is exactly the zero matrix
                 assert np.array_equal(r1.delta_w, r2.delta_w)
@@ -221,17 +221,9 @@ class TestFoemColumnStep:
         grid = QuantGrid(4, None, True)
         W = rng.standard_normal((4, d))
         b_zero, b_beta = LayerBundle(W), LayerBundle(W)
-        foem_column_step(b_zero, factor, grid, 0, d, ScaleBook(grid, 4, d), beta=0.0)
-        foem_column_step(b_beta, factor, grid, 0, d, ScaleBook(grid, 4, d), beta=0.1)
+        foem_column_step(b_zero, factor, 0, d, ScaleBook(grid, 4, d), beta=0.0)
+        foem_column_step(b_beta, factor, 0, d, ScaleBook(grid, 4, d), beta=0.1)
         assert np.array_equal(b_zero.weights, b_beta.weights)
-
-    def test_grid_other_than_the_books_refused(self, rng):
-        d = 12
-        _, _, factor = _factor_for(d, 7)
-        bundle = LayerBundle(rng.standard_normal((4, d)))
-        book = ScaleBook(QuantGrid(4, None, True), 4, d)
-        with pytest.raises(ConfigError, match="grid"):
-            foem_column_step(bundle, factor, QuantGrid(4, None, False), 0, d, book, beta=0.1)
 
     def test_mid_run_term_matches_dense_slice_inverse(self, rng):
         # single block spanning the layer: the slice product T_s^T T_s is the
@@ -244,11 +236,11 @@ class TestFoemColumnStep:
         book = ScaleBook(grid, 6, d)
         beta, sign = 3e-4, -1.0
         for j in range(5):
-            foem_column_step(bundle, factor, grid, j, d, book, beta=beta, sign=sign)
+            foem_column_step(bundle, factor, j, d, book, beta=beta, sign=sign)
         j = 5
         drift_pre = bundle.drift()[:, j:]
         w = bundle.weights[:, j].copy()
-        res = foem_column_step(bundle, factor, grid, j, d, book, beta=beta, sign=sign)
+        res = foem_column_step(bundle, factor, j, d, book, beta=beta, sign=sign)
         # reconstruct the drift term from the recorded delta, which covers
         # the columns after j: subtract the pure error-propagation part
         T = factor.matrix
@@ -300,7 +292,7 @@ class TestFoemBlockBoundary:
         errs = np.empty((5, B))
         for j in range(B):
             w_pre = bundle.weights[:, j].copy()
-            res = foem_column_step(bundle, factor, grid, j, B, book, beta=3e-4)
+            res = foem_column_step(bundle, factor, j, B, book, beta=3e-4)
             errs[:, j] = (w_pre - res.deq_col) / T[j, j]
         pre = bundle.weights.copy()
         foem_block_boundary(bundle, factor, errs, 0, B, beta=0.0)
@@ -597,7 +589,7 @@ def _eager_reference(W, hess, config):
         errs = np.empty((d_out, e - i))
         for j in range(i, e):
             w = bundle.weights[:, j].copy()
-            step = foem_column_step(bundle, factor, grid, j, e, book, beta, sign)
+            step = foem_column_step(bundle, factor, j, e, book, beta, sign)
             errs[:, j - i] = (w - step.deq_col) / T[j, j]
             codes[:, j] = step.q_col
         foem_block_boundary(bundle, factor, errs, i, e, 0.0)
@@ -692,9 +684,10 @@ class TestLazyBlockDriver:
         assert calls == [(i, min(i + 8, 100), 0.0) for i in range(0, 100, 8)]
 
     @pytest.mark.parametrize("d_in", [1, 5])
-    @pytest.mark.parametrize("d_out", [0, 1])
+    @pytest.mark.parametrize("d_out", [0, 1, 63, 64, 65, 130])
     def test_empty_and_single_row_layers(self, d_out, d_in):
-        # the driver's slab is (b, d_out): empty or a single column
+        # the driver's slab is (b, d_out): empty, a single column, or copied
+        # in chunks of 64 rows of the layer with a ragged last chunk
         hess = token_hessian(d_in, 4 * d_in + 8, 0.9, 44)
         W = np.random.default_rng(45).standard_normal((d_out, d_in))
         for variant in (
@@ -726,6 +719,20 @@ class TestLazyBlockDriver:
             np.testing.assert_allclose(q.scales, book.scales, rtol=1e-12, atol=0)
             gap = np.abs(bundle.weights - latent).max()
             assert gap <= 1e-9 * np.abs(latent).max(), (variant, gap)
+
+    @pytest.mark.parametrize("engine", ["obs_oracle", "gptq", "foem"])
+    def test_runs_fit_no_scales(self, rng, monkeypatch, engine):
+        # a run quantizes on the baseline's own arrays; only the baseline fits
+        hess = token_hessian(40, 160, 0.9, 46)
+        W = rng.standard_normal((12, 40))
+        prepared = PreparedLayer(W, hess, QuantGrid(3, 16, False), 0.01)
+        baseline = prepared.baseline
+        fits = count_calls(monkeypatch, quantizer, "fit_scales")
+        config = EngineConfig(engine=engine, bits=3, group_size=16, symmetric=False, block_size=8)
+        q, _ = prepared.run(LayerBundle(W), config)
+        assert fits == []
+        assert np.array_equal(q.scales, baseline.scales)
+        assert np.array_equal(q.zero_points, baseline.zero_points)
 
     def test_unblocked_gptq_step_agrees_with_original_scales(self, rng):
         # scales come from the originals, so block structure cannot move a

@@ -18,6 +18,7 @@ from lowbit.linalg import (
     iterative_inverse_update,
     recover_inverse_submatrix,
 )
+from lowbit.quantizer import rtn_quantize
 
 
 class TestAccumulate:
@@ -80,12 +81,21 @@ class TestAccumulate:
         assert state.n_samples == 0
         assert np.array_equal(state.matrix, np.zeros((4, 4)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         H = np.eye(3)
         H[2, 0] = bad  # outside the trusted upper triangle, still refused
         with pytest.raises(NumericalError, match="non-finite"):
             HessianState.from_matrix(H, 1)
+
+    def test_empty_activation_block_adds_nothing(self, rng):
+        state = HessianState(4).accumulate(rng.standard_normal((4, 5)))
+        before = state.matrix.copy()
+        assert state.accumulate(np.zeros((4, 0))) is state
+        assert state.n_samples == 5
+        assert np.array_equal(state.matrix, before)
+        assert np.array_equal(HessianState(0).accumulate(np.zeros((0, 3))).matrix, np.zeros((0, 0)))
+        assert HessianState.from_matrix(np.zeros((0, 0)), 0).dim == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(NumericalError, match="n_tokens"):
@@ -286,9 +296,8 @@ class TestNoCopyFactor:
         state = token_hessian(40, 160, 0.9, 3)
         config = EngineConfig(engine="obs_oracle", bits=3, group_size=8)
         quantized, _ = run_engine(LayerBundle(W), state, config)
-        codes = _run_oracle(
-            LayerBundle(W), _explicitly_damped(state, config.damp_ratio), config.grid()
-        ).codes
+        baseline = rtn_quantize(W, config.grid())
+        codes = _run_oracle(LayerBundle(W), _explicitly_damped(state, config.damp_ratio), baseline)
         assert np.array_equal(quantized.codes, codes)
 
 
@@ -313,6 +322,20 @@ class TestPeakMemory:
         state, peak = traced_peak(lambda: HessianState.from_matrix(H, 1))
         assert np.array_equal(state.matrix, np.triu(H) + np.triu(H, 1).T)
         assert peak <= 1.5 * 8 * d * d
+
+    def test_finiteness_checks_allocate_no_input_sized_mask(self, rng):
+        # a bool mask of a (d x n) input is d * n bytes; the allowance
+        # above the d x d arrays each call builds is a quarter of that
+        d, n = 128, 8192
+        X = rng.standard_normal((d, n))
+        # the new state's zero sum and the product added to it
+        state, peak = traced_peak(lambda: HessianState(d).accumulate(X))
+        assert state.n_samples == n
+        assert peak <= 2 * 8 * d * d + d * n / 4
+        d = self.D
+        H = rng.standard_normal((d, d))
+        _, peak = traced_peak(lambda: HessianState.from_matrix(H, 1))
+        assert peak <= 8 * d * d + d * d / 4
 
 
 class TestRecoverInverseSubmatrix:

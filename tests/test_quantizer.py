@@ -153,6 +153,66 @@ class TestQuantizeValues:
         assert np.array_equal(dequantize_codes(codes, gs, grid), codes * 0.25)
 
 
+def _clip_quantize(values, gs, grid):
+    """``quantize_values`` as the one ``np.clip`` expression it replaced."""
+    values = np.asarray(values, dtype=np.float64)
+    codes = np.clip(np.round(values / gs.scale) + gs.zero_point, grid.q_min, grid.q_max)
+    return codes.astype(np.int32), (codes - gs.zero_point) * gs.scale
+
+
+def _assert_bitwise_equal(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestQuantizeValuesMatchesClipForm:
+    """The in-place kernel against the clip expression, bit for bit."""
+
+    GRIDS = [QuantGrid(3), QuantGrid(4, None, False), QuantGrid(8), QuantGrid(2, None, False)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_ties_clamps_and_signed_zeros(self, grid):
+        # a power-of-two scale keeps every quotient exact: the .5 ties stay
+        # ties, the tiny negatives round to -0.0, and the ends clamp
+        scale = 0.25
+        zero_point = 0 if grid.symmetric else 3
+        k = np.arange(-2 * grid.q_max - 8, 2 * grid.q_max + 8)
+        values = np.concatenate(
+            [scale * k, scale * (k + 0.5), [0.0, -0.0, -1e-300, -0.1 * scale, 1e300, -1e300]]
+        )
+        for gs in (
+            GroupScale(np.array(scale), np.array(zero_point, dtype=np.int32)),
+            GroupScale(np.full(values.shape, scale), np.full(values.shape, zero_point, dtype=np.int32)),
+        ):
+            got, want = quantize_values(values, gs, grid), _clip_quantize(values, gs, grid)
+            assert want[0].min() == grid.q_min and want[0].max() == grid.q_max
+            for g, w in zip(got, want):
+                _assert_bitwise_equal(g, w)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_fitted_groups_and_row_broadcast(self, rng, grid):
+        w = rng.standard_normal((6, 40)) * rng.uniform(0.1, 10.0, size=(6, 1))
+        gs = fit_scales(w, grid)
+        per_row = GroupScale(gs.scale[:, None], gs.zero_point[:, None])
+        wide = 1.5 * w  # past the fitted range, so the ends clamp
+        for values, params in ((w, per_row), (wide, per_row), (wide[:, 3], gs)):
+            for g, want in zip(quantize_values(values, params, grid), _clip_quantize(values, params, grid)):
+                _assert_bitwise_equal(g, want)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("value", [0.3, -0.3, -0.0, 2.5, 1e9, -1e9])
+    def test_zero_dimensional_input_gives_scalars(self, grid, value):
+        gs = GroupScale(np.array(0.2), np.array(0 if grid.symmetric else 2, dtype=np.int32))
+        for values in (value, np.float64(value), np.array(value)):
+            got, want = quantize_values(values, gs, grid), _clip_quantize(values, gs, grid)
+            assert (type(got[0]), type(got[1])) == (np.int32, np.float64)
+            for g, w in zip(got, want):
+                _assert_bitwise_equal(g, w)
+
+
 class TestQuantizedLayer:
     def _layer(self, codes, bits=4, group_size=4, symmetric=True):
         codes = np.asarray(codes, dtype=np.int32)
@@ -256,7 +316,8 @@ class TestScaleBook:
         book = ScaleBook(grid, 3, 8)
         for j in range(8):
             deq = book.quantize(j, w[:, j], w)
-            assert np.array_equal(deq, dequantize_codes(book.codes[:, j], book.column_params(j), grid))
+            gs = GroupScale(book.scales[:, j // 4], book.zero_points[:, j // 4])
+            assert np.array_equal(deq, dequantize_codes(book.codes[:, j], gs, grid))
         layer = book.layer(EngineConfig(bits=3, group_size=4, symmetric=False))
         assert layer.codes is book.codes and layer.zero_points is book.zero_points
         assert layer.codes.dtype == layer.zero_points.dtype == np.int32
@@ -277,16 +338,20 @@ class TestScaleBook:
             ScaleBook(QuantGrid(3, 4, False), 3, 8).layer(config)
 
     def test_groups_fit_once_from_first_touch(self, rng):
-        grid = QuantGrid(4, 4)
+        # the first column quantized fits every group, the last one included
+        grid = QuantGrid(4, 3)
         w = rng.standard_normal((3, 8))
         book = ScaleBook(grid, 3, 8)
-        book.ensure_group(0, w)
-        first = book.scales[:, 0].copy()
-        w[:, :4] *= 100.0
-        book.ensure_group(2, w)  # same group, must not refit
-        assert np.array_equal(book.scales[:, 0], first)
+        book.quantize(0, w[:, 0], w)
+        first = book.scales.copy()
+        ref = rtn_quantize(w, grid)
+        assert np.array_equal(first, ref.scales)
+        w *= 100.0
+        book.quantize(7, w[:, 7], w)  # must not refit
+        book.fit(w)
+        assert np.array_equal(book.scales, first)
 
     def test_unfitted_group_access_fails(self):
         book = ScaleBook(QuantGrid(4, 4), 3, 8)
         with pytest.raises(NumericalError, match="before being fitted"):
-            book.column_params(5)
+            book.layer(EngineConfig(group_size=4))
