@@ -281,13 +281,15 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     With Phi_a = I + c Tb^T P_a Tb the step map, column r of I + A is
     (Phi_0 ... Phi_{r-1}) e_r and entry (a, r) of N, a < r, is
     -e_a^T Tb Phi_{a+1} ... Phi_{r-1} e_r. Both come out of one backward
-    sweep over a in the coordinates Z = Tb (I + A), where Phi_a acts as
-    I + c K P_a with K = Tb Tb^T fixed: the sweep keeps
-    Z = Tb + dZ, reads N's row a as -Z[a, a+1:] before step a acts on
-    columns a+1 onward, and ends with A = Tb^(-1) dZ. Step a is one
-    b x (b - a) x (b - a - 1) product, so a plan costs about (2/3) b^4
-    flops in b-row products, whatever d_out is. With c = 0 A is zero and
-    N is -triu(Tb, 1).
+    sweep over a in the coordinates Z = Tb (I + A), where Phi_a acts on
+    columns a+1 onward as I + c K P_a with K = Tb Tb^T fixed. So
+    Z = Tb + c K Y, with Y the sum of P_a Z over the steps taken, and the
+    sweep carries Y: before step a, rows a.. of Z's columns a+1 onward are
+    R = Tb[a:, a+1:] + c K[a:, a+1:] Y[a+1:, a+1:], N's row a is -R[0],
+    and step a adds R to Y[a:, a+1:]. It ends with A = Tb^(-1) (Z - Tb)
+    = c Tb^T Y. Step a is one (b - a) x (b - a - 1) x (b - a - 1) product,
+    so a plan costs about b^4 / 2 flops, whatever d_out is. With c = 0 A
+    is zero and N is -triu(Tb, 1).
     """
     b = Tb.shape[0]
     F = np.zeros((2 * b, b))
@@ -296,13 +298,12 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
         N[...] = -np.triu(Tb, 1)
         return F
     cK = c * (Tb @ Tb.T)
-    # dZ is kept apart from Tb: it is c-sized, and Z - Tb would cancel
-    dZ = np.zeros((b, b))
+    Y = np.zeros((b, b))
     for a in range(b - 1, -1, -1):
-        Z = Tb[a:, a + 1 :] + dZ[a:, a + 1 :]
-        np.negative(Z[0], out=N[a, a + 1 :])
-        dZ[:, a + 1 :] += cK[:, a:] @ Z
-    F[:b] = np.linalg.solve(Tb, dZ)
+        R = Tb[a:, a + 1 :] + cK[a:, a + 1 :] @ Y[a + 1 :, a + 1 :]
+        np.negative(R[0], out=N[a, a + 1 :])
+        Y[a:, a + 1 :] += R
+    F[:b] = c * (Tb.T @ Y)
     return F
 
 
@@ -311,7 +312,8 @@ def _column_params(baseline: QuantizedLayer) -> list[GroupScale]:
     contiguous (d_out,) rows; the zero points as exact float64, never cast."""
     zero_points = baseline.zero_points.T.astype(np.float64, order="C")
     groups = list(map(GroupScale, baseline.scales.T.copy(), zero_points))
-    return [groups[j // baseline.group_size] for j in range(baseline.d_in)]
+    group_size = baseline.group_size
+    return [groups[j // group_size] for j in range(baseline.d_in)]
 
 
 def _run_blocked(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import token_hessian, traced_peak
 
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.errors import NumericalError
@@ -51,6 +52,51 @@ class TestProxyLoss:
     def test_shape_mismatch(self):
         with pytest.raises(NumericalError, match="shape"):
             proxy_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.eye(4))
+
+    @pytest.mark.parametrize(
+        "deq_shape, orig_shape",
+        [((3, 4), (1, 4)), ((1, 4), (3, 4)), ((3, 4), (3, 1)), ((4,), (4,)), ((2, 3, 4), (2, 3, 4))],
+    )
+    def test_refuses_pairs_that_are_not_one_2d_shape(self, deq_shape, orig_shape):
+        # broadcasting would price a different pair
+        with pytest.raises(NumericalError, match="shape"):
+            proxy_loss(np.ones(deq_shape), np.zeros(orig_shape), np.eye(4))
+
+
+def _dense_proxy_loss(w_deq, w_orig, H):
+    """The dense oracle: one d_out x d_in x d_in product."""
+    D = w_deq - w_orig
+    return float(np.sum((D @ H) * D))
+
+
+class TestBlockedKernel:
+    """The blocked, symmetric evaluation against the dense oracle, across
+    the edges of its 512-row and 256-column blocks."""
+
+    @pytest.mark.parametrize("d_in", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("d_out", [0, 1, 511, 512, 513, 1030])
+    def test_matches_dense_oracle(self, d_out, d_in):
+        rng = np.random.default_rng(1000 * d_out + d_in)
+        # fewer tokens than channels: a rank-deficient H
+        hess = token_hessian(d_in, max(1, d_in // 3), seed=d_in) if d_in else HessianState(0)
+        w0 = rng.standard_normal((d_out, d_in))
+        w1 = w0 + 0.05 * rng.standard_normal((d_out, d_in))
+        got = proxy_loss(w1, w0, hess)
+        assert proxy_loss(w0, w0, hess) == 0.0
+        expected = _dense_proxy_loss(w1, w0, hess.matrix)
+        if d_out == 0 or d_in == 0:
+            assert got == 0.0
+        else:
+            assert abs(got - expected) <= 1e-13 * expected
+
+    def test_peak_is_a_row_block_not_the_layer(self):
+        d_out, d_in = 2048, 1024
+        rng = np.random.default_rng(7)
+        hess = token_hessian(d_in, 256)
+        w0 = rng.standard_normal((d_out, d_in))
+        w1 = w0 + 0.05 * rng.standard_normal((d_out, d_in))
+        _, peak = traced_peak(lambda: proxy_loss(w1, w0, hess))
+        assert peak < 0.5 * 8 * d_out * d_in
 
 
 class TestCompareTable:
