@@ -109,23 +109,25 @@ def _require(effective: dict, *keys: str) -> None:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _persist_config(effective: dict, command: str) -> str:
     """Write the full effective config next to the outputs; return the
     content-determining slice (everything but the output location) that gets
     embedded in artifact metadata, so artifact bytes do not depend on where
     the run wrote."""
-    payload = dict(effective, command=command)
-    out = effective["out"]
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "effective_config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    os.makedirs(effective["out"], exist_ok=True)
+    _write_json(os.path.join(effective["out"], "effective_config.json"), dict(effective, command=command))
     content = {k: v for k, v in effective.items() if k != "out"}
     return json.dumps(content, sort_keys=True)
 
 
 def _discover_layers(weights: TensorFile, patterns: list[str]) -> list[str]:
+    """The selected layers, sorted; each one's weight entry must be 2-D."""
     layers = sorted(
         name[: -len(".weight")] for name in weights.names if name.endswith(".weight")
     )
@@ -137,6 +139,12 @@ def _discover_layers(weights: TensorFile, patterns: list[str]) -> list[str]:
         ]
     if not layers:
         raise ConfigError("no layers matched (weights entries must be named '<layer>.weight')")
+    for layer in layers:
+        shape = weights.shape(layer + ".weight")
+        if len(shape) != 2:
+            raise TensorFormatError(
+                f"{weights.path}: {layer}.weight must be 2-D (d_out x d_in), got shape {shape}"
+            )
     return layers
 
 
@@ -259,10 +267,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
         quantized, rep = run_engine(bundle, hessian, engine_cfg, layer_name=layer)
         quantized.extra["run_config"] = json.loads(config_blob)
         save_quantized(quantized, os.path.join(effective["out"], layer + QUANTIZED_SUFFIX))
-        report_path = os.path.join(effective["out"], layer + ".report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(effective["out"], layer + ".report.json"), rep.to_dict())
         return rep
 
     for rep in map(one, layers):
@@ -306,9 +311,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     csv_path = os.path.join(effective["out"], "compare.csv")
     json_path = os.path.join(effective["out"], "compare_summary.json")
     _, summary = compare_table(reports, csv_path, json_path)
-    with open(os.path.join(effective["out"], "compare_reports.json"), "w", encoding="utf-8") as fh:
-        json.dump([rep.to_dict() for rep in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(effective["out"], "compare_reports.json"), [rep.to_dict() for rep in reports])
     for eng in sorted(summary["engines"]):
         stats = summary["engines"][eng]
         print(
@@ -327,20 +330,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = [r for r in results if not r.passed]
     if effective["out"]:
         os.makedirs(effective["out"], exist_ok=True)
-        path = os.path.join(effective["out"], "verify_report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "tol_scale": effective["tol_scale"],
-                    "seed": effective["seed"],
-                    "passed": not failed,
-                    "checks": [res.__dict__ for res in results],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(
+            os.path.join(effective["out"], "verify_report.json"),
+            {
+                "tol_scale": effective["tol_scale"],
+                "seed": effective["seed"],
+                "passed": not failed,
+                "checks": [res.__dict__ for res in results],
+            },
+        )
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 4 if failed else 0
 
@@ -384,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV})")
     p_cal.add_argument("--layers", nargs="*", help="glob patterns selecting layers")
-    p_cal.add_argument("--damp-ratio", dest="damp_ratio", type=float, help="damping ratio recorded for later use")
+    p_cal.add_argument("--damp-ratio", dest="damp_ratio", type=float, help=f"damping ratio, only recorded in each Hessian header and run_config; quantize and compare apply their own --damp-ratio (default {_ENGINE_DEFAULTS['damp_ratio']})")
     p_cal.add_argument("--config", help="JSON config file (flags override it)")
     p_cal.set_defaults(func=cmd_calibrate)
 

@@ -191,14 +191,7 @@ def gptq_column_step(
     """
     if grid != book.grid:
         raise ConfigError(f"column step got grid {grid}, but its ScaleBook has {book.grid}")
-    T = factor.matrix
-    w = bundle.weights[:, col]
-    deq = book.quantize(col, w, bundle.original)
-    err = (w - deq) / T[col, col]
-    delta = -np.outer(err, T[col, col + 1 :])
-    bundle.weights[:, col] = deq
-    bundle.weights[:, col + 1 :] += delta
-    return ColumnStepResult(q_col=book.codes[:, col], deq_col=deq, delta_w=delta)
+    return foem_column_step(bundle, factor, col, factor.dim, book, 0.0)
 
 
 def foem_column_step(

@@ -16,6 +16,9 @@ Conventions fixed here:
 * The upper triangle of every accumulated block is mirrored into the lower
   one once, when it is added, so the stored H is exactly symmetric and a
   read returns it without copying.
+* A state's buffer is written only while it is built: ``accumulate``
+  keeps each new sum in a new buffer, so a damped state or an earlier
+  ``matrix`` read shares a buffer that no later ``accumulate`` changes.
 * Damping is recorded, not applied: a damped state shares the undamped
   matrix and the factorization adds the damping to each diagonal entry as
   it reads it, so an engine run holds H and T and no damped copy.
@@ -51,31 +54,29 @@ __all__ = [
 class HessianState:
     """Accumulated input covariance for one layer.
 
-    Mutable only through :meth:`accumulate` (single writer). :meth:`dampen`
-    returns a new state and leaves the original untouched, so the undamped
-    covariance stays available for loss reporting.
+    Mutable only through :meth:`accumulate` (single writer), which swaps
+    in a new buffer, so no array the state has handed out changes.
+    :meth:`dampen` returns a new state and leaves the original untouched,
+    so the undamped covariance stays available for loss reporting.
     """
 
     def __init__(self, dim: int):
         if dim < 0:
             raise ValueError("dim must be non-negative")
-        self._init(np.zeros((dim, dim), dtype=np.float64), 0)
-
-    def _init(self, h: np.ndarray, n_samples: int, damped=False, damping=0.0, shift=0.0):
-        self._h = h
-        # diagonal shift not stored in _h: dampen() records its damping here
-        # instead of writing a damped copy
-        self._shift = shift
-        # set while a damped state reads _h, so accumulate must not write it
-        self._shared = False
-        self.n_samples = n_samples
-        self.damped = damped
-        self.damping = damping
+        self._h = np.zeros((dim, dim), dtype=np.float64)
+        self.n_samples = 0
+        self.damped = False
+        # added to the diagonal of _h wherever H is read, never written into it
+        self.damping = 0.0
 
     @classmethod
-    def _wrap(cls, h: np.ndarray, n_samples: int, **flags) -> "HessianState":
+    def _wrap(cls, h: np.ndarray, n_samples: int, damping=None) -> "HessianState":
+        """A state over the buffer ``h``; damped with ``damping`` unless it is None."""
         out = cls.__new__(cls)
-        out._init(h, n_samples, **flags)
+        out._h = h
+        out.n_samples = n_samples
+        out.damped = damping is not None
+        out.damping = 0.0 if damping is None else damping
         return out
 
     @property
@@ -84,7 +85,8 @@ class HessianState:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense symmetric H, read-only.
+        """Dense symmetric H, read-only; a later :meth:`accumulate` leaves it
+        as it was.
 
         A view of the stored matrix, except for a state from :meth:`dampen`
         with non-zero damping: that state shares its source's undamped
@@ -92,9 +94,9 @@ class HessianState:
         The factor never reads it; in the library only the dense oracle and
         the verification checks read a damped matrix.
         """
-        if self._shift:
+        if self.damping:
             out = self._h.copy()
-            out[np.diag_indices(self.dim)] += self._shift
+            out[np.diag_indices(self.dim)] += self.damping
         else:
             out = self._h.view()
         out.flags.writeable = False
@@ -104,17 +106,18 @@ class HessianState:
         if self.dim == 0:
             return 0.0
         diag = np.diagonal(self._h)
-        if self._shift:
-            diag = diag + self._shift
+        if self.damping:
+            diag = diag + self.damping
         return float(diag.mean())
 
     def accumulate(self, X: np.ndarray) -> "HessianState":
         """Add X X^T for a (dim x n_tokens) activation block; returns self.
 
         Refused after damping: the damped matrix is a derived artifact, not
-        a running sum. Non-finite activations raise NumericalError. A state
-        already damped from this one keeps the matrix it was damped from:
-        the sum then goes to a new buffer instead of in place.
+        a running sum. Non-finite activations raise NumericalError. The old
+        sum is added into the block's new product, which becomes the buffer:
+        states damped from this one and earlier ``matrix`` reads keep theirs,
+        and the memory is that of an in-place add.
         """
         if self.damped:
             raise NumericalError("cannot accumulate into a damped Hessian")
@@ -126,11 +129,8 @@ class HessianState:
         if not _all_finite(X):
             raise NumericalError("activation block contains non-finite values")
         update = _mirror_upper(X @ X.T)
-        if self._shared:
-            self._h = self._h + update
-            self._shared = False
-        else:
-            self._h += update
+        update += self._h
+        self._h = update
         self.n_samples += X.shape[1]
         return self
 
@@ -155,13 +155,9 @@ class HessianState:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if self._shift:
-            # damping a damped state: the first damping joins the matrix
-            base = self.matrix
-        else:
-            base = self._h
-            self._shared = True
-        return self._wrap(base, self.n_samples, damped=True, damping=lam, shift=lam)
+        # damping a damped state: the first damping joins the matrix
+        base = self.matrix if self.damping else self._h
+        return self._wrap(base, self.n_samples, damping=lam)
 
     @classmethod
     def from_matrix(cls, H: np.ndarray, n_samples: int) -> "HessianState":
@@ -253,7 +249,7 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     if not state.damped:
         raise NumericalError("inverse_cholesky requires a damped Hessian")
     T = np.zeros((state.dim, state.dim), dtype=np.float64)
-    _factor_into(state._h, state._shift, T, 0)
+    _factor_into(state._h, state.damping, T, 0)
     return InvCholFactor(T)
 
 

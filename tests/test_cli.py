@@ -569,6 +569,30 @@ class TestHessianFile:
             assert "n_samples" in capsys.readouterr().err
 
 
+class TestWeightRank:
+    @pytest.mark.parametrize("shape", [(6,), (2, 4, 3)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("command", ["calibrate", "quantize", "compare"])
+    def test_weight_entry_that_is_not_2d_exits_2(self, tmp_path, rng, capsys, command, shape):
+        weights = tmp_path / "weights.safetensors"
+        save_tensors(weights, {"blk.fc.weight": rng.standard_normal(shape)})
+        # a valid Hessian on the entry's last axis, so only the rank is wrong
+        hes = tmp_path / "hes"
+        hes.mkdir()
+        x = rng.standard_normal((shape[-1], 16))
+        save_tensors(hes / "blk.fc.hessian.safetensors", {"hessian": x @ x.T}, metadata={"n_samples": "16"})
+        out = tmp_path / "out"
+        if command == "calibrate":
+            args = ["calibrate", "--weights", weights, "--synthetic", "n_tokens=16", "--out", out]
+        elif command == "quantize":
+            args = quantize_args({"weights": weights}, out, hes)
+        else:
+            args = ["compare", "--weights", weights, "--hessians", hes, "--out", out,
+                    "--engines", "rtn", "gptq"]
+        assert run_cli(*args) == 2
+        assert f"blk.fc.weight must be 2-D (d_out x d_in), got shape {shape}" in capsys.readouterr().err
+        assert list(out.glob("*.safetensors")) == []
+
+
 def _run_with_config(ws, command, values):
     cfg = ws["dir"] / "cfg.json"
     cfg.write_text(json.dumps(values))

@@ -196,6 +196,23 @@ class TestGptqColumnStep:
         assert np.array_equal(bundle.weights, oracle_bundle.weights)
         assert np.array_equal(blocked_bundle.weights, oracle_bundle.weights)
 
+    def test_full_pass_bit_identical_to_foem_step_at_beta_zero(self, rng):
+        # ragged asymmetric groups: widths 8, 8 and 5
+        d = 21
+        _, _, factor = _factor_for(d, 12)
+        grid = QuantGrid(3, 8, False)
+        W = rng.standard_normal((7, d))
+        b_gptq, b_foem = LayerBundle(W), LayerBundle(W)
+        book_gptq, book_foem = ScaleBook(grid, 7, d), ScaleBook(grid, 7, d)
+        for j in range(d):
+            r_gptq = gptq_column_step(b_gptq, factor, grid, j, book_gptq)
+            r_foem = foem_column_step(b_foem, factor, j, d, book_foem, beta=0.0)
+            assert np.array_equal(r_gptq.q_col, r_foem.q_col)
+            assert np.array_equal(r_gptq.deq_col, r_foem.deq_col)
+            assert np.array_equal(r_gptq.delta_w, r_foem.delta_w)
+            assert np.array_equal(b_gptq.weights, b_foem.weights)
+        assert np.array_equal(book_gptq.codes, book_foem.codes)
+
 
 class TestFoemColumnStep:
     def test_beta_zero_bit_identical_to_gptq_blocked(self, rng):

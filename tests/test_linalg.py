@@ -71,6 +71,23 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="read-only"):
             acc.matrix[2, 2] += 1.0
 
+    def test_matrix_read_keeps_its_values_across_accumulate(self, rng):
+        state = HessianState(6).accumulate(rng.standard_normal((6, 10)))
+        view = state.matrix
+        before = view.copy()
+        state.accumulate(rng.standard_normal((6, 4)))
+        assert np.array_equal(view, before)
+        assert not np.array_equal(state.matrix, before)
+
+    def test_later_accumulate_holds_old_sum_and_one_product(self, rng):
+        # the old sum is allocated before tracing starts, so the peak above
+        # entry is the new product plus block-sized temporaries
+        d, n = 512, 64
+        state = HessianState(d).accumulate(rng.standard_normal((d, n)))
+        X = rng.standard_normal((d, n))
+        _, peak = traced_peak(lambda: state.accumulate(X))
+        assert peak <= 1.25 * 8 * d * d
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_activations_rejected(self, rng, bad):
         X = rng.standard_normal((4, 5))
