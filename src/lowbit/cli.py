@@ -186,22 +186,33 @@ def _parse_engine_token(token: str, effective: dict) -> tuple[str, EngineConfig]
     return token, EngineConfig.from_dict(dict(fields, engine=name, first_order_sign=sign))
 
 
-def _load_hessian(hessians_dir: str, layer: str) -> HessianState:
-    path = os.path.join(hessians_dir, layer + HESSIAN_SUFFIX)
-    if not os.path.exists(path):
-        raise ConfigError(f"missing Hessian file {path}")
-    tf = TensorFile.open(path)
-    raw = tf.metadata.get("n_samples", "0")
-    try:
-        n_samples = json.loads(raw)
-    except (TypeError, json.JSONDecodeError):
-        n_samples = None
-    # bool is an int subclass, so the type is compared exactly
-    if type(n_samples) is not int or n_samples < 0:
-        raise TensorFormatError(
-            f"{path}: n_samples must be a non-negative JSON integer, got {raw!r}"
-        )
-    return HessianState.from_matrix(tf.load("hessian"), n_samples)
+def _open_hessians(
+    hessians_dir: str, weights: TensorFile, layers: list[str]
+) -> dict[str, tuple[TensorFile, int]]:
+    """Each layer's Hessian file and sample count, its header checked: the
+    file exists, its ``hessian`` entry is d_in x d_in and its ``n_samples``
+    a non-negative JSON integer. No payload is read."""
+    opened = {}
+    for layer in layers:
+        d_in = weights.shape(layer + ".weight")[1]
+        path = os.path.join(hessians_dir, layer + HESSIAN_SUFFIX)
+        if not os.path.exists(path):
+            raise ConfigError(f"missing Hessian file {path}")
+        tf = TensorFile.open(path)
+        if tf.shape("hessian") != (d_in, d_in):
+            raise TensorFormatError(f"{path}: hessian must be {d_in} x {d_in}, got {tf.shape('hessian')}")
+        raw = tf.metadata.get("n_samples", "0")
+        try:
+            n_samples = json.loads(raw)
+        except (TypeError, json.JSONDecodeError):
+            n_samples = None
+        # bool is an int subclass, so the type is compared exactly
+        if type(n_samples) is not int or n_samples < 0:
+            raise TensorFormatError(
+                f"{path}: n_samples must be a non-negative JSON integer, got {raw!r}"
+            )
+        opened[layer] = tf, n_samples
+    return opened
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -213,25 +224,24 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError("supply exactly one of --activations and --synthetic")
     # the recorded damping must be one the engines accept
     EngineConfig.from_dict({"damp_ratio": effective["damp_ratio"]})
-    config_blob = _persist_config(effective, "calibrate")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
 
-    act_files = None
-    synth = None
     if have_acts:
         act_files = [TensorFile.open(p) for p in effective["activations"]]
+        shards = {layer: activation_entries(act_files, layer) for layer in layers}
+        for layer, entries in shards.items():
+            if not entries:
+                raise ConfigError(f"no activation shards found for layer {layer!r}")
     else:
         synth = _parse_synthetic(effective["synthetic"])
+    config_blob = _persist_config(effective, "calibrate")
 
     for idx, layer in enumerate(layers):
         d_in = weights.shape(layer + ".weight")[1]
         state = HessianState(d_in)
-        if act_files is not None:
-            entries = activation_entries(act_files, layer)
-            if not entries:
-                raise ConfigError(f"no activation shards found for layer {layer!r}")
-            for tf, name in entries:
+        if have_acts:
+            for tf, name in shards[layer]:
                 state.accumulate(tf.load(name))
         else:
             spec = replace(synth, d_in=d_in, seed=synth.seed + idx)
@@ -256,13 +266,15 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     effective = _merged_config(args, "quantize")
     _require(effective, "weights", "hessians", "out")
     engine_cfg = EngineConfig.from_dict({k: effective[k] for k in _ENGINE_DEFAULTS})
-    config_blob = _persist_config(effective, "quantize")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
+    hessians = _open_hessians(effective["hessians"], weights, layers)
+    config_blob = _persist_config(effective, "quantize")
 
     # one call per layer, so a layer's arrays are freed before the next loads
     def one(layer: str):
-        hessian = _load_hessian(effective["hessians"], layer)
+        tf, n_samples = hessians[layer]
+        hessian = HessianState.from_matrix(tf.load("hessian"), n_samples)
         bundle = LayerBundle(weights.load(layer + ".weight"))
         quantized, rep = run_engine(bundle, hessian, engine_cfg, layer_name=layer)
         quantized.extra["run_config"] = json.loads(config_blob)
@@ -289,14 +301,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     repeated = sorted({tok for tok in tokens if tokens.count(tok) > 1})
     if repeated:
         raise ConfigError(f"repeated engine tokens: {repeated}")
-    _persist_config(effective, "compare")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
+    hessians = _open_hessians(effective["hessians"], weights, layers)
+    _persist_config(effective, "compare")
     # tokens differ only in engine and sign, so they share grid and damping
     shared = parsed[0][1]
 
     def one(layer: str):
-        hessian = _load_hessian(effective["hessians"], layer)
+        tf, n_samples = hessians[layer]
+        hessian = HessianState.from_matrix(tf.load("hessian"), n_samples)
         prepared = PreparedLayer(
             weights.load(layer + ".weight"), hessian, shared.grid(), shared.damp_ratio
         )

@@ -181,9 +181,9 @@ def gptq_column_step(
 ) -> ColumnStepResult:
     """Reference (unblocked) factor-route step for one column.
 
-    Quantizes column ``col`` for every row on its group's scales, fitted
-    with the whole book from ``bundle.original`` at its first column,
-    writes the dequantized values into the latent column, and propagates
+    Quantizes column ``col`` for every row on its group's scales in the
+    RTN baseline of ``bundle.original``, which the book makes at its first
+    column, writes the dequantized values into the latent column, and propagates
     -err * T[col, col+1:] into all remaining columns. The blocked driver
     reaches the same result through lazy block-local updates; this form
     exists for oracle tests and diagnostics. ``grid`` must be the book's
@@ -461,8 +461,7 @@ class PreparedLayer:
                 f"config has grid {grid} and damp_ratio {config.damp_ratio}, but the layer "
                 f"was prepared for grid {self.grid} and damp_ratio {self.damp_ratio}"
             )
-        if not np.isfinite(bundle.weights).all():
-            raise NumericalError("layer weights contain non-finite values")
+        # the prepared original is finite, so these refuse a non-finite bundle
         if bundle.original is not self.original and not np.array_equal(
             bundle.original, self.original
         ):

@@ -2,10 +2,10 @@
 
 A grid maps real weights onto a small signed integer range. Scales (and
 zero points, for asymmetric grids) are fitted per output row and per
-contiguous group of input channels. ``rtn_quantize`` is the baseline that
-rounds every element independently; the compensation engines quantize
-column by column on its scales and zero points, with the same rounding
-rule, and fit none of their own.
+contiguous group of input channels, and only by ``rtn_quantize``: the
+baseline that rounds every element independently. The compensation
+engines quantize column by column on its scales and zero points, with the
+same rounding rule, and so does the reference steps' ``ScaleBook``.
 
 Rounding is round-half-to-even throughout, so symmetric grids are exactly
 sign-equivariant and long compensation chains pick up no rounding bias.
@@ -323,57 +323,40 @@ class QuantizedLayer:
 
 
 class ScaleBook:
-    """The quantized layer a reference column step or ``rtn_quantize``
-    builds, in the dtypes it is stored in: ``quantize`` fills a column of
-    int32 codes, and ``layer`` hands out the codes, scales and int32 zero
-    points without a copy. Every group is fitted at once, from the weights
-    handed in at first use; the reference steps hand in the originals, so
-    their books hold the RTN baseline's scales. The engines keep no book.
+    """The codes a reference column step writes, quantized on the RTN
+    baseline's scales: at first use ``quantize`` sets ``baseline`` to
+    ``rtn_quantize`` of the weights handed in, and every column is
+    quantized on that baseline's group scales and zero points. The
+    reference steps hand in the originals, so their books quantize on the
+    baseline the engines share; later sources are ignored. ``codes`` is
+    (d_out x d_in) int32. The engines keep no book.
     """
 
     def __init__(self, grid: QuantGrid, d_out: int, d_in: int):
         self.grid = grid
-        self.group_size = grid.resolved_group_size(d_in)
-        n_groups = grid.n_groups(d_in)
         self.codes = np.zeros((d_out, d_in), dtype=np.int32)
-        self.scales = np.empty((d_out, n_groups), dtype=np.float64)
-        self.zero_points = np.zeros((d_out, n_groups), dtype=np.int32)
-        self.fitted = False
-
-    def fit(self, source: np.ndarray) -> None:
-        """Fit every group from ``source`` (d_out x d_in), unless fitted."""
-        if self.fitted:
-            return
-        for g, lo in enumerate(range(0, self.codes.shape[1], self.group_size)):
-            gs = fit_scales(source[:, lo : lo + self.group_size], self.grid)
-            self.scales[:, g], self.zero_points[:, g] = gs.scale, gs.zero_point
-        self.fitted = True
+        self.baseline: QuantizedLayer | None = None
 
     def quantize(self, col: int, values: np.ndarray, source: np.ndarray) -> np.ndarray:
-        """Quantize column ``col`` from ``values``, fitting the book from
-        ``source`` first if needed; stores the codes, returns the
+        """Quantize column ``col`` from ``values`` on the baseline of
+        ``source``, made at first use; stores the codes, returns the
         dequantized values."""
-        self.fit(source)
-        g = col // self.group_size
-        gs = GroupScale(self.scales[:, g], self.zero_points[:, g])
+        if self.baseline is None:
+            self.baseline = rtn_quantize(source, self.grid)
+        base = self.baseline
+        g = col // base.group_size
+        gs = GroupScale(base.scales[:, g], base.zero_points[:, g])
         self.codes[:, col], deq = quantize_values(values, gs, self.grid)
         return deq
-
-    def layer(self, config: EngineConfig) -> QuantizedLayer:
-        """The finished layer over the book's own arrays (no copy), made by
-        ``config``, whose grid must be the book's (``ConfigError`` otherwise)."""
-        if config.grid() != self.grid:
-            raise ConfigError(f"config has grid {config.grid()}, but the ScaleBook has {self.grid}")
-        if not self.fitted:
-            raise NumericalError("ScaleBook has no scales before being fitted")
-        return QuantizedLayer(self.codes, self.scales, self.zero_points, config)
 
 
 def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     """Round-to-nearest baseline: independent per-element quantization.
 
-    No cross-column compensation; every element is fitted and rounded within
-    its own (row, group). Rejects non-finite weights. The layer's config is
+    No cross-column compensation; each (row, group) is fitted and rounded
+    in one pass over the groups, one ``fit_scales`` and one
+    ``quantize_values`` call per group. This is the only place a layer's
+    scales are fitted. Rejects non-finite weights. The layer's config is
     the ``rtn`` engine's on ``grid``, its other fields at their defaults.
     """
     weights = np.asarray(weights, dtype=np.float64)
@@ -382,10 +365,14 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     if weights.size and not np.isfinite(weights).all():
         raise NumericalError("weights contain non-finite values")
     d_out, d_in = weights.shape
-    book = ScaleBook(grid, d_out, d_in)
-    book.fit(weights)
-    for g, lo in enumerate(range(0, d_in, book.group_size)):
-        cols = slice(lo, lo + book.group_size)
-        gs = GroupScale(book.scales[:, g, None], book.zero_points[:, g, None])
-        book.codes[:, cols], _ = quantize_values(weights[:, cols], gs, grid)
-    return book.layer(EngineConfig(engine="rtn", **asdict(grid)))
+    size = grid.resolved_group_size(d_in)
+    codes = np.empty((d_out, d_in), dtype=np.int32)
+    scales = np.empty((d_out, grid.n_groups(d_in)), dtype=np.float64)
+    zero_points = np.empty(scales.shape, dtype=np.int32)
+    for g, lo in enumerate(range(0, d_in, size)):
+        cols = slice(lo, lo + size)
+        gs = fit_scales(weights[:, cols], grid)
+        scales[:, g], zero_points[:, g] = gs.scale, gs.zero_point
+        gs = GroupScale(gs.scale[:, None], gs.zero_point[:, None])
+        codes[:, cols], _ = quantize_values(weights[:, cols], gs, grid)
+    return QuantizedLayer(codes, scales, zero_points, EngineConfig(engine="rtn", **asdict(grid)))

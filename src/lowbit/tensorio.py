@@ -128,14 +128,13 @@ class TensorFile:
         except KeyError:
             raise TensorFormatError(f"{self.path}: no tensor named {name!r}") from None
 
-    def load(self, name: str, widen: bool = True) -> np.ndarray:
+    def load(self, name: str) -> np.ndarray:
         """Read one tensor into a new array.
 
         The payload is read straight into the returned array, so an F64 or
         integer load allocates nothing besides it. Float32 payloads widen to
-        float64 unless ``widen`` is false; widening converts from one
-        float32 buffer. A payload shorter than its entry declares raises
-        TensorFormatError.
+        float64, converted from one float32 buffer. A payload shorter than
+        its entry declares raises TensorFormatError.
         """
         entry = self._entry(name)
         arr = np.empty(entry.shape, dtype=_DTYPES[entry.dtype_name])
@@ -144,7 +143,7 @@ class TensorFile:
             got = fh.readinto(arr.reshape(-1).view(np.uint8))
         if got != entry.end - entry.begin:
             raise TensorFormatError(f"{self.path}: truncated payload for {name!r}")
-        if widen and entry.dtype_name == "F32":
+        if entry.dtype_name == "F32":
             return arr.astype(np.float64)
         return arr
 

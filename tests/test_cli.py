@@ -91,6 +91,7 @@ class TestCalibrate:
         )
         assert rc == 2
         assert "no layers" in capsys.readouterr().err
+        assert not (workspace["dir"] / "x").exists()
 
     def test_requires_exactly_one_source(self, workspace):
         rc = run_cli(
@@ -107,6 +108,7 @@ class TestCalibrate:
             "--out", workspace["dir"] / "x",
         )
         assert rc == 2
+        assert not (workspace["dir"] / "x").exists()
 
     @pytest.mark.parametrize(
         "spec",
@@ -171,6 +173,7 @@ class TestCalibrate:
         )
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (workspace["dir"] / "x").exists()
 
     @pytest.mark.parametrize("ratio", ["nan", "inf", "-0.5"])
     def test_recorded_damp_ratio_must_be_finite_and_non_negative(self, workspace, ratio, capsys):
@@ -569,6 +572,55 @@ class TestHessianFile:
             assert "n_samples" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("shape", [(6, 6), (8,), (8, 6)], ids=["6x6", "1d", "8x6"])
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_entry_that_is_not_d_in_square_exits_2(self, tmp_path, capsys, command, shape):
+        weights = tmp_path / "weights.safetensors"
+        save_tensors(weights, {"blk.fc.weight": np.ones((4, 8))})
+        hes = tmp_path / "hes"
+        hes.mkdir()
+        save_tensors(hes / "blk.fc.hessian.safetensors", {"hessian": np.ones(shape)},
+                     metadata={"n_samples": "16"})
+        out = tmp_path / "out"
+        if command == "quantize":
+            args = quantize_args({"weights": weights}, out, hes)
+        else:
+            args = ["compare", "--weights", weights, "--hessians", hes, "--out", out,
+                    "--engines", "rtn", "gptq"]
+        assert run_cli(*args) == 2
+        assert f"blk.fc.hessian.safetensors: hessian must be 8 x 8, got {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRefusedRunWritesNothing:
+    """Every input is opened and checked before the first write, so a
+    refused run leaves no output directory, effective_config.json included
+    (``TestCalibrate`` checks calibrate's refusals)."""
+
+    @staticmethod
+    def _args(ws, command, out):
+        if command == "quantize":
+            return quantize_args(ws, out, ws["hessians"])
+        return ["compare", "--weights", ws["weights"], "--hessians", ws["hessians"], "--out", out,
+                "--engines", "rtn", "gptq"]
+
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_unmatched_layers(self, calibrated, capsys, command):
+        out = calibrated["dir"] / "out"
+        assert run_cli(*self._args(calibrated, command, out), "--layers", "nothing*") == 2
+        assert "no layers matched" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_missing_hessian_of_a_later_layer(self, calibrated, capsys, command):
+        # blk0.fc runs first in sorted order and has its Hessian
+        (calibrated["hessians"] / "blk1.fc.hessian.safetensors").unlink()
+        out = calibrated["dir"] / "out"
+        assert run_cli(*self._args(calibrated, command, out)) == 2
+        assert "missing Hessian file" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestWeightRank:
     @pytest.mark.parametrize("shape", [(6,), (2, 4, 3)], ids=["1d", "3d"])
     @pytest.mark.parametrize("command", ["calibrate", "quantize", "compare"])
@@ -590,7 +642,7 @@ class TestWeightRank:
                     "--engines", "rtn", "gptq"]
         assert run_cli(*args) == 2
         assert f"blk.fc.weight must be 2-D (d_out x d_in), got shape {shape}" in capsys.readouterr().err
-        assert list(out.glob("*.safetensors")) == []
+        assert not out.exists()
 
 
 def _run_with_config(ws, command, values):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lowbit.errors import ConfigError, NumericalError
+from lowbit.errors import NumericalError
 from lowbit.quantizer import (
     EngineConfig,
     GroupScale,
@@ -310,48 +310,20 @@ class TestRtn:
 
 
 class TestScaleBook:
-    def test_quantize_stores_int32_codes_and_layer_shares_arrays(self, rng):
+    def test_quantizes_on_the_baseline_of_its_first_source(self, rng):
+        # asymmetric groups of 4 on 10 columns, the last one ragged
         grid = QuantGrid(3, 4, False)
-        w = rng.standard_normal((3, 8))
-        book = ScaleBook(grid, 3, 8)
-        for j in range(8):
-            deq = book.quantize(j, w[:, j], w)
-            gs = GroupScale(book.scales[:, j // 4], book.zero_points[:, j // 4])
+        w = rng.standard_normal((3, 10))
+        book = ScaleBook(grid, 3, 10)
+        for j in range(10):
+            # every source after the first is ignored
+            deq = book.quantize(j, w[:, j], w if j == 0 else 100.0 * w)
+            base = book.baseline
+            gs = GroupScale(base.scales[:, j // 4], base.zero_points[:, j // 4])
             assert np.array_equal(deq, dequantize_codes(book.codes[:, j], gs, grid))
-        layer = book.layer(EngineConfig(bits=3, group_size=4, symmetric=False))
-        assert layer.codes is book.codes and layer.zero_points is book.zero_points
-        assert layer.codes.dtype == layer.zero_points.dtype == np.int32
         ref = rtn_quantize(w, grid)
         for name in ("codes", "scales", "zero_points"):
-            assert np.array_equal(getattr(layer, name), getattr(ref, name))
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            EngineConfig(bits=4, group_size=4, symmetric=False),
-            EngineConfig(bits=3, group_size=8, symmetric=False),
-            EngineConfig(bits=3, group_size=4, symmetric=True),
-        ],
-    )
-    def test_layer_refuses_a_config_on_another_grid(self, config):
-        with pytest.raises(ConfigError, match="grid"):
-            ScaleBook(QuantGrid(3, 4, False), 3, 8).layer(config)
-
-    def test_groups_fit_once_from_first_touch(self, rng):
-        # the first column quantized fits every group, the last one included
-        grid = QuantGrid(4, 3)
-        w = rng.standard_normal((3, 8))
-        book = ScaleBook(grid, 3, 8)
-        book.quantize(0, w[:, 0], w)
-        first = book.scales.copy()
-        ref = rtn_quantize(w, grid)
-        assert np.array_equal(first, ref.scales)
-        w *= 100.0
-        book.quantize(7, w[:, 7], w)  # must not refit
-        book.fit(w)
-        assert np.array_equal(book.scales, first)
-
-    def test_unfitted_group_access_fails(self):
-        book = ScaleBook(QuantGrid(4, 4), 3, 8)
-        with pytest.raises(NumericalError, match="before being fitted"):
-            book.layer(EngineConfig(group_size=4))
+            assert np.array_equal(getattr(book.baseline, name), getattr(ref, name))
+        assert book.baseline.config == ref.config
+        assert np.array_equal(book.codes, ref.codes)
+        assert book.codes.dtype == np.int32

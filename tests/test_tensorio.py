@@ -40,9 +40,6 @@ class TestRoundTrip:
         widened = tf.load("w")
         assert widened.dtype == np.float64
         assert np.array_equal(widened, arr.astype(np.float64))
-        raw = tf.load("w", widen=False)
-        assert raw.dtype == np.float32
-        assert np.array_equal(raw, arr)
 
     def test_two_by_two_named_values(self, tmp_path):
         path = tmp_path / "t.safetensors"
@@ -247,7 +244,7 @@ def _engine_artifact(tmp_path, rng, **token):
 def _rewrite_metadata(path, **changes):
     """Rewrite a quantized artifact with some header values replaced."""
     tf = TensorFile.open(path)
-    tensors = {name: tf.load(name, widen=False) for name in tf.names}
+    tensors = {name: tf.load(name) for name in tf.names}
     save_tensors(path, tensors, metadata=dict(tf.metadata, **changes))
 
 
@@ -307,14 +304,14 @@ class TestArtifactHeader:
         path, _ = _engine_artifact(tmp_path, rng, engine="gptq")
         tf = TensorFile.open(path)
         metadata = {k: v for k, v in tf.metadata.items() if k != "x.config"}
-        save_tensors(path, {name: tf.load(name, widen=False) for name in tf.names}, metadata=metadata)
+        save_tensors(path, {name: tf.load(name) for name in tf.names}, metadata=metadata)
         with pytest.raises(TensorFormatError, match="x.config"):
             load_quantized(path)
 
     def test_codes_not_2d_refused(self, tmp_path, rng):
         path, _ = _engine_artifact(tmp_path, rng, engine="gptq")
         tf = TensorFile.open(path)
-        tensors = {name: tf.load(name, widen=False) for name in tf.names}
+        tensors = {name: tf.load(name) for name in tf.names}
         save_tensors(path, dict(tensors, codes=tensors["codes"].ravel()), metadata=tf.metadata)
         with pytest.raises(TensorFormatError, match="2-D"):
             load_quantized(path)
