@@ -59,7 +59,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .linalg import HessianState, InvCholFactor, inverse_cholesky, iterative_inverse_update
+from .linalg import HessianState, InvCholFactor, _all_finite, inverse_cholesky
+from .linalg import iterative_inverse_update
 from .quantizer import ENGINES, EngineConfig, GroupScale, QuantGrid, QuantizedLayer, ScaleBook
 from .quantizer import quantize_values, rtn_quantize
 from .report import LayerReport, proxy_loss
@@ -411,7 +412,7 @@ class PreparedLayer:
         self, weights: np.ndarray, hessian: HessianState, grid: QuantGrid, damp_ratio: float
     ):
         original = np.asarray(weights, dtype=np.float64)
-        if not np.isfinite(original).all():
+        if not _all_finite(original):
             raise NumericalError("layer weights contain non-finite values")
         if original.ndim != 2:
             raise NumericalError(f"weights must be 2-D, got shape {original.shape}")
@@ -439,6 +440,9 @@ class PreparedLayer:
 
     @cached_property
     def baseline_loss(self) -> float:
+        """Proxy loss of the RTN baseline. When an rtn run is the first to
+        need it, ``run`` prices it from the dequantized baseline that run
+        leaves in its bundle, so the baseline is dequantized once."""
         return proxy_loss(self.baseline.dequantize(), self.original, self.hessian)
 
     def run(
@@ -485,6 +489,8 @@ class PreparedLayer:
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name
 
+        if config.engine == "rtn" and "baseline_loss" not in vars(self):
+            self.baseline_loss = proxy_loss(bundle.weights, self.original, self.hessian)
         loss_rtn = self.baseline_loss
         if config.engine == "rtn":
             loss = loss_rtn

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .linalg import _all_finite
 
 __all__ = [
     "ENGINES",
@@ -362,7 +363,7 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError("weights must be a 2-D matrix")
-    if weights.size and not np.isfinite(weights).all():
+    if not _all_finite(weights):
         raise NumericalError("weights contain non-finite values")
     d_out, d_in = weights.shape
     size = grid.resolved_group_size(d_in)

@@ -396,6 +396,13 @@ class TestRunEngine:
         with pytest.raises(NumericalError, match="non-finite"):
             run_engine(LayerBundle(W), hess, EngineConfig())
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_one_non_finite_original_entry_rejected(self, rng, value):
+        W = rng.standard_normal((3, 4))
+        W[1, 2] = value
+        with pytest.raises(NumericalError, match="layer weights contain non-finite values"):
+            PreparedLayer(W, token_hessian(4, 16, 0.9, 18), QuantGrid(4, 128, True), 0.01)
+
     @pytest.mark.parametrize("engine", ["rtn", "gptq"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_latent_entry_rejected(self, rng, engine, value):
@@ -563,8 +570,8 @@ class TestPreparedLayer:
     def test_only_the_baseline_is_dequantized(self, rng, monkeypatch):
         # a compensating run leaves the dequantized layer in its bundle, and
         # its report prices that instead of dequantizing the codes again; the
-        # baseline is dequantized once for its loss and once by the rtn run,
-        # which leaves it in its bundle
+        # rtn run dequantizes the baseline into its bundle once, and its
+        # loss is priced from there
         dequantized = count_calls(monkeypatch, QuantizedLayer, "dequantize")
         hess = token_hessian(16, 64, 0.9, 53)
         W = rng.standard_normal((8, 16))
@@ -572,8 +579,8 @@ class TestPreparedLayer:
         for token in self.TOKENS:
             prepared.run(LayerBundle(W), EngineConfig(bits=3, group_size=8, **token))
             if token["engine"] == "rtn":
-                assert len(dequantized) == 2
-        assert len(dequantized) == 2
+                assert len(dequantized) == 1
+        assert len(dequantized) == 1
 
     @pytest.mark.parametrize(
         "change", [dict(bits=3), dict(group_size=64), dict(symmetric=False), dict(damp_ratio=0.02)]

@@ -12,8 +12,10 @@ from conftest import token_hessian, traced_peak
 from lowbit.engines import EngineConfig, LayerBundle, PreparedLayer, _run_oracle, run_engine
 from lowbit.errors import FactorizationError, NumericalError
 from lowbit.linalg import (
+    _TRI_BASE,
     HessianState,
     InvCholFactor,
+    _tri_matmul,
     inverse_cholesky,
     iterative_inverse_update,
     recover_inverse_submatrix,
@@ -226,6 +228,40 @@ class TestInverseCholesky:
             inverse_cholesky(_damped_from_matrix(H))
         assert excinfo.value.pivot == pivot
 
+    # above 2 * _TRI_BASE the triangular products split: at d = 513 the
+    # top level's two products with T22 once, at d = 1100 the top level's
+    # twice and each half's once
+    @pytest.mark.parametrize("d", [2 * _TRI_BASE + 1, 1100])
+    def test_split_products_against_oracle(self, rng, d):
+        A = rng.standard_normal((d, 2 * d))
+        damped = HessianState(d).accumulate(A).dampen(0.01)
+        T = inverse_cholesky(damped).matrix
+        assert np.array_equal(T, np.triu(T))
+        assert (np.diagonal(T) > 0).all()
+        assert T.flags.c_contiguous
+        H = damped.matrix
+        expected = scipy.linalg.cholesky(np.linalg.inv(H), lower=False)
+        assert np.linalg.norm(T - expected) <= 1e-12 * np.linalg.norm(T)
+        resid = np.linalg.norm(T.T @ T @ H - np.eye(d)) / np.sqrt(d)
+        assert resid <= 1e-8
+
+    @pytest.mark.parametrize("d", [2 * _TRI_BASE + 1, 1100])
+    @pytest.mark.parametrize("where", [0.1, 0.6, 0.99])
+    def test_split_products_name_pivot(self, rng, d, where):
+        # a bad entry in the leading half fails only in a Schur complement
+        # built from split products, one in the trailing half inside it
+        bad = int(where * d)
+        A = rng.standard_normal((d, d))
+        H = A @ A.T
+        H[bad, bad] = -1e4
+        state = HessianState.from_matrix(H, d)
+        pivots = []
+        for damped in (state.dampen(0.01), _explicitly_damped(state, 0.01)):
+            with pytest.raises(FactorizationError) as excinfo:
+                inverse_cholesky(damped)
+            pivots.append(excinfo.value.pivot)
+        assert pivots[0] == pivots[1] == bad
+
     def test_empty_dimension(self):
         factor = inverse_cholesky(_damped_from_matrix(np.zeros((0, 0))))
         assert factor.matrix.shape == (0, 0)
@@ -318,6 +354,38 @@ class TestNoCopyFactor:
         assert np.array_equal(quantized.codes, codes)
 
 
+class TestTriMatmul:
+    """``_tri_matmul`` against a plain product, for both triangles."""
+
+    @pytest.mark.parametrize("upper", [True, False])
+    @pytest.mark.parametrize("w", [1, _TRI_BASE, _TRI_BASE + 1, 3 * _TRI_BASE + 5])
+    def test_matches_plain_product(self, rng, w, upper):
+        M = np.triu(rng.standard_normal((w, w)))
+        if not upper:
+            M = M.T.copy()
+        X = rng.standard_normal((40, w))
+        X_in, M_in = X.copy(), M.copy()
+        # ``out`` is a view inside a larger buffer, as T12 is inside T
+        buf = np.full((42, w + 3), np.nan)
+        out = buf[1:-1, 2:-1]
+        assert _tri_matmul(X, M, out, upper) is out
+        want = X @ M
+        np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        buf[1:-1, 2:-1] = 0.0
+        assert np.isnan(buf).sum() == buf.size - out.size
+        assert np.array_equal(X, X_in) and np.array_equal(M, M_in)
+
+    def test_transposed_operands(self, rng):
+        # the factor forms T11 @ Q as (Q^T @ T11^T)^T, into T12's transpose
+        w = 2 * _TRI_BASE + 7
+        U = np.triu(rng.standard_normal((w, w)))
+        Q = rng.standard_normal((w, w))
+        out = np.empty((w, w))
+        _tri_matmul(Q.T, U.T, out.T, upper=False)
+        want = U @ Q
+        np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
 class TestPeakMemory:
     """tracemalloc peaks above entry, in units of one d x d float64 array."""
 
@@ -353,6 +421,13 @@ class TestPeakMemory:
         H = rng.standard_normal((d, d))
         _, peak = traced_peak(lambda: HessianState.from_matrix(H, 1))
         assert peak <= 8 * d * d + d * d / 4
+
+    def test_prepared_layer_checks_weights_without_a_mask(self, rng):
+        # a bool mask of the weights would be d_out * d_in bytes
+        W = rng.standard_normal((256, self.D))
+        state = HessianState(self.D)
+        _, peak = traced_peak(lambda: PreparedLayer(W, state, EngineConfig().grid(), 0.01))
+        assert peak <= W.size / 4
 
 
 class TestRecoverInverseSubmatrix:

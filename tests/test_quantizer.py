@@ -293,6 +293,13 @@ class TestRtn:
         with pytest.raises(NumericalError, match="non-finite"):
             rtn_quantize(np.array([[np.nan, 1.0]]), QuantGrid(4))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_one_infinite_entry_rejected(self, rng, value):
+        W = rng.standard_normal((3, 20))
+        W[2, 7] = value
+        with pytest.raises(NumericalError, match="weights contain non-finite values"):
+            rtn_quantize(W, QuantGrid(4))
+
     def test_zero_row_layer_is_valid(self):
         for symmetric in (True, False):
             layer = rtn_quantize(np.zeros((0, 8)), QuantGrid(4, 4, symmetric))
