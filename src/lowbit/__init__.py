@@ -20,15 +20,12 @@ from .calib import (
 )
 from .engines import (
     ENGINES,
-    ColumnStepResult,
     EngineConfig,
     LayerBundle,
     first_order_quant_step,
     foem_block_boundary,
     foem_column_step,
     gptq_column_step,
-    obc_quant_step,
-    obs_prune_step,
     PreparedLayer,
     run_engine,
 )
@@ -47,15 +44,15 @@ from .linalg import (
     recover_inverse_submatrix,
 )
 from .quantizer import (
+    FIRST_ORDER_SIGNS,
     GroupScale,
     QuantGrid,
     QuantizedLayer,
-    dequantize_codes,
     fit_scales,
     quantize_values,
     rtn_quantize,
 )
 from .report import LayerReport, compare_table, proxy_loss
-from .tensorio import TensorFile, load_quantized, load_tensor, save_quantized, save_tensors
+from .tensorio import TensorFile, load_quantized, save_quantized, save_tensors
 
 __version__ = "0.1.0"

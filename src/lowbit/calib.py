@@ -34,7 +34,6 @@ __all__ = [
     "exact_proxy_gradient",
     "GradientDiagnostics",
     "gradient_alignment",
-    "accumulate_layer_activations",
 ]
 
 SINGULAR_FLOOR = 1e-3
@@ -200,18 +199,3 @@ def activation_entries(files: list[TensorFile], layer: str) -> list[tuple[Tensor
     found.sort(key=lambda item: (item[0], item[1]))
     return [(tf, name) for _, _, tf, name in found]
 
-
-def accumulate_layer_activations(
-    state: HessianState, files: list[TensorFile], layer: str
-) -> int:
-    """Stream all activation shards of ``layer`` into ``state``.
-
-    Returns the number of shards accumulated; raises if none exist.
-    Shards need not fit in one file; each is a (d_in x n_tokens) block.
-    """
-    entries = activation_entries(files, layer)
-    if not entries:
-        raise NumericalError(f"no activation shards found for layer {layer!r}")
-    for tf, name in entries:
-        state.accumulate(tf.load(name))
-    return len(entries)

@@ -53,7 +53,7 @@ row-vectorized; column order is strictly sequential.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -61,17 +61,14 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .linalg import HessianState, InvCholFactor, _all_finite, inverse_cholesky
 from .linalg import iterative_inverse_update
-from .quantizer import ENGINES, EngineConfig, GroupScale, QuantGrid, QuantizedLayer, ScaleBook
-from .quantizer import quantize_values, rtn_quantize
+from .quantizer import ENGINES, EngineConfig, QuantGrid, QuantizedLayer, ScaleBook
+from .quantizer import _column_params, quantize_values, rtn_quantize
 from .report import LayerReport, proxy_loss
 
 __all__ = [
     "ENGINES",
     "LayerBundle",
     "EngineConfig",
-    "ColumnStepResult",
-    "obs_prune_step",
-    "obc_quant_step",
     "first_order_quant_step",
     "gptq_column_step",
     "foem_column_step",
@@ -95,50 +92,9 @@ class LayerBundle:
         self.original = weights.copy()
         self.original.setflags(write=False)
 
-    @property
-    def d_out(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.weights.shape[1]
-
     def drift(self) -> np.ndarray:
         """Current deviation of the latent weights from the originals."""
         return self.weights - self.original
-
-
-@dataclass
-class ColumnStepResult:
-    """Outcome of quantizing one column: codes, dequantized values, and the
-    compensation update applied to the still-latent columns after it."""
-
-    q_col: np.ndarray
-    deq_col: np.ndarray
-    delta_w: np.ndarray
-
-
-def obs_prune_step(w_row: np.ndarray, hinv: np.ndarray, q: int) -> np.ndarray:
-    """Compensation for zeroing coordinate ``q`` of a row: the constrained
-    minimizer of 0.5 * dw H dw^T subject to dw_q + w_q = 0.
-
-    Returns the full update row -(w_q / hinv[q, q]) * hinv[q, :]: the
-    quantization step with the coordinate pinned to 0.
-    """
-    return obc_quant_step(w_row, hinv, q, 0.0)
-
-
-def obc_quant_step(
-    w_row: np.ndarray, hinv: np.ndarray, q: int, quantized: float
-) -> np.ndarray:
-    """Quantization variant of the pruning step: the constraint pins
-    coordinate ``q`` to its quantized value instead of zero.
-
-    Returns -((w_q - quantized) / hinv[q, q]) * hinv[q, :]: the
-    gradient-aware step with a zero gradient.
-    """
-    w_row = np.asarray(w_row, dtype=np.float64)
-    return first_order_quant_step(w_row[q] - quantized, np.zeros_like(w_row), hinv, q)
 
 
 def first_order_quant_step(
@@ -162,6 +118,10 @@ def first_order_quant_step(
     drops the (g Hinv)_q correction, which is the simplification the
     production engines inherit; the resulting direction deviates from the
     exact minimizer by exactly ((g Hinv)_q / Hinv_qq) * Hinv[q, :].
+
+    With a zero gradient this is the OBC quantization step,
+    -(err / Hinv_qq) * Hinv[q, :] for err = w_q - quantized, and with the
+    quantized value 0 the OBS pruning step.
     """
     hinv = np.asarray(hinv, dtype=np.float64)
     gradient = np.asarray(gradient, dtype=np.float64)
@@ -179,20 +139,21 @@ def gptq_column_step(
     grid: QuantGrid,
     col: int,
     book: ScaleBook,
-) -> ColumnStepResult:
+) -> None:
     """Reference (unblocked) factor-route step for one column.
 
     Quantizes column ``col`` for every row on its group's scales in the
     RTN baseline of ``bundle.original``, which the book makes at its first
-    column, writes the dequantized values into the latent column, and propagates
-    -err * T[col, col+1:] into all remaining columns. The blocked driver
+    column, writes the dequantized values into the latent column, and
+    propagates -err * T[col, col+1:] into all remaining columns. The codes
+    land in ``book.codes[:, col]``; nothing is returned. The blocked driver
     reaches the same result through lazy block-local updates; this form
     exists for oracle tests and diagnostics. ``grid`` must be the book's
     (``ConfigError`` otherwise).
     """
     if grid != book.grid:
         raise ConfigError(f"column step got grid {grid}, but its ScaleBook has {book.grid}")
-    return foem_column_step(bundle, factor, col, factor.dim, book, 0.0)
+    foem_column_step(bundle, factor, col, factor.dim, book, 0.0)
 
 
 def foem_column_step(
@@ -203,7 +164,7 @@ def foem_column_step(
     book: ScaleBook,
     beta: float,
     sign: float = -1.0,
-) -> ColumnStepResult:
+) -> None:
     """One in-block column step of the first-order engine.
 
     Writes the dequantized values into column ``col`` and one combined
@@ -214,6 +175,7 @@ def foem_column_step(
     (the drift seen by column 0 of an untouched layer is therefore exactly
     zero); the drift still reflects every previous column's update, it is
     never cached across steps. With beta = 0 this is the blocked gptq step.
+    The codes land in ``book.codes[:, col]``; nothing is returned.
 
     No engine runs this step: it is the eager reference for the lazy
     blocked driver, which the tests drive column by column and compare
@@ -232,7 +194,6 @@ def foem_column_step(
         delta += (sign * beta) * (drift @ (t_sub.T @ t_sub[:, 1:]))
     bundle.weights[:, col] = deq
     bundle.weights[:, rest] += delta
-    return ColumnStepResult(q_col=book.codes[:, col], deq_col=deq, delta_w=delta)
 
 
 def foem_block_boundary(
@@ -299,15 +260,6 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
         Y[a:, a + 1 :] += R
     F[:b] = c * (Tb.T @ Y)
     return F
-
-
-def _column_params(baseline: QuantizedLayer) -> list[GroupScale]:
-    """Each column's group scales and zero points in ``baseline``, as
-    contiguous (d_out,) rows; the zero points as exact float64, never cast."""
-    zero_points = baseline.zero_points.T.astype(np.float64, order="C")
-    groups = list(map(GroupScale, baseline.scales.T.copy(), zero_points))
-    group_size = baseline.group_size
-    return [groups[j // group_size] for j in range(baseline.d_in)]
 
 
 def _run_blocked(

@@ -5,7 +5,11 @@ zero points, for asymmetric grids) are fitted per output row and per
 contiguous group of input channels, and only by ``rtn_quantize``: the
 baseline that rounds every element independently. The compensation
 engines quantize column by column on its scales and zero points, with the
-same rounding rule, and so does the reference steps' ``ScaleBook``.
+same rounding rule, and so does the reference steps' ``ScaleBook``; all of
+them find a column's group through one map, ``_column_params``. A layer is
+dequantized as a whole (``QuantizedLayer.dequantize``); a column's
+dequantized values come from the same ``quantize_values`` call as its
+codes.
 
 Rounding is round-half-to-even throughout, so symmetric grids are exactly
 sign-equivariant and long compensation chains pick up no rounding bias.
@@ -36,7 +40,6 @@ __all__ = [
     "QuantizedLayer",
     "fit_scales",
     "quantize_values",
-    "dequantize_codes",
     "rtn_quantize",
 ]
 
@@ -232,11 +235,6 @@ def quantize_values(
     return (codes[()], q[()]) if q.ndim == 0 else (codes, q)
 
 
-def dequantize_codes(codes: np.ndarray, gs: GroupScale, grid: QuantGrid) -> np.ndarray:
-    """Map integer codes back to real values. Depends only on codes/scale/zero."""
-    return (np.asarray(codes, dtype=np.float64) - gs.zero_point) * gs.scale
-
-
 @dataclass
 class QuantizedLayer:
     """One quantized weight matrix: codes plus per-(row, group) scaling.
@@ -294,10 +292,6 @@ class QuantizedLayer:
         if grid.symmetric and self.zero_points.size and np.any(self.zero_points != 0):
             raise NumericalError("symmetric layers must have all-zero zero_points")
 
-    def group_index(self) -> np.ndarray:
-        """Group index of each input column."""
-        return np.arange(self.d_in) // self.group_size
-
     def dequantize(self) -> np.ndarray:
         """Reconstruct the real-valued weight matrix from codes and scales.
 
@@ -323,20 +317,33 @@ class QuantizedLayer:
         return out
 
 
+def _column_params(baseline: QuantizedLayer) -> list[GroupScale]:
+    """Each column's group scales and zero points in ``baseline``, as
+    contiguous (d_out,) rows; the zero points as exact float64, never cast.
+    The one map from a column to its scale group: the engines' drivers and
+    ``ScaleBook`` quantize every column on it."""
+    zero_points = baseline.zero_points.T.astype(np.float64, order="C")
+    groups = list(map(GroupScale, baseline.scales.T.copy(), zero_points))
+    group_size = baseline.group_size
+    return [groups[j // group_size] for j in range(baseline.d_in)]
+
+
 class ScaleBook:
     """The codes a reference column step writes, quantized on the RTN
     baseline's scales: at first use ``quantize`` sets ``baseline`` to
     ``rtn_quantize`` of the weights handed in, and every column is
-    quantized on that baseline's group scales and zero points. The
-    reference steps hand in the originals, so their books quantize on the
-    baseline the engines share; later sources are ignored. ``codes`` is
-    (d_out x d_in) int32. The engines keep no book.
+    quantized on that baseline's group scales and zero points, mapped to
+    columns as the engines map them. The reference steps hand in the
+    originals, so their books quantize on the baseline the engines share;
+    later sources are ignored. ``codes`` is (d_out x d_in) int32. The
+    engines keep no book.
     """
 
     def __init__(self, grid: QuantGrid, d_out: int, d_in: int):
         self.grid = grid
         self.codes = np.zeros((d_out, d_in), dtype=np.int32)
         self.baseline: QuantizedLayer | None = None
+        self._params: list[GroupScale] = []
 
     def quantize(self, col: int, values: np.ndarray, source: np.ndarray) -> np.ndarray:
         """Quantize column ``col`` from ``values`` on the baseline of
@@ -344,10 +351,8 @@ class ScaleBook:
         dequantized values."""
         if self.baseline is None:
             self.baseline = rtn_quantize(source, self.grid)
-        base = self.baseline
-        g = col // base.group_size
-        gs = GroupScale(base.scales[:, g], base.zero_points[:, g])
-        self.codes[:, col], deq = quantize_values(values, gs, self.grid)
+            self._params = _column_params(self.baseline)
+        self.codes[:, col], deq = quantize_values(values, self._params[col], self.grid)
         return deq
 
 

@@ -31,7 +31,6 @@ from .quantizer import EngineConfig, QuantizedLayer
 __all__ = [
     "TensorFile",
     "save_tensors",
-    "load_tensor",
     "save_quantized",
     "load_quantized",
 ]
@@ -187,13 +186,6 @@ def save_tensors(
         fh.write(raw)
         for blob in blobs:
             fh.write(blob)
-
-
-def load_tensor(file: TensorFile | str | os.PathLike, name: str) -> np.ndarray:
-    """Load one named tensor from a container (path or parsed file)."""
-    if not isinstance(file, TensorFile):
-        file = TensorFile.open(file)
-    return file.load(name)
 
 
 def _config_keys(config: EngineConfig, d_in: int) -> dict:

@@ -5,7 +5,7 @@ from conftest import token_hessian
 from lowbit.calib import (
     SINGULAR_FLOOR,
     SyntheticSpec,
-    accumulate_layer_activations,
+    activation_entries,
     approx_gradient,
     exact_proxy_gradient,
     generate_synthetic,
@@ -199,37 +199,45 @@ class TestActivationShards:
         self._write(tmp_path / "s1.st", "fc.input.0", x1)
         self._write(tmp_path / "s2.st", "fc.input.1", x2)
         files = [TensorFile.open(tmp_path / "s1.st"), TensorFile.open(tmp_path / "s2.st")]
+        entries = activation_entries(files, "fc")
+        assert entries == [(files[0], "fc.input.0"), (files[1], "fc.input.1")]
         sharded = HessianState(4)
-        n = accumulate_layer_activations(sharded, files, "fc")
-        assert n == 2
+        for tf, name in entries:
+            sharded.accumulate(tf.load(name))
         whole = HessianState(4).accumulate(np.hstack([x1, x2]))
         np.testing.assert_allclose(sharded.matrix, whole.matrix, rtol=1e-12, atol=1e-12)
         assert sharded.n_samples == whole.n_samples == 16
 
     def test_unsharded_name_accepted(self, tmp_path, rng):
-        x = rng.standard_normal((3, 5))
-        self._write(tmp_path / "a.st", "proj.input", x)
-        state = HessianState(3)
-        assert accumulate_layer_activations(state, [TensorFile.open(tmp_path / "a.st")], "proj") == 1
-        assert state.n_samples == 5
+        self._write(tmp_path / "a.st", "proj.input", rng.standard_normal((3, 5)))
+        entries = activation_entries([TensorFile.open(tmp_path / "a.st")], "proj")
+        assert [name for _, name in entries] == ["proj.input"]
 
     def test_shards_ordered_numerically(self, tmp_path, rng):
-        xs = [rng.standard_normal((2, 3)) for _ in range(3)]
-        save_tensors(
-            tmp_path / "a.st",
-            {"fc.input.2": xs[2], "fc.input.0": xs[0], "fc.input.1": xs[1]},
-        )
-        from lowbit.calib import activation_entries
-
+        # 10 sorts after 2 as a number, before it as text
+        xs = {n: rng.standard_normal((2, 3)) for n in (10, 2, 0, 1)}
+        save_tensors(tmp_path / "a.st", {f"fc.input.{n}": x for n, x in xs.items()})
         entries = activation_entries([TensorFile.open(tmp_path / "a.st")], "fc")
-        assert [name for _, name in entries] == ["fc.input.0", "fc.input.1", "fc.input.2"]
+        assert [name for _, name in entries] == [
+            "fc.input.0", "fc.input.1", "fc.input.2", "fc.input.10"
+        ]
 
-    def test_missing_layer_raises(self, tmp_path, rng):
+    def test_missing_layer_has_no_entries(self, tmp_path, rng):
         self._write(tmp_path / "a.st", "other.input", rng.standard_normal((2, 3)))
-        with pytest.raises(NumericalError, match="no activation shards"):
-            accumulate_layer_activations(HessianState(2), [TensorFile.open(tmp_path / "a.st")], "fc")
+        assert activation_entries([TensorFile.open(tmp_path / "a.st")], "fc") == []
 
     def test_layer_name_with_dots_not_confused(self, tmp_path, rng):
-        self._write(tmp_path / "a.st", "blk.0.fc.input", rng.standard_normal((2, 3)))
-        state = HessianState(2)
-        assert accumulate_layer_activations(state, [TensorFile.open(tmp_path / "a.st")], "blk.0.fc") == 1
+        save_tensors(
+            tmp_path / "a.st",
+            {
+                "blk.0.fc.input": rng.standard_normal((2, 3)),
+                "blk.0.fc.input.3": rng.standard_normal((2, 3)),
+                "blk.10.fc.input": rng.standard_normal((2, 3)),
+                "0.fc.input": rng.standard_normal((2, 3)),
+            },
+        )
+        files = [TensorFile.open(tmp_path / "a.st")]
+        assert [name for _, name in activation_entries(files, "blk.0.fc")] == [
+            "blk.0.fc.input", "blk.0.fc.input.3"
+        ]
+        assert [name for _, name in activation_entries(files, "fc")] == []

@@ -346,6 +346,23 @@ class TestQuantize:
         assert run_cli(*quantize_args(ws, ws["dir"] / "x", hes)) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_all_zero_hessian_warns_then_exits_3(self, tmp_path, rng, capsys):
+        # damping is relative to the mean diagonal, so it leaves a zero H singular
+        wpath, hes = tmp_path / "w.safetensors", tmp_path / "hes"
+        save_tensors(wpath, {"fc.weight": rng.standard_normal((8, 16))})
+        hes.mkdir()
+        save_tensors(
+            hes / "fc.hessian.safetensors",
+            {"hessian": np.zeros((16, 16))},
+            metadata={"n_samples": "5"},
+        )
+        with pytest.warns(RuntimeWarning, match="may be singular"):
+            rc = run_cli(*quantize_args({"weights": wpath}, tmp_path / "q", hes))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: Cholesky breakdown" in err
+        assert "pivot at column 15 " in err
+
     def test_zero_point_outside_int32_exits_3(self, tmp_path, rng, capsys):
         # a layer far from zero relative to its spread: the asymmetric zero
         # point would wrap in int32, so quantize refuses it

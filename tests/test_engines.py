@@ -3,6 +3,7 @@ import pytest
 
 from conftest import count_calls, random_spd, token_hessian
 from lowbit import engines, quantizer
+from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.engines import (
     EngineConfig,
     LayerBundle,
@@ -11,8 +12,6 @@ from lowbit.engines import (
     foem_block_boundary,
     foem_column_step,
     gptq_column_step,
-    obc_quant_step,
-    obs_prune_step,
     run_engine,
 )
 from lowbit.errors import ConfigError, FactorizationError, NumericalError
@@ -31,68 +30,22 @@ def kkt_solve(H, g, q, err):
     return np.linalg.solve(K, rhs)[:d]
 
 
-class TestObsPruneStep:
-    def test_zero_weight_needs_no_compensation(self):
-        hinv = np.linalg.inv(random_spd(3, 0))
-        w = np.array([0.0, 1.0, 2.0])
-        assert np.array_equal(obs_prune_step(w, hinv, 0), np.zeros(3))
-
-    def test_identity_inverse_only_zeroes_target(self):
-        w = np.array([0.5, 1.0, -2.0])
-        delta = obs_prune_step(w, np.eye(3), 1)
-        assert np.array_equal(delta, [0.0, -1.0, 0.0])
-
-    def test_matches_constrained_qp_oracle(self, rng):
-        for seed in range(5):
-            H = random_spd(3, seed)
-            hinv = np.linalg.inv(H)
-            w = rng.standard_normal(3)
-            for q in range(3):
-                delta = obs_prune_step(w, hinv, q)
-                expected = kkt_solve(H, np.zeros(3), q, w[q])
-                np.testing.assert_allclose(delta, expected, rtol=1e-10, atol=1e-12)
-
-    def test_non_spd_rejected(self):
-        hinv = np.diag([0.0, 1.0])
-        with pytest.raises(NumericalError, match="SPD"):
-            obs_prune_step(np.ones(2), hinv, 0)
-
-
-class TestObcQuantStep:
-    def test_representable_value_no_update(self):
-        hinv = np.linalg.inv(random_spd(3, 1))
-        w = np.array([0.25, 1.0, 2.0])
-        assert np.array_equal(obc_quant_step(w, hinv, 0, 0.25), np.zeros(3))
-
-    def test_identity_inverse_is_pure_rounding(self):
-        delta = obc_quant_step(np.array([0.6, 1.0]), np.eye(2), 0, 0.5)
-        np.testing.assert_allclose(delta, [-0.1, 0.0], atol=1e-15)
-
-    def test_two_column_toy_hand_inverse(self):
-        # H = [[2, 1], [1, 2]] -> Hinv = (1/3) [[2, -1], [-1, 2]]
-        H = np.array([[2.0, 1.0], [1.0, 2.0]])
-        hinv = np.linalg.inv(H)
-        w = np.array([0.37, -1.2])
-        deq = 0.25
-        delta = obc_quant_step(w, hinv, 0, deq)
-        expected_col2 = -(w[0] - deq) * (-1.0 / 3.0) / (2.0 / 3.0)
-        assert delta[1] == pytest.approx(expected_col2, rel=1e-12)
-        assert delta[0] == pytest.approx(-(w[0] - deq), rel=1e-12)
-
-
 class TestFirstOrderQuantStep:
     def test_exact_multiplier_matches_kkt(self, rng):
-        for seed in range(50):
-            g_rng = np.random.default_rng(seed)
-            H = random_spd(8, seed)
-            hinv = np.linalg.inv(H)
-            g = 3e-4 * g_rng.standard_normal(8)
-            q = int(g_rng.integers(8))
-            err = float(g_rng.standard_normal())
-            dw = first_order_quant_step(err, g, hinv, q, exact_multiplier=True)
-            expected = kkt_solve(H, g, q, err)
-            scale = max(np.abs(expected).max(), 1e-30)
-            assert np.abs(dw - expected).max() / scale <= 1e-8
+        # a zero gradient is the OBC quantization step, and with err = w_q
+        # (quantized value 0) the OBS pruning step
+        for g_scale in (3e-4, 0.0):
+            for seed in range(50):
+                g_rng = np.random.default_rng(seed)
+                H = random_spd(8, seed)
+                hinv = np.linalg.inv(H)
+                g = g_scale * g_rng.standard_normal(8)
+                q = int(g_rng.integers(8))
+                err = float(g_rng.standard_normal())
+                dw = first_order_quant_step(err, g, hinv, q, exact_multiplier=True)
+                expected = kkt_solve(H, g, q, err)
+                scale = max(np.abs(expected).max(), 1e-30)
+                assert np.abs(dw - expected).max() / scale <= 1e-8, (g_scale, seed)
 
     def test_exact_multiplier_satisfies_constraint(self, rng):
         H = random_spd(6, 9)
@@ -116,12 +69,34 @@ class TestFirstOrderQuantStep:
         assert simplified[q] + err == pytest.approx(-(g @ hinv)[q], rel=1e-10)
 
     def test_zero_gradient_reduces_to_obc(self, rng):
+        # quantizing coordinate 1 to 0.5, then pruning it (quantized value 0)
         hinv = np.linalg.inv(random_spd(5, 4))
         w = rng.standard_normal(5)
-        deq = 0.5
-        via_first_order = first_order_quant_step(w[1] - deq, np.zeros(5), hinv, 1)
-        via_obc = obc_quant_step(w, hinv, 1, deq)
-        np.testing.assert_allclose(via_first_order, via_obc, rtol=1e-12, atol=1e-15)
+        for deq in (0.5, 0.0):
+            dw = first_order_quant_step(w[1] - deq, np.zeros(5), hinv, 1)
+            expected = -((w[1] - deq) / hinv[1, 1]) * hinv[1, :]
+            np.testing.assert_allclose(dw, expected, rtol=1e-12, atol=1e-15)
+        # a representable value needs no compensation
+        assert np.array_equal(first_order_quant_step(0.0, np.zeros(5), hinv, 1), np.zeros(5))
+        # with the identity inverse only the target moves: pure rounding
+        dw = first_order_quant_step(0.6 - 0.5, np.zeros(2), np.eye(2), 0)
+        np.testing.assert_allclose(dw, [-0.1, 0.0], atol=1e-15)
+
+    def test_two_column_toy_hand_inverse(self):
+        # H = [[2, 1], [1, 2]] -> Hinv = (1/3) [[2, -1], [-1, 2]]
+        H = np.array([[2.0, 1.0], [1.0, 2.0]])
+        hinv = np.linalg.inv(H)
+        w = np.array([0.37, -1.2])
+        deq = 0.25
+        delta = first_order_quant_step(w[0] - deq, np.zeros(2), hinv, 0)
+        expected_col2 = -(w[0] - deq) * (-1.0 / 3.0) / (2.0 / 3.0)
+        assert delta[1] == pytest.approx(expected_col2, rel=1e-12)
+        assert delta[0] == pytest.approx(-(w[0] - deq), rel=1e-12)
+
+    def test_non_spd_rejected(self):
+        hinv = np.diag([0.0, 1.0])
+        with pytest.raises(NumericalError, match="SPD"):
+            first_order_quant_step(1.0, np.zeros(2), hinv, 0)
 
 
 def _factor_for(d, seed, n_tokens=None, rho=0.9):
@@ -141,9 +116,11 @@ class TestGptqColumnStep:
         book = ScaleBook(grid, 4, d)
         baseline = rtn_quantize(W, grid)
         for j in range(d):
-            res = gptq_column_step(bundle, factor, grid, j, book)
-            assert np.array_equal(res.q_col, baseline.codes[:, j])
-            assert np.array_equal(res.delta_w, np.zeros((4, d - j - 1)))
+            before = bundle.weights.copy()
+            gptq_column_step(bundle, factor, grid, j, book)
+            assert np.array_equal(book.codes[:, j], baseline.codes[:, j])
+            # the identity factor propagates nothing
+            assert np.array_equal(bundle.weights[:, j + 1 :], before[:, j + 1 :])
 
     def test_representable_column_propagates_nothing(self):
         _, _, factor = _factor_for(6, 2)
@@ -153,9 +130,8 @@ class TestGptqColumnStep:
         W[:, 1:] = 0.125 * np.arange(1, 6)
         bundle = LayerBundle(W)
         book = ScaleBook(grid, 2, 6)
-        res = gptq_column_step(bundle, factor, grid, 0, book)
-        assert np.array_equal(res.deq_col, W[:, 0])
-        assert np.array_equal(res.delta_w, np.zeros((2, 5)))
+        gptq_column_step(bundle, factor, grid, 0, book)
+        # column 0 keeps its value and the rest take no update
         assert np.array_equal(bundle.weights, W)
 
     def test_column_is_set_to_dequantized_value(self, rng):
@@ -163,8 +139,10 @@ class TestGptqColumnStep:
         grid = QuantGrid(4, None, True)
         bundle = LayerBundle(rng.standard_normal((3, 6)))
         book = ScaleBook(grid, 3, 6)
-        res = gptq_column_step(bundle, factor, grid, 0, book)
-        assert np.array_equal(bundle.weights[:, 0], res.deq_col)
+        gptq_column_step(bundle, factor, grid, 0, book)
+        # one group per row, symmetric: a code times its row's scale
+        deq = book.codes[:, 0] * book.baseline.scales[:, 0]
+        assert np.array_equal(bundle.weights[:, 0], deq)
 
     def test_grid_other_than_the_books_refused(self, rng):
         _, _, factor = _factor_for(6, 3)
@@ -205,11 +183,10 @@ class TestGptqColumnStep:
         b_gptq, b_foem = LayerBundle(W), LayerBundle(W)
         book_gptq, book_foem = ScaleBook(grid, 7, d), ScaleBook(grid, 7, d)
         for j in range(d):
-            r_gptq = gptq_column_step(b_gptq, factor, grid, j, book_gptq)
-            r_foem = foem_column_step(b_foem, factor, j, d, book_foem, beta=0.0)
-            assert np.array_equal(r_gptq.q_col, r_foem.q_col)
-            assert np.array_equal(r_gptq.deq_col, r_foem.deq_col)
-            assert np.array_equal(r_gptq.delta_w, r_foem.delta_w)
+            gptq_column_step(b_gptq, factor, grid, j, book_gptq)
+            foem_column_step(b_foem, factor, j, d, book_foem, beta=0.0)
+            assert np.array_equal(book_gptq.codes[:, j], book_foem.codes[:, j])
+            # the dequantized column and the update of the rest
             assert np.array_equal(b_gptq.weights, b_foem.weights)
         assert np.array_equal(book_gptq.codes, book_foem.codes)
 
@@ -223,14 +200,17 @@ class TestFoemColumnStep:
         b1, b2 = LayerBundle(W), LayerBundle(W)
         book1, book2 = ScaleBook(grid, 8, d), ScaleBook(grid, 8, d)
         for j in range(d):
-            r1 = foem_column_step(b1, factor, j, d, book1, beta=0.0)
-            r2 = foem_column_step(b2, factor, j, d, book2, beta=3e-4)
+            before1, before2 = b1.weights.copy(), b2.weights.copy()
+            foem_column_step(b1, factor, j, d, book1, beta=0.0)
+            foem_column_step(b2, factor, j, d, book2, beta=3e-4)
+            delta1 = b1.weights[:, j + 1 :] - before1[:, j + 1 :]
+            delta2 = b2.weights[:, j + 1 :] - before2[:, j + 1 :]
             if j == 0:
                 # untouched layer: the drift term is exactly the zero matrix
-                assert np.array_equal(r1.delta_w, r2.delta_w)
+                assert np.array_equal(delta1, delta2)
             if j == 1:
                 # column 0's update drifted the rest: beta acts from here on
-                assert not np.array_equal(r1.delta_w, r2.delta_w)
+                assert not np.array_equal(delta1, delta2)
 
     def test_first_column_of_pristine_layer_has_zero_drift_term(self, rng):
         d = 12
@@ -256,14 +236,14 @@ class TestFoemColumnStep:
             foem_column_step(bundle, factor, j, d, book, beta=beta, sign=sign)
         j = 5
         drift_pre = bundle.drift()[:, j:]
-        w = bundle.weights[:, j].copy()
-        res = foem_column_step(bundle, factor, j, d, book, beta=beta, sign=sign)
-        # reconstruct the drift term from the recorded delta, which covers
-        # the columns after j: subtract the pure error-propagation part
+        pre = bundle.weights.copy()
+        foem_column_step(bundle, factor, j, d, book, beta=beta, sign=sign)
+        # reconstruct the drift term from the update of the columns after
+        # j: subtract the pure error-propagation part
         T = factor.matrix
-        err = (w - res.deq_col) / T[j, j]
+        err = (pre[:, j] - bundle.weights[:, j]) / T[j, j]
         gptq_part = -np.outer(err, T[j, j + 1 :])
-        term = res.delta_w - gptq_part
+        term = (bundle.weights[:, j + 1 :] - pre[:, j + 1 :]) - gptq_part
         M_rec = recover_inverse_submatrix(factor, j - 1)
         dense = np.linalg.inv(damped.matrix[j:, j:])
         np.testing.assert_allclose(M_rec, dense, rtol=1e-9, atol=1e-12)
@@ -309,8 +289,8 @@ class TestFoemBlockBoundary:
         errs = np.empty((5, B))
         for j in range(B):
             w_pre = bundle.weights[:, j].copy()
-            res = foem_column_step(bundle, factor, j, B, book, beta=3e-4)
-            errs[:, j] = (w_pre - res.deq_col) / T[j, j]
+            foem_column_step(bundle, factor, j, B, book, beta=3e-4)
+            errs[:, j] = (w_pre - bundle.weights[:, j]) / T[j, j]
         pre = bundle.weights.copy()
         foem_block_boundary(bundle, factor, errs, 0, B, beta=0.0)
         expected = pre[:, B:] - errs @ T[:B, B:]
@@ -354,6 +334,22 @@ class TestRunEngine:
         expected = float(np.sum((delta @ hess.matrix) * delta))
         assert rep.proxy_loss == pytest.approx(expected, rel=1e-12)
         assert rep.rtn_relative == 1.0
+
+    @pytest.mark.parametrize("engine", ["gptq", "foem", "obs_oracle"])
+    def test_dead_input_channels_keep_their_rtn_codes(self, rng, engine):
+        # a channel that is zero in every token leaves H's row and column
+        # zero: the damping alone keeps H definite, and such a column
+        # neither gives nor takes compensation
+        dead = [3, 17, 40]
+        X = generate_synthetic(SyntheticSpec(64, 256, 0.9, 70))
+        X[dead] = 0.0
+        hess = HessianState(64).accumulate(X)
+        W = rng.standard_normal((32, 64))
+        config = EngineConfig(engine=engine, bits=3, group_size=16, block_size=8, damp_ratio=0.01)
+        q, rep = run_engine(LayerBundle(W), hess, config)
+        rtn = rtn_quantize(W, config.grid())
+        assert np.array_equal(q.codes[:, dead], rtn.codes[:, dead])
+        assert np.isfinite(rep.proxy_loss) and rep.rtn_relative < 1.0
 
     def test_foem_beta_zero_matches_gptq_artifact(self, rng):
         d = 32
@@ -617,17 +613,15 @@ def _eager_reference(W, hess, config):
     beta = config.beta if config.engine == "foem" else 0.0
     sign = config.sign_factor()
     book = ScaleBook(grid, d_out, d_in)
-    codes = np.zeros((d_out, d_in), dtype=np.int64)
     for i in range(0, d_in, config.block_size):
         e = min(i + config.block_size, d_in)
         errs = np.empty((d_out, e - i))
         for j in range(i, e):
             w = bundle.weights[:, j].copy()
-            step = foem_column_step(bundle, factor, j, e, book, beta, sign)
-            errs[:, j - i] = (w - step.deq_col) / T[j, j]
-            codes[:, j] = step.q_col
+            foem_column_step(bundle, factor, j, e, book, beta, sign)
+            errs[:, j - i] = (w - bundle.weights[:, j]) / T[j, j]
         foem_block_boundary(bundle, factor, errs, i, e, 0.0)
-    return codes, book, bundle.weights
+    return book.codes, book, bundle.weights
 
 
 def _reference_lazy_block_plan(Tb, c):
@@ -784,10 +778,9 @@ class TestLazyBlockDriver:
             grid = config.grid()
             bundle = LayerBundle(W)
             book = ScaleBook(grid, 12, d)
-            codes = np.stack(
-                [gptq_column_step(bundle, factor, grid, j, book).q_col for j in range(d)], axis=1
-            )
-            assert np.array_equal(q.codes, codes), (d, group_size, block_size)
+            for j in range(d):
+                gptq_column_step(bundle, factor, grid, j, book)
+            assert np.array_equal(q.codes, book.codes), (d, group_size, block_size)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("group_size", [32, 200, None])

@@ -8,7 +8,6 @@ from lowbit.quantizer import (
     QuantGrid,
     QuantizedLayer,
     ScaleBook,
-    dequantize_codes,
     fit_scales,
     quantize_values,
     rtn_quantize,
@@ -147,10 +146,10 @@ class TestQuantizeValues:
         assert np.array_equal(deq_neg, -deq_pos)
 
     def test_dequantize_is_pure_arithmetic(self):
-        grid = QuantGrid(4)
-        gs = GroupScale(np.array(0.25), np.array(0))
-        codes = np.array([-7, -1, 0, 3, 7])
-        assert np.array_equal(dequantize_codes(codes, gs, grid), codes * 0.25)
+        codes = np.array([[-7, -1, 0, 3, 7]], dtype=np.int32)
+        config = EngineConfig(engine="rtn", bits=4, group_size=None)
+        layer = QuantizedLayer(codes, np.array([[0.25]]), np.zeros((1, 1), np.int32), config)
+        assert np.array_equal(layer.dequantize(), codes * 0.25)
 
 
 def _clip_quantize(values, gs, grid):
@@ -311,7 +310,7 @@ class TestRtn:
         w = rng.standard_normal((16, 32))
         layer = rtn_quantize(w, QuantGrid(4, 8))
         deq = layer.dequantize()
-        g = layer.group_index()
+        g = np.arange(layer.d_in) // layer.group_size
         step = layer.scales[:, g]
         assert (np.abs(deq - w) <= step / 2 * (1 + 1e-12)).all()
 
@@ -325,9 +324,9 @@ class TestScaleBook:
         for j in range(10):
             # every source after the first is ignored
             deq = book.quantize(j, w[:, j], w if j == 0 else 100.0 * w)
-            base = book.baseline
-            gs = GroupScale(base.scales[:, j // 4], base.zero_points[:, j // 4])
-            assert np.array_equal(deq, dequantize_codes(book.codes[:, j], gs, grid))
+            base, g = book.baseline, j // 4
+            expected = (book.codes[:, j] - base.zero_points[:, g]) * base.scales[:, g]
+            assert np.array_equal(deq, expected)
         ref = rtn_quantize(w, grid)
         for name in ("codes", "scales", "zero_points"):
             assert np.array_equal(getattr(book.baseline, name), getattr(ref, name))

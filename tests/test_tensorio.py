@@ -11,7 +11,6 @@ from lowbit.quantizer import QuantGrid, QuantizedLayer, rtn_quantize
 from lowbit.tensorio import (
     TensorFile,
     load_quantized,
-    load_tensor,
     save_quantized,
     save_tensors,
 )
@@ -28,7 +27,7 @@ class TestRoundTrip:
         else:
             arr = rng.integers(-100, 100, size=(3, 5)).astype(dtype)
         save_tensors(path, {"w": arr})
-        out = load_tensor(path, "w")
+        out = TensorFile.open(path).load("w")
         assert out.shape == arr.shape
         assert np.array_equal(out, arr.astype(out.dtype))
 
@@ -45,7 +44,7 @@ class TestRoundTrip:
         path = tmp_path / "t.safetensors"
         arr = np.array([[1.5, -2.0], [0.25, 8.0]])
         save_tensors(path, {"layer.weight": arr})
-        assert np.array_equal(load_tensor(path, "layer.weight"), arr)
+        assert np.array_equal(TensorFile.open(path).load("layer.weight"), arr)
 
     def test_metadata_round_trip(self, tmp_path):
         path = tmp_path / "t.safetensors"
@@ -89,7 +88,7 @@ class TestErrors:
         path = tmp_path / "t.safetensors"
         save_tensors(path, {"w": np.zeros(2)})
         with pytest.raises(TensorFormatError, match="qkv"):
-            load_tensor(path, "qkv")
+            TensorFile.open(path).load("qkv")
 
     def test_shape_payload_mismatch(self, tmp_path):
         # header declares 3x5 float64 (120 bytes) but carries only 60
@@ -175,7 +174,7 @@ class TestSafetensorsInterop:
         path = tmp_path / "theirs.safetensors"
         arr = rng.standard_normal((2, 6))
         st.save_file({"w": arr}, str(path))
-        assert np.array_equal(load_tensor(path, "w"), arr)
+        assert np.array_equal(TensorFile.open(path).load("w"), arr)
 
 
 class TestQuantizedArtifacts:
