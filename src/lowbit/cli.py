@@ -115,15 +115,20 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _persist_config(effective: dict, command: str) -> str:
-    """Write the full effective config next to the outputs; return the
-    content-determining slice (everything but the output location) that gets
-    embedded in artifact metadata, so artifact bytes do not depend on where
-    the run wrote."""
+def _run_config(effective: dict) -> str:
+    """Create the output directory; return the content-determining slice of
+    the config (everything but the output location) that gets embedded in
+    artifact metadata, so artifact bytes do not depend on where the run
+    wrote."""
     os.makedirs(effective["out"], exist_ok=True)
-    _write_json(os.path.join(effective["out"], "effective_config.json"), dict(effective, command=command))
     content = {k: v for k, v in effective.items() if k != "out"}
     return json.dumps(content, sort_keys=True)
+
+
+def _write_effective_config(effective: dict, command: str) -> None:
+    """Write the full effective config next to the outputs, after the last
+    of them, so a run that fails part way leaves none behind."""
+    _write_json(os.path.join(effective["out"], "effective_config.json"), dict(effective, command=command))
 
 
 def _discover_layers(weights: TensorFile, patterns: list[str]) -> list[str]:
@@ -235,7 +240,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 raise ConfigError(f"no activation shards found for layer {layer!r}")
     else:
         synth = _parse_synthetic(effective["synthetic"])
-    config_blob = _persist_config(effective, "calibrate")
+    config_blob = _run_config(effective)
 
     for idx, layer in enumerate(layers):
         d_in = weights.shape(layer + ".weight")[1]
@@ -259,6 +264,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             },
         )
         print(f"calibrated {layer}: d_in={d_in}, n_samples={state.n_samples} -> {path}")
+    _write_effective_config(effective, "calibrate")
     return 0
 
 
@@ -269,7 +275,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
     hessians = _open_hessians(effective["hessians"], weights, layers)
-    config_blob = _persist_config(effective, "quantize")
+    config_blob = _run_config(effective)
 
     # one call per layer, so a layer's arrays are freed before the next loads
     def one(layer: str):
@@ -288,6 +294,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
             f"proxy_loss={rep.proxy_loss:.6g} rtn_relative={rep.rtn_relative:.4f} "
             f"({rep.wall_time_s:.2f}s)"
         )
+    _write_effective_config(effective, "quantize")
     return 0
 
 
@@ -304,7 +311,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
     hessians = _open_hessians(effective["hessians"], weights, layers)
-    _persist_config(effective, "compare")
+    _run_config(effective)
     # tokens differ only in engine and sign, so they share grid and damping
     shared = parsed[0][1]
 
@@ -326,6 +333,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     json_path = os.path.join(effective["out"], "compare_summary.json")
     _, summary = compare_table(reports, csv_path, json_path)
     _write_json(os.path.join(effective["out"], "compare_reports.json"), [rep.to_dict() for rep in reports])
+    _write_effective_config(effective, "compare")
     for eng in sorted(summary["engines"]):
         stats = summary["engines"][eng]
         print(

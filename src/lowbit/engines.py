@@ -9,18 +9,23 @@ the rounding error already committed.
   explicitly and shrinks it one coordinate at a time with the rank-one
   removal rule. Quadratic-memory, used to validate the factor route.
 * ``gptq`` - the production route: one upper-triangular factor T of the
-  inverse (T^T T = H^(-1)) drives all compensation. Inside a block the
-  updates are lazy: each column is read from the block's starting slab
-  plus the errors committed so far in the block; updates past the block
-  boundary are batched.
+  inverse (T^T T = H^(-1)) drives all compensation, batched at three
+  widths. Inside a block of ``block_size`` columns the updates are lazy:
+  each column is read from the block's starting slab plus the errors
+  committed so far in the block, gathered one sub-block of
+  ``_SUB_BLOCK`` columns at a time. Blocks are grouped into super-blocks
+  of about ``_SUPER_BLOCK`` columns: a block's errors reach the rest of
+  its super-block at the block's end, and the whole super-block's errors
+  reach the columns past it in one product when it closes.
 * ``foem`` - gptq plus a first-order correction: compensation drags the
   latent weights away from the originals, so a drift-proportional gradient
   estimate beta * (W - W_orig) is folded into each update through the
   inverse recovered from T. The term is block-local: at each column it acts
   on the rest of the column's block through T_s^T T_s, T_s = T[col:e, col:e]
   for the block [i, e), and the block boundary applies only gptq's
-  cross-block term. So ``block_size`` also bounds the term's reach, and
-  foem at block size 1 gives gptq's codes. It runs in gptq's lazy block:
+  cross-block term. So ``block_size``, not the sub-block or the
+  super-block, bounds the term's reach, and foem at block size 1 gives
+  gptq's codes. It runs in gptq's lazy block:
   the in-block correction is carried in b x b factors that depend only on
   T (``_lazy_block_plan``), so it adds no per-column work proportional to
   d_out * b^2, and no work at all past the block. The sign of the
@@ -203,9 +208,24 @@ def foem_block_boundary(
     block_start: int,
     block_end: int,
     beta: float,
+    *,
+    reach: int | None = None,
+    pending: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> None:
-    """Batched update of all columns past ``block_end``: the factor-route
+    """Batched update of the columns past ``block_end``: the factor-route
     cross-block term -errs @ T[block, trailing].
+
+    By default every column past the block is updated. The two-level
+    driver passes ``reach``, the end of the block's super-block, and
+    ``pending``, the d_out x w errors of the super-block's w columns
+    (reach - w .. reach - 1): the block's errors then go to columns
+    block_end .. reach - 1 only, and the call whose block ends the
+    super-block (block_end == reach) applies all of ``pending`` to every
+    column past it, in one product of inner dimension w. No other call
+    reads ``pending``, so its later columns may not be filled yet. With
+    ``out``, a d_out x m float64 buffer, each product is written through
+    it m columns at a time, so no d_out x n_t temporary is made.
 
     foem's first-order term is block-local, so no boundary carries it:
     ``beta`` must be 0 (``ConfigError`` otherwise). It stays in the
@@ -213,8 +233,20 @@ def foem_block_boundary(
     """
     if beta != 0.0:
         raise ConfigError(f"the block boundary applies no first-order term, got beta {beta!r}")
-    t = slice(block_end, None)  # empty past the last block
-    bundle.weights[:, t] -= errs @ factor.matrix[block_start:block_end, t]
+    W, T = bundle.weights, factor.matrix
+    if reach is None:
+        rows, start, stop = slice(block_start, block_end), block_end, W.shape[1]
+    elif block_end < reach:
+        rows, start, stop = slice(block_start, block_end), block_end, reach
+    else:
+        errs = pending
+        rows, start, stop = slice(reach - errs.shape[1], reach), reach, W.shape[1]
+    if out is None:
+        W[:, start:stop] -= errs @ T[rows, start:stop]
+        return
+    for k in range(start, stop, out.shape[1]):
+        t = slice(k, min(k + out.shape[1], stop))
+        W[:, t] -= np.matmul(errs, T[rows, t], out=out[:, : t.stop - k])
 
 
 def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
@@ -262,6 +294,21 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     return F
 
 
+# Widths of the driver's levels around the block, in columns. A super-block
+# is _SUPER_BLOCK rounded down to whole blocks (one block at least). Timed
+# on the driver alone with blocks of 128 (medians of 7 runs in each of three
+# rounds; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31), 512 took 0.36-0.42 s
+# at 2048 x 2048 (foem) and 0.21-0.25 s at 512 x 4096 (gptq); 1024 took
+# 0.42-0.44 and 0.23-0.26 s, 256 0.42-0.46 and 0.27-0.29 s, 2048 0.47-0.49
+# and 0.24-0.26 s. Sub-blocks of 16, 32 and 64 ran within noise of each
+# other; one product per column over all the block's earlier errors ran
+# about 10% slower at 2048 x 2048 and within noise at 512 x 4096.
+_SUPER_BLOCK = 512
+_SUB_BLOCK = 32
+# rows per step of the transposed slab copy and of the report's row blocks
+_ROWS = 64
+
+
 def _run_blocked(
     bundle: LayerBundle,
     factor: InvCholFactor,
@@ -272,20 +319,28 @@ def _run_blocked(
     on the scales and zero points of ``baseline``, the layer's RTN
     quantization, so it fits none, and returns the int32 codes.
 
-    Block [i, e) is quantized from its slab at block start: column r is
-    slab0[:, r] + D0 A[:, r] + E N[:, r] with the coefficients of
-    ``_lazy_block_plan``, so a column costs one product over the errors
-    committed so far in the block, and the first-order term of every column
-    comes from one block-level product over the drift D0 at block start.
-    The loop runs on the slab transposed, (b, d_out), so that a column, its
-    row of N, its scaled errors and its codes are contiguous rows; the slab,
-    then holding the dequantized block, and the codes are written back once
-    per block, and the boundary applies gptq's cross-block term to the
-    trailing columns. The first-order term is block-local, so the boundary
-    is the same for both engines and ``bundle.weights`` always holds the
-    full latent value of every column past the current block. For c = 0
-    (gptq, or foem with beta = 0) this is gptq's lazy batch, so foem with
-    beta = 0 runs gptq's arithmetic.
+    It works at three widths. Block [i, e), ``block_size`` wide, is
+    quantized from its slab at block start: column r is slab0[:, r] +
+    D0 A[:, r] + E N[:, r] with the coefficients of ``_lazy_block_plan``,
+    so the first-order term of every column comes from one block-level
+    product over the drift D0 at block start, and the block bounds that
+    term's reach. The error product E N runs in sub-blocks of
+    ``_SUB_BLOCK`` columns: one GEMM at each sub-block's start over the
+    block's earlier errors, then one short product per column over the
+    sub-block's. Blocks are grouped into super-blocks of about
+    ``_SUPER_BLOCK`` columns: a block boundary applies gptq's cross-block
+    term to the rest of its super-block only, and the boundary that closes
+    a super-block applies all of the super-block's errors to the trailing
+    columns; each of these products is written through one d_out x S
+    buffer, S the super-block's width. The loop runs on the slab
+    transposed, (b, d_out), so that a column, its row of N, its scaled
+    errors and its codes are contiguous rows; the slab, then holding the
+    dequantized block, and the codes are written back once per block. The
+    first-order term is block-local, so the boundary is the same for both
+    engines and ``bundle.weights`` holds the full latent value of every
+    column when its block starts. For c = 0 (gptq, or foem with beta = 0)
+    this is gptq's lazy batch, so foem with beta = 0 runs gptq's
+    arithmetic.
     """
     T = factor.matrix
     W, O = bundle.weights, bundle.original
@@ -294,10 +349,18 @@ def _run_blocked(
     grid, params = config.grid(), _column_params(baseline)
     codes = np.empty((d_out, d_in), dtype=np.int32)
     B = config.block_size
+    S = max(_SUPER_BLOCK // B, 1) * B
     # one buffer each for all blocks: per-block ones read 1.2 MB more peak RSS at 512 x 4096
-    slabs, all_errs = np.empty((2, min(B, d_in), d_out))
+    slabs = np.empty((min(B, d_in), d_out))
     all_codes = np.empty((min(B, d_in), d_out), dtype=np.int32)
+    sub = np.empty((min(_SUB_BLOCK, B, d_in), d_out))
+    # a super-block's errors, one row per column, and its products' buffer
+    all_errs = np.empty((min(S, d_in), d_out))
+    trailing = np.empty((d_out, min(S, d_in)))
     for i in range(0, d_in, B):
+        # the block's super-block [s0, s1); S is whole blocks, so e <= s1
+        s0 = i // S * S
+        s1 = min(s0 + S, d_in)
         e = min(i + B, d_in)
         b = e - i
         Tb = T[i:e, i:e]
@@ -307,22 +370,30 @@ def _run_blocked(
             # in the layer's own layout: reading O's block transposed costs
             # more than the one transposed copy below
             slab = slab + (slab - O[:, i:e]) @ plan[:b]
-        slabT, errs, block_codes = slabs[:b], all_errs[:b], all_codes[:b]
-        # in chunks of 64 rows: one strided copy of the whole slab is about
+        slabT, errs, block_codes = slabs[:b], all_errs[i - s0 : e - s0], all_codes[:b]
+        # in chunks of rows: one strided copy of the whole slab is about
         # three times slower at d_out 512 and four at 4096
-        for k in range(0, d_out, 64):
-            slabT[:, k : k + 64] = slab[k : k + 64].T
+        for k in range(0, d_out, _ROWS):
+            slabT[:, k : k + _ROWS] = slab[k : k + _ROWS].T
         NT = plan[b:].T.copy()
-        rows = zip(NT, slabT, errs, block_codes, Tb.diagonal().tolist())
-        for r, (n_r, w, err, code, t_rr) in enumerate(rows):
-            w += n_r[:r] @ errs[:r]
-            code[...], deq = quantize_values(w, params[i + r], grid)
-            np.subtract(w, deq, out=err)
-            err /= t_rr
-            w[...] = deq
+        diagonal = Tb.diagonal().tolist()
+        for r0 in range(0, b, _SUB_BLOCK):
+            r1 = min(r0 + _SUB_BLOCK, b)
+            if r0:
+                slabT[r0:r1] += np.matmul(NT[r0:r1, :r0], errs[:r0], out=sub[: r1 - r0])
+            for r in range(r0, r1):
+                w, err = slabT[r], errs[r]
+                w += NT[r, r0:r] @ errs[r0:r]
+                block_codes[r], deq = quantize_values(w, params[i + r], grid)
+                np.subtract(w, deq, out=err)
+                err /= diagonal[r]
+                w[...] = deq
         W[:, i:e] = slabT.T
         codes[:, i:e] = block_codes.T
-        foem_block_boundary(bundle, factor, errs.T, i, e, 0.0)
+        foem_block_boundary(
+            bundle, factor, errs.T, i, e, 0.0,
+            reach=s1, pending=all_errs[: s1 - s0].T, out=trailing,
+        )
     return codes
 
 
@@ -342,6 +413,32 @@ def _run_oracle(bundle: LayerBundle, damped: HessianState, baseline: QuantizedLa
         W[:, j] = deq
         hinv = iterative_inverse_update(hinv, 0)
     return codes
+
+
+def _equal_by_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal`` compared ``_ROWS`` rows at a time, so it makes no
+    bool mask the size of the layer."""
+    return a.shape == b.shape and all(
+        np.array_equal(a[k : k + _ROWS], b[k : k + _ROWS]) for k in range(0, len(a), _ROWS)
+    )
+
+
+def _drift_stats(bundle: LayerBundle) -> tuple[float, float]:
+    """Max and mean of |W - W_orig| (0 for an empty layer), formed
+    ``_ROWS`` rows at a time through one buffer. The max is the whole
+    array's exactly; the mean sums in another order than one reduction
+    over the whole array, so it can differ from that in its last ulps."""
+    W, O = bundle.weights, bundle.original
+    if W.size == 0:
+        return 0.0, 0.0
+    buf = np.empty((min(_ROWS, len(W)), W.shape[1]))
+    top = total = 0.0
+    for k in range(0, len(W), _ROWS):
+        D = np.subtract(W[k : k + _ROWS], O[k : k + _ROWS], out=buf[: len(W) - k])
+        np.abs(D, out=D)
+        top = max(top, float(D.max()))
+        total += float(D.sum())
+    return top, total / W.size
 
 
 class PreparedLayer:
@@ -392,10 +489,9 @@ class PreparedLayer:
 
     @cached_property
     def baseline_loss(self) -> float:
-        """Proxy loss of the RTN baseline. When an rtn run is the first to
-        need it, ``run`` prices it from the dequantized baseline that run
-        leaves in its bundle, so the baseline is dequantized once."""
-        return proxy_loss(self.baseline.dequantize(), self.original, self.hessian)
+        """Proxy loss of the RTN baseline, priced from its codes one row
+        block at a time, so no dequantized copy of the layer is made."""
+        return proxy_loss(self.baseline, self.original, self.hessian)
 
     def run(
         self, bundle: LayerBundle, config: EngineConfig, layer_name: str = "layer"
@@ -418,11 +514,11 @@ class PreparedLayer:
                 f"was prepared for grid {self.grid} and damp_ratio {self.damp_ratio}"
             )
         # the prepared original is finite, so these refuse a non-finite bundle
-        if bundle.original is not self.original and not np.array_equal(
+        if bundle.original is not self.original and not _equal_by_rows(
             bundle.original, self.original
         ):
             raise NumericalError("bundle originals differ from the prepared layer's weights")
-        if not np.array_equal(bundle.weights, bundle.original):
+        if not _equal_by_rows(bundle.weights, bundle.original):
             raise NumericalError("engines expect an undrifted bundle (weights equal to original)")
 
         t0 = time.perf_counter()
@@ -441,8 +537,6 @@ class PreparedLayer:
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name
 
-        if config.engine == "rtn" and "baseline_loss" not in vars(self):
-            self.baseline_loss = proxy_loss(bundle.weights, self.original, self.hessian)
         loss_rtn = self.baseline_loss
         if config.engine == "rtn":
             loss = loss_rtn
@@ -453,8 +547,7 @@ class PreparedLayer:
             rtn_relative = loss / loss_rtn
         else:
             rtn_relative = 1.0 if loss == loss_rtn else float("inf")
-        drift = bundle.drift()
-        np.abs(drift, out=drift)
+        drift_max, drift_mean = _drift_stats(bundle)
         applied = config.applied()
         report = LayerReport(
             layer=layer_name,
@@ -466,8 +559,8 @@ class PreparedLayer:
             proxy_loss=loss,
             rtn_relative=rtn_relative,
             wall_time_s=wall,
-            drift_max=float(drift.max()) if drift.size else 0.0,
-            drift_mean=float(drift.mean()) if drift.size else 0.0,
+            drift_max=drift_max,
+            drift_mean=drift_mean,
         )
         return quantized, report
 

@@ -292,28 +292,37 @@ class QuantizedLayer:
         if grid.symmetric and self.zero_points.size and np.any(self.zero_points != 0):
             raise NumericalError("symmetric layers must have all-zero zero_points")
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(d_out, d_in), the shape of the weight matrix it stands for."""
+        return self.codes.shape
+
     def dequantize(self) -> np.ndarray:
-        """Reconstruct the real-valued weight matrix from codes and scales.
+        """Reconstruct the real-valued weight matrix from codes and scales."""
+        return self.dequantize_rows(slice(None), np.empty(self.codes.shape))
+
+    def dequantize_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Write the dequantized ``rows`` of the weight matrix into ``out``
+        (float64, their shape) and return it.
 
         Each element is (code - zero point) * scale of its group, computed
         in float64 with no per-element copy of the scales: the whole groups
-        broadcast over a (d_out, n_groups, group) view of the result, and a
+        broadcast over a (rows, n_groups, group) view of ``out``, and a
         ragged last group is done apart.
         """
-        d_out, d_in = self.codes.shape
-        out = np.empty((d_out, d_in), dtype=np.float64)
+        codes, zero_points, scales = self.codes[rows], self.zero_points[rows], self.scales[rows]
+        d_out, d_in = codes.shape
         gs = self.group_size
         n = d_in // gs
         whole = n * gs
         # splitting the contiguous column axis keeps ``dst`` a view of ``out``
         dst = out[:, :whole].reshape(d_out, n, gs)
-        codes = self.codes[:, :whole].reshape(d_out, n, gs)
-        np.subtract(codes, self.zero_points[:, :n, None], out=dst, dtype=np.float64)
-        dst *= self.scales[:, :n, None]
+        np.subtract(codes[:, :whole].reshape(d_out, n, gs), zero_points[:, :n, None], out=dst, dtype=np.float64)
+        dst *= scales[:, :n, None]
         if whole < d_in:
             dst = out[:, whole:]
-            np.subtract(self.codes[:, whole:], self.zero_points[:, n:], out=dst, dtype=np.float64)
-            dst *= self.scales[:, n:]
+            np.subtract(codes[:, whole:], zero_points[:, n:], out=dst, dtype=np.float64)
+            dst *= scales[:, n:]
         return out
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import HessianState
+from .quantizer import QuantizedLayer
 
 __all__ = ["LayerReport", "proxy_loss", "compare_table"]
 
@@ -58,8 +59,12 @@ class LayerReport:
         return cls(**{k: data[k] for k in cls.__dataclass_fields__})
 
 
-def proxy_loss(w_deq: np.ndarray, w_orig: np.ndarray, hessian) -> float:
+def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) -> float:
     """trace(D H D^T) for D = w_deq - w_orig; equals ||D X||_F^2 for H = X X^T.
+
+    ``w_deq`` is the dequantized layer, or a ``QuantizedLayer`` whose rows
+    are dequantized one row block at a time into D's buffer: the same
+    numbers, so the same loss, with no d_out x d_in array.
 
     ``hessian`` may be a HessianState (must be undamped: the metric is
     defined by the calibration data, not by the regularizer), whose matrix
@@ -81,8 +86,10 @@ def proxy_loss(w_deq: np.ndarray, w_orig: np.ndarray, hessian) -> float:
         H = hessian.matrix
     else:
         H = np.asarray(hessian, dtype=np.float64)
-    w_deq, w_orig = np.asarray(w_deq), np.asarray(w_orig)
-    if w_deq.ndim != 2 or w_deq.shape != w_orig.shape:
+    if not isinstance(w_deq, QuantizedLayer):
+        w_deq = np.asarray(w_deq)
+    w_orig = np.asarray(w_orig)
+    if len(w_deq.shape) != 2 or w_deq.shape != w_orig.shape:
         raise NumericalError(
             f"shape mismatch: weights {w_deq.shape} against originals {w_orig.shape}"
         )
@@ -96,7 +103,11 @@ def proxy_loss(w_deq: np.ndarray, w_orig: np.ndarray, hessian) -> float:
     total = 0.0
     for i in range(0, d_out, _ROW_BLOCK):
         n = min(_ROW_BLOCK, d_out - i)
-        D = np.subtract(w_deq[i : i + n], w_orig[i : i + n], out=delta[:n], dtype=np.float64)
+        if isinstance(w_deq, QuantizedLayer):
+            D = w_deq.dequantize_rows(slice(i, i + n), delta[:n])
+            D -= w_orig[i : i + n]
+        else:
+            D = np.subtract(w_deq[i : i + n], w_orig[i : i + n], out=delta[:n], dtype=np.float64)
         for j in range(0, d_in, _COL_BLOCK):
             k = min(j + _COL_BLOCK, d_in)
             acc, cross = products[:, :n, : k - j]

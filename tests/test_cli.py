@@ -363,6 +363,28 @@ class TestQuantize:
         assert "numerical failure: Cholesky breakdown" in err
         assert "pivot at column 15 " in err
 
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_numerical_failure_leaves_no_effective_config(self, tmp_path, rng, command):
+        # the output directory exists once the inputs pass their checks, but
+        # the effective config is written only after the last output
+        wpath, hes, out = tmp_path / "w.safetensors", tmp_path / "hes", tmp_path / "out"
+        save_tensors(wpath, {"fc.weight": rng.standard_normal((8, 16))})
+        hes.mkdir()
+        save_tensors(
+            hes / "fc.hessian.safetensors",
+            {"hessian": np.zeros((16, 16))},
+            metadata={"n_samples": "5"},
+        )
+        if command == "quantize":
+            args = quantize_args({"weights": wpath}, out, hes)
+        else:
+            args = ["compare", "--weights", wpath, "--hessians", hes, "--out", out,
+                    "--engines", "rtn", "gptq"]
+        with pytest.warns(RuntimeWarning, match="may be singular"):
+            assert run_cli(*args) == 3
+        assert out.is_dir()
+        assert not (out / "effective_config.json").exists()
+
     def test_zero_point_outside_int32_exits_3(self, tmp_path, rng, capsys):
         # a layer far from zero relative to its spread: the asymmetric zero
         # point would wrap in int32, so quantize refuses it

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_spd, token_hessian
+from conftest import count_calls, random_spd, token_hessian, traced_peak
 from lowbit import engines, quantizer
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.engines import (
@@ -297,6 +297,32 @@ class TestFoemBlockBoundary:
         np.testing.assert_allclose(bundle.weights[:, B:], expected, rtol=1e-12, atol=1e-14)
         assert np.array_equal(bundle.weights[:, :B], pre[:, :B])
 
+    @pytest.mark.parametrize("buffer_width", [None, 5, 12])
+    def test_super_block_calls_match_one_level_calls(self, rng, buffer_width):
+        # blocks of 4 in super-blocks of 12 over d = 40, the last one
+        # ragged: reaching only the super-block and flushing it at its end
+        # adds the same terms to every column as reaching every trailing
+        # column from each block, and leaves the columns before it alone
+        d, B, S = 40, 4, 12
+        _, _, factor = _factor_for(d, 13)
+        W = rng.standard_normal((5, d))
+        errs = rng.standard_normal((5, d))
+        one, two = LayerBundle(W), LayerBundle(W)
+        out = None if buffer_width is None else np.empty((5, buffer_width))
+        for i in range(0, d, B):
+            e, s0 = i + B, i // S * S
+            reach = min(s0 + S, d)
+            foem_block_boundary(one, factor, errs[:, i:e], i, e, 0.0)
+            before = two.weights.copy()
+            foem_block_boundary(
+                two, factor, errs[:, i:e], i, e, 0.0,
+                reach=reach, pending=errs[:, s0:reach], out=out,
+            )
+            assert np.array_equal(two.weights[:, :e], before[:, :e])
+            if e < reach:
+                assert np.array_equal(two.weights[:, reach:], before[:, reach:])
+        np.testing.assert_allclose(two.weights, one.weights, rtol=0, atol=1e-12 * np.abs(W).max())
+
     def test_nonzero_beta_refused(self, rng):
         # the first-order term is block-local: no boundary applies it
         d = 12
@@ -566,8 +592,8 @@ class TestPreparedLayer:
     def test_only_the_baseline_is_dequantized(self, rng, monkeypatch):
         # a compensating run leaves the dequantized layer in its bundle, and
         # its report prices that instead of dequantizing the codes again; the
-        # rtn run dequantizes the baseline into its bundle once, and its
-        # loss is priced from there
+        # rtn run dequantizes the baseline into its bundle once, and the
+        # baseline's loss is priced from its codes, a row block at a time
         dequantized = count_calls(monkeypatch, QuantizedLayer, "dequantize")
         hess = token_hessian(16, 64, 0.9, 53)
         W = rng.standard_normal((8, 16))
@@ -696,20 +722,59 @@ class TestLazyBlockDriver:
         # end after foem's in-block term has acted
         self._check_against_eager(d_out, group_size, block_size)
 
+    @pytest.mark.parametrize("group_size", [32, 200, None])
+    @pytest.mark.parametrize("block_size", [1, 7, 128])
+    def test_matches_eager_reference_across_super_blocks(
+        self, monkeypatch, group_size, block_size
+    ):
+        # super-blocks of 16 columns, rounded down to whole blocks (14 for
+        # blocks of 7, one block of 128), and sub-blocks of 4: d_in = 300
+        # crosses several super-blocks, and every block of 7 or 128 ends
+        # with a part of a sub-block
+        monkeypatch.setattr(engines, "_SUPER_BLOCK", 16)
+        monkeypatch.setattr(engines, "_SUB_BLOCK", 4)
+        self._check_against_eager(20, group_size, block_size)
+        self._check_against_eager(64, group_size, block_size)
+
+    @pytest.mark.parametrize("block_size", [7, 128, 600])
+    def test_ragged_layer_across_super_blocks(self, block_size):
+        # d_in = 3 S + 77 at the driver's own widths: super-blocks of 511
+        # columns for blocks of 7, 512 for 128, one block for 600 > S, and
+        # a ragged last super-block for each
+        d_in = 3 * engines._SUPER_BLOCK + 77
+        hess = token_hessian(d_in, 2 * d_in, 0.9, 47)
+        W = np.random.default_rng(48).standard_normal((12, d_in))
+        for variant in (
+            dict(engine="gptq"),
+            dict(engine="gptq", symmetric=False),
+            dict(engine="foem", beta=3e-3),
+            dict(engine="foem", beta=3e-3, first_order_sign="plus", symmetric=False),
+        ):
+            config = EngineConfig(bits=3, group_size=128, block_size=block_size, **variant)
+            bundle = LayerBundle(W)
+            q, _ = run_engine(bundle, hess, config)
+            codes, _, latent = _eager_reference(W, hess, config)
+            assert np.array_equal(q.codes, codes), variant
+            assert np.array_equal(bundle.weights, latent), variant
+
     def test_boundary_gets_no_first_order_term(self, rng, monkeypatch):
-        # one boundary per block, the last included, each with beta = 0
+        # one boundary per block, the last included, each with beta = 0 and
+        # reaching the end of its super-block: 16 columns, two blocks of 8
         calls = []
         boundary = engines.foem_block_boundary
 
-        def spy(bundle, factor, errs, block_start, block_end, beta):
-            calls.append((block_start, block_end, beta))
-            boundary(bundle, factor, errs, block_start, block_end, beta)
+        def spy(bundle, factor, errs, block_start, block_end, beta, **kwargs):
+            calls.append((block_start, block_end, beta, kwargs["reach"]))
+            boundary(bundle, factor, errs, block_start, block_end, beta, **kwargs)
 
         monkeypatch.setattr(engines, "foem_block_boundary", spy)
+        monkeypatch.setattr(engines, "_SUPER_BLOCK", 20)
         hess = token_hessian(100, 200, 0.9, 43)
         W = rng.standard_normal((30, 100))
         run_engine(LayerBundle(W), hess, EngineConfig(engine="foem", bits=3, block_size=8))
-        assert calls == [(i, min(i + 8, 100), 0.0) for i in range(0, 100, 8)]
+        assert calls == [
+            (i, min(i + 8, 100), 0.0, min(i // 16 * 16 + 16, 100)) for i in range(0, 100, 8)
+        ]
 
     @pytest.mark.parametrize("d_in", [1, 5])
     @pytest.mark.parametrize("d_out", [0, 1, 63, 64, 65, 130])
@@ -832,6 +897,33 @@ class TestLazyBlockDriver:
             q, rep = prepared.run(bundle, config)
             assert np.array_equal(bundle.weights, q.dequantize()), token
             assert rep.proxy_loss == proxy_loss(q.dequantize(), W, hess), token
+
+
+class TestRunPeakMemory:
+    """tracemalloc peak of one compensating run, in bytes per weight."""
+
+    @pytest.mark.parametrize("engine", ["gptq", "foem"])
+    def test_run_holds_its_codes_and_super_block_buffers(self, monkeypatch, engine):
+        # super-blocks of S = 32 columns, so d_in = 512 is sixteen of them.
+        # Past its int32 codes (4 bytes a weight) a run holds buffers of at
+        # most d_out x S float64: the driver's super-block errors and product
+        # buffer, its slab and foem's slab temporaries; then the loss's row
+        # block of D and its two products (4 MB at this shape); then the
+        # report's row blocks. A d_out x (d_in - B) boundary product or a
+        # d_out x d_in drift array would each add 8 bytes a weight.
+        S = 32
+        monkeypatch.setattr(engines, "_SUPER_BLOCK", S)
+        monkeypatch.setattr(engines, "_SUB_BLOCK", 4)
+        d_out, d_in = 4096, 512
+        hess = token_hessian(d_in, 2 * d_in, 0.9, 56)
+        W = np.random.default_rng(57).standard_normal((d_out, d_in))
+        config = EngineConfig(engine=engine, bits=3, group_size=64, block_size=16)
+        prepared = PreparedLayer(W, hess, config.grid(), config.damp_ratio)
+        prepared.factor, prepared.baseline, prepared.baseline_loss
+        bundle = LayerBundle(W)
+        (q, _), peak = traced_peak(lambda: prepared.run(bundle, config))
+        assert q.codes.shape == (d_out, d_in)
+        assert peak <= 4 * W.size + 6 * 8 * d_out * S
 
 
 class TestScaleInvariance:

@@ -5,6 +5,7 @@ from conftest import token_hessian, traced_peak
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.errors import NumericalError
 from lowbit.linalg import HessianState
+from lowbit.quantizer import QuantGrid, rtn_quantize
 from lowbit.report import CSV_SCHEMA, LayerReport, compare_table, proxy_loss
 
 
@@ -97,6 +98,30 @@ class TestBlockedKernel:
         w1 = w0 + 0.05 * rng.standard_normal((d_out, d_in))
         _, peak = traced_peak(lambda: proxy_loss(w1, w0, hess))
         assert peak < 0.5 * 8 * d_out * d_in
+
+    @pytest.mark.parametrize("group_size", [64, 100, None])
+    @pytest.mark.parametrize("d_out", [1, 513, 1030])
+    def test_quantized_layer_gives_the_dense_loss(self, d_out, group_size):
+        # its rows are dequantized into D's buffer: the same numbers as the
+        # dense dequantized layer, so the same loss to the last bit, across
+        # row blocks and with a ragged last scale group (d_in = 300)
+        d_in = 300
+        rng = np.random.default_rng(d_out)
+        hess = token_hessian(d_in, 600, seed=3)
+        w = rng.standard_normal((d_out, d_in))
+        layer = rtn_quantize(w, QuantGrid(3, group_size, False))
+        assert layer.shape == (d_out, d_in)
+        assert proxy_loss(layer, w, hess) == proxy_loss(layer.dequantize(), w, hess)
+
+    def test_quantized_layer_is_priced_without_a_dequantized_copy(self):
+        # a dequantized copy of the layer would be 8 bytes a weight; the
+        # row block of D and the two products are 2.5 at this shape
+        d_out, d_in = 4096, 512
+        hess = token_hessian(d_in, 256)
+        w = np.random.default_rng(8).standard_normal((d_out, d_in))
+        layer = rtn_quantize(w, QuantGrid(3, 128, True))
+        _, peak = traced_peak(lambda: proxy_loss(layer, w, hess))
+        assert peak < 3 * d_out * d_in
 
 
 class TestCompareTable:
