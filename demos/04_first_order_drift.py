@@ -50,7 +50,7 @@ book = ScaleBook(grid, 32, d)
 for j in range(d // 2):
     gptq_column_step(bundle, factor, grid, j, book)
     if j in (0, 7, 15, 31):
-        drift = np.abs(bundle.drift()[:, j + 1 :])
+        drift = np.abs((bundle.weights - bundle.original)[:, j + 1 :])
         print(f"  after column {j:2d}: mean |W - W_orig| on latent columns = {drift.mean():.4f}")
 
 print("\n=== the cheap gradient against the exact one ===")

@@ -8,15 +8,19 @@ the rounding error already committed.
 * ``obs_oracle`` - dense reference: keeps the inverse of the damped Hessian
   explicitly and shrinks it one coordinate at a time with the rank-one
   removal rule. Quadratic-memory, used to validate the factor route.
-* ``gptq`` - the production route: one upper-triangular factor T of the
-  inverse (T^T T = H^(-1)) drives all compensation, batched at three
-  widths. Inside a block of ``block_size`` columns the updates are lazy:
-  each column is read from the block's starting slab plus the errors
-  committed so far in the block, gathered one sub-block of
-  ``_SUB_BLOCK`` columns at a time. Blocks are grouped into super-blocks
-  of about ``_SUPER_BLOCK`` columns: a block's errors reach the rest of
-  its super-block at the block's end, and the whole super-block's errors
-  reach the columns past it in one product when it closes.
+* ``gptq`` - the production route: one upper-triangular Cholesky factor
+  of the damped Hessian (H = U U^T) drives all compensation, read through
+  T = U^(-1) (T^T T = H^(-1)), and batched at three widths. Inside a block
+  of ``block_size`` columns the updates are lazy: each column is read from
+  the block's starting slab plus the errors committed so far in the
+  block, gathered one sub-block of ``_SUB_BLOCK`` columns at a time, with
+  T's diagonal block for the block, recovered from U. Columns past the
+  block are carried in U-coordinates: each block's term reaches them as a
+  product with U's rows, the rest of its super-block (about
+  ``_SUPER_BLOCK`` columns) at the block's end and the columns past the
+  super-block in one product when it closes, and a block turns its
+  carried columns back into drift with its own diagonal block of T. No
+  run forms the rest of T.
 * ``foem`` - gptq plus a first-order correction: compensation drags the
   latent weights away from the originals, so a drift-proportional gradient
   estimate beta * (W - W_orig) is folded into each update through the
@@ -45,7 +49,7 @@ its baseline's: every run leaves the bundle holding the dequantized layer.
 
 Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
-damping: the factor T and the RTN baseline with its proxy loss.
+damping: the factor and the RTN baseline with its proxy loss.
 ``PreparedLayer`` builds each of them once, on first use, and every run on
 it shares them; ``run_engine`` is one preparation and one run, and
 ``compare`` prepares each layer once for all of its engine tokens.
@@ -96,10 +100,6 @@ class LayerBundle:
         self.weights = weights
         self.original = weights.copy()
         self.original.setflags(write=False)
-
-    def drift(self) -> np.ndarray:
-        """Current deviation of the latent weights from the originals."""
-        return self.weights - self.original
 
 
 def first_order_quant_step(
@@ -214,12 +214,25 @@ def foem_block_boundary(
     out: np.ndarray | None = None,
 ) -> None:
     """Batched update of the columns past ``block_end``: the factor-route
-    cross-block term -errs @ T[block, trailing].
+    cross-block term -errs @ U[block, trailing], with U the factor's
+    ``upper`` (H + damping * I = U U^T).
+
+    The blocked driver carries every column that no block has reached yet
+    in U-coordinates: ``bundle.weights`` holds O + X there, with O the
+    originals and X = -sum(errs @ U[block, column]) over the blocks done,
+    and the block that reaches the column reads its drift as X Tb,
+    Tb = T[block, block] (``_run_blocked``). For that, a block passes as
+    ``errs`` its drift at block start minus its scaled errors times Tb,
+    D0 - E Tb, which is its dequantized values minus its originals when no
+    first-order term acted in it. The eager references apply gptq's
+    cross-block term to the drift itself instead, as -E @ T[block,
+    trailing]; the two agree because T[block, trailing] = -Tb U[block,
+    trailing] T[trailing, trailing].
 
     By default every column past the block is updated. The two-level
     driver passes ``reach``, the end of the block's super-block, and
-    ``pending``, the d_out x w errors of the super-block's w columns
-    (reach - w .. reach - 1): the block's errors then go to columns
+    ``pending``, what the blocks of the super-block's w columns (reach - w
+    .. reach - 1) pass, d_out x w: the block's term then goes to columns
     block_end .. reach - 1 only, and the call whose block ends the
     super-block (block_end == reach) applies all of ``pending`` to every
     column past it, in one product of inner dimension w. No other call
@@ -233,7 +246,7 @@ def foem_block_boundary(
     """
     if beta != 0.0:
         raise ConfigError(f"the block boundary applies no first-order term, got beta {beta!r}")
-    W, T = bundle.weights, factor.matrix
+    W, U = bundle.weights, factor.upper
     if reach is None:
         rows, start, stop = slice(block_start, block_end), block_end, W.shape[1]
     elif block_end < reach:
@@ -242,11 +255,11 @@ def foem_block_boundary(
         errs = pending
         rows, start, stop = slice(reach - errs.shape[1], reach), reach, W.shape[1]
     if out is None:
-        W[:, start:stop] -= errs @ T[rows, start:stop]
+        W[:, start:stop] -= errs @ U[rows, start:stop]
         return
     for k in range(start, stop, out.shape[1]):
         t = slice(k, min(k + out.shape[1], stop))
-        W[:, t] -= np.matmul(errs, T[rows, t], out=out[:, : t.stop - k])
+        W[:, t] -= np.matmul(errs, U[rows, t], out=out[:, : t.stop - k])
 
 
 def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
@@ -262,8 +275,10 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     Unrolled, the drift after any number of steps is D0 (I + A) + E N,
     with D0 the drift at block start, E the errors committed so far, and
     the b x b factors A and N depending only on Tb and c, never on the
-    data. This returns them stacked as F = [A; N] (2b x b), column r taken
-    at the start of step r: what quantizing column r sees.
+    data. This returns F = [Z; N] (2b x b), with Z = Tb (I + A), column r
+    taken at the start of step r: what quantizing column r sees. Z maps
+    the block's drift in U-coordinates, X = D0 Tb^(-1), which is what the
+    blocked driver carries, straight to D0 (I + A).
 
     With Phi_a = I + c Tb^T P_a Tb the step map, column r of I + A is
     (Phi_0 ... Phi_{r-1}) e_r and entry (a, r) of N, a < r, is
@@ -273,16 +288,17 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     Z = Tb + c K Y, with Y the sum of P_a Z over the steps taken, and the
     sweep carries Y: before step a, rows a.. of Z's columns a+1 onward are
     R = Tb[a:, a+1:] + c K[a:, a+1:] Y[a+1:, a+1:], N's row a is -R[0],
-    and step a adds R to Y[a:, a+1:]. It ends with A = Tb^(-1) (Z - Tb)
-    = c Tb^T Y. Step a is one (b - a) x (b - a - 1) x (b - a - 1) product,
-    so a plan costs about b^4 / 2 flops, whatever d_out is. With c = 0 A
-    is zero and N is -triu(Tb, 1).
+    and step a adds R to Y[a:, a+1:]; A itself is Tb^(-1) (Z - Tb) = c Tb^T Y.
+    Step a is one (b - a) x (b - a - 1) x (b - a - 1) product, so a plan
+    costs about b^4 / 2 flops, whatever d_out is. With c = 0 Z is Tb and N
+    is -triu(Tb, 1).
     """
     b = Tb.shape[0]
-    F = np.zeros((2 * b, b))
-    N = F[b:]
+    F = np.empty((2 * b, b))
+    F[:b] = Tb
+    N = np.negative(Tb, out=F[b:])
+    N[np.diag_indices(b)] = 0.0
     if c == 0.0:
-        N[...] = -np.triu(Tb, 1)
         return F
     cK = c * (Tb @ Tb.T)
     Y = np.zeros((b, b))
@@ -290,7 +306,7 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
         R = Tb[a:, a + 1 :] + cK[a:, a + 1 :] @ Y[a + 1 :, a + 1 :]
         np.negative(R[0], out=N[a, a + 1 :])
         Y[a:, a + 1 :] += R
-    F[:b] = c * (Tb.T @ Y)
+    F[:b] = Tb + cK @ Y
     return F
 
 
@@ -319,30 +335,34 @@ def _run_blocked(
     on the scales and zero points of ``baseline``, the layer's RTN
     quantization, so it fits none, and returns the int32 codes.
 
-    It works at three widths. Block [i, e), ``block_size`` wide, is
-    quantized from its slab at block start: column r is slab0[:, r] +
-    D0 A[:, r] + E N[:, r] with the coefficients of ``_lazy_block_plan``,
-    so the first-order term of every column comes from one block-level
-    product over the drift D0 at block start, and the block bounds that
-    term's reach. The error product E N runs in sub-blocks of
+    It reads the factor's U and T's diagonal blocks, never the rest of T.
+    A column that no block has reached yet holds O + X in ``bundle.weights``,
+    with X its drift in U-coordinates (``foem_block_boundary``). Block
+    [i, e), ``block_size`` wide, recovers Tb = T[i:e, i:e] and is quantized
+    from its slab at block start: column r is O[:, r] + (X Z)[:, r] +
+    (E N)[:, r] with the coefficients Z = Tb (I + A) and N of
+    ``_lazy_block_plan``, so the drift X Tb and the first-order term of
+    every column come from one block-level product, and the block bounds
+    that term's reach. The error product E N runs in sub-blocks of
     ``_SUB_BLOCK`` columns: one GEMM at each sub-block's start over the
     block's earlier errors, then one short product per column over the
-    sub-block's. Blocks are grouped into super-blocks of about
-    ``_SUPER_BLOCK`` columns: a block boundary applies gptq's cross-block
-    term to the rest of its super-block only, and the boundary that closes
-    a super-block applies all of the super-block's errors to the trailing
-    columns; each of these products is written through one d_out x S
-    buffer, S the super-block's width. The loop runs on the slab
-    transposed, (b, d_out), so that a column, its row of N, its scaled
-    errors and its codes are contiguous rows; the slab, then holding the
-    dequantized block, and the codes are written back once per block. The
-    first-order term is block-local, so the boundary is the same for both
-    engines and ``bundle.weights`` holds the full latent value of every
-    column when its block starts. For c = 0 (gptq, or foem with beta = 0)
-    this is gptq's lazy batch, so foem with beta = 0 runs gptq's
-    arithmetic.
+    sub-block's. The block then passes the boundary D0 - E Tb, D0 = X Tb
+    its drift at block start: its dequantized values minus its originals
+    for c = 0, one more product for foem.
+
+    Blocks are grouped into super-blocks of about ``_SUPER_BLOCK`` columns:
+    a block boundary applies gptq's cross-block term to the rest of its
+    super-block only, and the boundary that closes a super-block applies
+    all of the super-block's terms to the trailing columns; each of these
+    products is written through one d_out x S buffer, S the super-block's
+    width. The loop runs on the slab transposed, (b, d_out), so that a
+    column, its row of N, its scaled errors and its codes are contiguous
+    rows; the slab, then holding the dequantized block, and the codes are
+    written back once per block. The first-order term is block-local, so
+    the boundary is the same for both engines. For c = 0 (gptq, or foem
+    with beta = 0) this is gptq's lazy batch, so foem with beta = 0 runs
+    gptq's arithmetic.
     """
-    T = factor.matrix
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
     c = config.sign_factor() * config.applied()["beta"]
@@ -354,7 +374,9 @@ def _run_blocked(
     slabs = np.empty((min(B, d_in), d_out))
     all_codes = np.empty((min(B, d_in), d_out), dtype=np.int32)
     sub = np.empty((min(_SUB_BLOCK, B, d_in), d_out))
-    # a super-block's errors, one row per column, and its products' buffer
+    # a super-block's errors, one row per column, then what its blocks pass
+    # their boundaries; and the products' buffer, which holds a block's drift
+    # X until its boundary
     all_errs = np.empty((min(S, d_in), d_out))
     trailing = np.empty((d_out, min(S, d_in)))
     for i in range(0, d_in, B):
@@ -363,18 +385,23 @@ def _run_blocked(
         s1 = min(s0 + S, d_in)
         e = min(i + B, d_in)
         b = e - i
-        Tb = T[i:e, i:e]
+        Tb = factor.diagonal_block(i, e)
         plan = _lazy_block_plan(Tb, c)
-        slab = W[:, i:e]
-        if c != 0.0:
-            # in the layer's own layout: reading O's block transposed costs
-            # more than the one transposed copy below
-            slab = slab + (slab - O[:, i:e]) @ plan[:b]
-        slabT, errs, block_codes = slabs[:b], all_errs[i - s0 : e - s0], all_codes[:b]
-        # in chunks of rows: one strided copy of the whole slab is about
+        slabT, block_codes = slabs[:b], all_codes[:b]
+        errs, X = all_errs[i - s0 : e - s0], trailing[:, :b]
+        # the slab at block start, O + X Z, formed transposed; the block's
+        # error rows hold its originals until the loop writes its errors.
+        # In chunks of rows: one strided copy of the whole block is about
         # three times slower at d_out 512 and four at 4096
         for k in range(0, d_out, _ROWS):
-            slabT[:, k : k + _ROWS] = slab[k : k + _ROWS].T
+            errs[:, k : k + _ROWS] = O[k : k + _ROWS, i:e].T
+        if i:
+            np.subtract(W[:, i:e], O[:, i:e], out=X)
+            np.add(np.matmul(plan[:b].T, X.T, out=slabT), errs, out=slabT)
+        else:
+            # the first block starts undrifted
+            X[...] = 0.0
+            slabT[...] = errs
         NT = plan[b:].T.copy()
         diagonal = Tb.diagonal().tolist()
         for r0 in range(0, b, _SUB_BLOCK):
@@ -390,6 +417,13 @@ def _run_blocked(
                 w[...] = deq
         W[:, i:e] = slabT.T
         codes[:, i:e] = block_codes.T
+        # what the boundary carries in place of E: D0 - E Tb
+        if c == 0.0:
+            for k in range(0, d_out, _ROWS):
+                rows = slice(k, k + _ROWS)
+                np.subtract(slabT[:, rows], O[rows, i:e].T, out=errs[:, rows])
+        else:
+            np.matmul(Tb.T, np.subtract(X, errs.T, out=X).T, out=errs)
         foem_block_boundary(
             bundle, factor, errs.T, i, e, 0.0,
             reach=s1, pending=all_errs[: s1 - s0].T, out=trailing,
@@ -444,16 +478,17 @@ def _drift_stats(bundle: LayerBundle) -> tuple[float, float]:
 class PreparedLayer:
     """What every engine run on one layer shares, each piece built once.
 
-    The factor T depends only on the undamped Hessian and ``damp_ratio``,
+    The factor depends only on the undamped Hessian and ``damp_ratio``,
     the RTN baseline only on the weights and the grid, so runs that differ
     in engine, sign or block size can share them. Both are built on first
-    use: T by the first compensating engine, the baseline by the first run
-    of any engine, since the compensating engines quantize on its scales
-    and every report prices its loss. T is factored straight from the
-    undamped H, with the damping added on its diagonal as it is read, so
-    the layer holds no damped copy of H: its d x d arrays are the caller's
-    H and T (an ``obs_oracle`` run builds the damped matrix and its inverse
-    for itself). ``run`` refuses a config whose grid or damping differs
+    use: the factor by the first compensating engine, the baseline by the
+    first run of any engine, since the compensating engines quantize on its
+    scales and every report prices its loss. The factor is built straight
+    from the undamped H, with the damping added on its diagonal as it is
+    read, so the layer holds no damped copy of H: its d x d arrays are the
+    caller's H and the factor's U (an ``obs_oracle`` run builds the damped
+    matrix and its inverse for itself, and a read of the factor's
+    ``matrix`` builds T). ``run`` refuses a config whose grid or damping differs
     from the preparation's.
     """
 
@@ -478,8 +513,9 @@ class PreparedLayer:
 
     @cached_property
     def factor(self) -> InvCholFactor:
-        """T with T^T T = (H + damping * I)^(-1), factored from the
-        undamped H through a damped state that shares its buffer."""
+        """U with U U^T = H + damping * I, factored from the undamped H
+        through a damped state that shares its buffer; T = U^(-1) is formed
+        only if its ``matrix`` is read, which no engine run does."""
         return inverse_cholesky(self.hessian.dampen(self.damp_ratio))
 
     @cached_property
@@ -502,9 +538,9 @@ class PreparedLayer:
         layer holds the baseline's own scale and zero-point arrays.
 
         ``wall_time_s`` covers producing the codes, including any shared
-        piece this run was the first to need (T and the baseline, whose
-        scales a compensating engine quantizes on, or the baseline alone
-        for ``rtn``); the report's losses are outside it.
+        piece this run was the first to need (the factor and the baseline,
+        whose scales a compensating engine quantizes on, or the baseline
+        alone for ``rtn``); the report's losses are outside it.
         """
         config.validate()
         grid = config.grid()
@@ -524,7 +560,7 @@ class PreparedLayer:
         t0 = time.perf_counter()
         if config.engine == "rtn":
             codes = self.baseline.codes
-            bundle.weights[...] = self.baseline.dequantize()
+            self.baseline.dequantize(bundle.weights)
         else:
             # factoring first also refuses a matrix that is not positive
             # definite for the oracle, whose explicit inverse would not

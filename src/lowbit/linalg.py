@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra for calibration Hessians.
 
 Covers accumulation of the input covariance H = X X^T, diagonal damping,
-factorization of the damped inverse into an upper-triangular factor, and
-the two routes to trailing-submatrix inverses that the compensation
-engines and their oracle tests rely on.
+the upper-triangular Cholesky factor of the damped H, and the two routes
+to trailing-submatrix inverses that the compensation engines and their
+oracle tests rely on.
 
 Conventions fixed here:
 
@@ -21,15 +21,17 @@ Conventions fixed here:
   ``matrix`` read shares a buffer that no later ``accumulate`` changes.
 * Damping is recorded, not applied: a damped state shares the undamped
   matrix and the factorization adds the damping to each diagonal entry as
-  it reads it, so an engine run holds H and T and no damped copy.
-* The inverse factor is kept upper-triangular: ``T`` satisfies
-  T^T T = (H + damping * I)^(-1) with strictly positive diagonal. The
+  it reads it, so an engine run holds H and the factor and no damped copy.
+* The factor is upper-triangular: H + damping * I = U U^T with U upper
+  triangular and a strictly positive diagonal, so its inverse T = U^(-1)
+  is upper triangular too and T^T T = (H + damping * I)^(-1). The
   transpose convention matters: trailing principal submatrices of T then
   encode the inverses of trailing principal submatrices of the damped H
-  (see ``recover_inverse_submatrix``), and ``inverse_cholesky`` builds T
-  from that identity by recursive halving, in numpy GEMMs. Its products
-  with a triangular block skip most of the zero triangle, so the factor
-  costs about 5 d^3 / 6 flops.
+  (see ``recover_inverse_submatrix``), and U's trailing blocks factor H's,
+  so ``inverse_cholesky`` builds U trailing block first by recursive
+  halving, in numpy GEMMs and triangular solves, at about d^3 / 3 flops.
+  T is formed only when read (``InvCholFactor.matrix``); the engines need
+  U and T's diagonal blocks, each the inverse of U's block in its place.
 * Only numpy is called. A second library with its own bundled BLAS (such
   as scipy's) would start a second thread pool whose busy-waiting workers
   compete with numpy's for the same CPUs and slow both.
@@ -38,7 +40,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,51 +206,109 @@ def _mirror_upper(M: np.ndarray) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
 class InvCholFactor:
-    """Upper-triangular T with T^T T equal to the inverse of the damped H."""
+    """The factor of a damped Hessian: H + damping * I = U U^T with U upper
+    triangular and a positive diagonal, and its inverse T = U^(-1), for
+    which T^T T = (H + damping * I)^(-1).
 
-    matrix: np.ndarray
+    ``upper`` is U. ``matrix`` is T, built on its first read (about
+    2 d^3 / 3 flops) and kept; the blocked engines never read it, only the
+    reference steps, the oracle tests and the verification checks do.
+    ``diagonal_block`` gives any diagonal block of T without forming the
+    rest. ``InvCholFactor(T)`` wraps a given T, with no U, for the routes
+    that read only T: the reference steps and ``recover_inverse_submatrix``.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, matrix: np.ndarray):
+        self.dim = matrix.shape[0]
+        self.matrix = matrix
+
+    @classmethod
+    def _from_upper(cls, upper: np.ndarray, bases: np.ndarray) -> "InvCholFactor":
+        """U, and in ``bases`` row r the row of T's diagonal block of at most
+        ``_BASE_DIM`` columns that holds column r: T[r, k:k + w] for the
+        block [k, k + w)."""
+        out = cls.__new__(cls)
+        out.dim = upper.shape[0]
+        out.upper = upper
+        out._bases = bases
+        return out
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.diagonal_block(0, self.dim)
+
+    def diagonal_block(self, start: int, stop: int) -> np.ndarray:
+        """T[start:stop, start:stop] as a new array, upper triangular.
+
+        A diagonal block of T is the inverse of U's block at the same place,
+        since U is triangular. A block within one of the factor's base
+        blocks is read from it; a wider one is split at a base block's edge
+        and joined as [[T1, -T1 U12 T2], [0, T2]], two products per split.
+        """
+        if "matrix" in self.__dict__:
+            return self.matrix[start:stop, start:stop].copy()
+        out = np.empty((stop - start, stop - start))
+        _inverse_into(self.upper, self._bases, start, stop, out)
+        return out
 
 
+# widest diagonal block that LAPACK factors and inverts; every other block
+# starts and ends on a multiple of it
 _BASE_DIM = 64
 
 
+def _split(start: int, stop: int) -> int:
+    """The last multiple of ``_BASE_DIM`` strictly inside (start, stop) at
+    or before its middle, or the first one past it if there is none; only
+    called when there is one."""
+    lo, hi = start // _BASE_DIM + 1, (stop - 1) // _BASE_DIM
+    return min(max((start + stop) // (2 * _BASE_DIM), lo), hi) * _BASE_DIM
+
+
+def _inverse_into(U: np.ndarray, bases: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+    """Write T[start:stop, start:stop], the inverse of U[start:stop,
+    start:stop], into ``out``."""
+    k = start // _BASE_DIM * _BASE_DIM
+    if stop <= k + _BASE_DIM:
+        out[...] = bases[start:stop, start - k : stop - k]
+        return
+    s = _split(start, stop)
+    a = s - start
+    _inverse_into(U, bases, start, s, out[:a, :a])
+    _inverse_into(U, bases, s, stop, out[a:, a:])
+    out[a:, :a] = 0.0
+    np.matmul(out[:a, :a] @ U[start:s, s:stop], out[a:, a:], out=out[:a, a:])
+    np.negative(out[:a, a:], out=out[:a, a:])
+
+
 def inverse_cholesky(state: HessianState) -> InvCholFactor:
-    """Factor the inverse of a damped Hessian into an upper triangle.
+    """Factor a damped Hessian as H + damping * I = U U^T, U upper triangular.
 
     Works without forming the dense inverse or the damped matrix: the
     damping is added to diagonal entries as the factorization reads them.
-    H is halved recursively at m = n // 2 into [[H11, H12], [H21, H22]] and
-    T is built bottom-up from the trailing-inverse identity
-    (T22^T T22 = H22^(-1)):
+    H is split at a multiple of ``_BASE_DIM`` at or before its middle
+    (``_split``) into [[H11, H12], [H21, H22]], and U is built trailing
+    block first:
 
-        T22 = factor(H22)
-        P   = H12 @ T22^T
-        T11 = factor(H11 - P @ P^T)       (the Schur complement of H22)
-        T12 = -(T11 @ (P @ T22))
+        U22 = factor(H22)
+        U12 = H12 @ U22^(-T)              (a triangular solve)
+        U11 = factor(H11 - U12 @ U12^T)   (the Schur complement of H22)
 
-    P is written into T12's own storage and the Schur complement is freed
-    before P @ T22 is formed, so besides H and T the factorization holds
-    about one (d/2) x (d/2) temporary at a time (4/3 of one, counting the
-    recursion). Blocks of at most ``_BASE_DIM`` columns are
-    Cholesky-factored in reversed order and their lower factor inverted,
-    which lands exactly on the block's upper T. Every other flop is a numpy
-    GEMM, so the factor runs on numpy's own BLAS thread pool; the library
-    links no second BLAS runtime whose busy-waiting workers would compete
-    with it for the CPUs.
-
-    The three products with a triangular T block skip most of its zero
-    half (``_tri_matmul``): the half of the columns that is full to the
-    diagonal is one GEMM, and the triangle left over is split the same way
-    until it is at most ``_TRI_BASE`` wide. Each then costs about
-    (4/3) m^3 flops instead of 2 m^3, and with the m^3 of P @ P^T a level
-    costs 5 m^3, about 5 d^3 / 6 in all (7 d^3 / 6 with plain products).
-    Up to d = 2 * ``_TRI_BASE`` no product splits.
+    H12 is copied into U12's own storage and solved there, and the Schur
+    complement is one symmetric BLAS product written into U's lower-left
+    block, which is zero in the finished factor and is cleared once the
+    leading block is factored. So the factor costs about d^3 / 3 flops and,
+    besides H and U, holds T's base blocks (d x ``_BASE_DIM``) and the
+    solve's products, at most (d/2) x (d/4). The solve splits U22 the same
+    way: its trailing columns first, one GEMM for their part of the leading
+    ones, then the leading columns. Blocks of at most ``_BASE_DIM`` columns,
+    which start on its multiples, are Cholesky-factored in reversed order,
+    which lands exactly on the block's upper U; the inverse of their lower
+    factor, reversed, is T's diagonal block there, and the solve applies it
+    as one product. Every other flop is a numpy GEMM, so the factor runs on
+    numpy's own BLAS thread pool; the library links no second BLAS runtime
+    whose busy-waiting workers would compete with it for the CPUs.
 
     Raises FactorizationError naming the offending pivot if the damped
     matrix is not positive definite: the largest q for which H[q:, q:] is
@@ -258,17 +318,21 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     """
     if not state.damped:
         raise NumericalError("inverse_cholesky requires a damped Hessian")
-    T = np.zeros((state.dim, state.dim), dtype=np.float64)
-    _factor_into(state._h, state.damping, T, 0)
-    return InvCholFactor(T)
+    U = np.zeros((state.dim, state.dim), dtype=np.float64)
+    bases = np.empty((state.dim, min(_BASE_DIM, state.dim)))
+    _factor_into(state._h, state.damping, U, bases, 0)
+    return InvCholFactor._from_upper(U, bases)
 
 
-def _factor_into(H: np.ndarray, shift: float, T: np.ndarray, offset: int) -> None:
-    """Write the upper inverse factor of ``H + shift * I`` into the zeroed
-    view ``T``; ``H`` is only read.
+def _factor_into(
+    H: np.ndarray, shift: float, U: np.ndarray, bases: np.ndarray, offset: int
+) -> None:
+    """Write the upper factor of ``H + shift * I`` into the zeroed view
+    ``U``, and its base blocks' inverses into ``bases``; ``H`` is only read.
 
     ``offset`` is the column of H[0, 0] in the full matrix, so a breakdown
-    names its pivot in the original column order. The trailing block is
+    names its pivot in the original column order and the blocks split at
+    the full matrix's multiples of ``_BASE_DIM``. The trailing block is
     factored first, so the first breakdown found is the largest such q.
     Each diagonal entry is formed as (H_ii + shift) before anything is
     subtracted from it, the order a damped copy of H would give.
@@ -290,53 +354,38 @@ def _factor_into(H: np.ndarray, shift: float, T: np.ndarray, offset: int) -> Non
                 "(matrix not positive definite)",
                 pivot=pivot,
             ) from None
-        # the lower triangle of inv(low), reversed, is the upper factor
-        T[...] = np.triu(np.linalg.inv(low)[::-1, ::-1])
+        U[...] = low[::-1, ::-1]
+        bases[offset : offset + n, :n] = np.triu(np.linalg.inv(low)[::-1, ::-1])
         return
-    m = n // 2
-    T22, T12 = T[m:, m:], T[:m, m:]
-    _factor_into(H[m:, m:], shift, T22, offset + m)
-    P = _tri_matmul(H[:m, m:], T22.T, T12, upper=False)
-    schur = P @ P.T
+    m = _split(offset, offset + n) - offset
+    U22, U12 = U[m:, m:], U[:m, m:]
+    _factor_into(H[m:, m:], shift, U22, bases, offset + m)
+    U12[...] = H[:m, m:]
+    _solve_into(U12, U22, bases, offset + m)
+    # the Schur complement is built in U's zero lower-left block when it fits
+    spare = U[m : 2 * m, :m] if 2 * m <= n else np.empty((m, m))
+    schur = np.matmul(U12, U12.T, out=spare)
     diag = np.diagonal(H[:m, :m]) + shift
     diag -= np.diagonal(schur)
     np.subtract(H[:m, :m], schur, out=schur)
     schur[np.diag_indices(m)] = diag
-    T11 = T[:m, :m]
-    _factor_into(schur, 0.0, T11, offset)
-    del schur
-    Q = _tri_matmul(P, T22, np.empty_like(P), upper=True)
-    # T11 @ Q = (Q^T @ T11^T)^T, with the triangle on the right
-    _tri_matmul(Q.T, T11.T, T12.T, upper=False)
-    np.negative(T12, out=T12)
+    _factor_into(schur, 0.0, U[:m, :m], bases, offset)
+    schur[...] = 0.0
 
 
-# 128 to 512 timed within noise of each other at d = 1408, 2048 and 4096;
-# 256 leaves every factor with d <= 512 on plain products
-_TRI_BASE = 256
-
-
-def _tri_matmul(X: np.ndarray, M: np.ndarray, out: np.ndarray, upper: bool) -> np.ndarray:
-    """Write ``X @ M`` into ``out`` for a square ``M`` that is upper (or
-    lower) triangular, skipping most of its zero triangle; returns ``out``.
-
-    The half of the columns of M that are full to the diagonal (the right
-    half of an upper M, the left half of a lower one) is one GEMM; the rest
-    of M is a triangle of half the width, split the same way until it is at
-    most ``_TRI_BASE`` wide and one plain product finishes it. A w-wide
-    triangle then costs about (4/3) r w^2 flops for r rows of X, not 2 r w^2.
-    """
-    lo, hi = 0, M.shape[0]
-    while hi - lo > _TRI_BASE:
-        mid = (lo + hi) // 2
-        if upper:
-            np.matmul(X[:, :hi], M[:hi, mid:hi], out=out[:, mid:hi])
-            hi = mid
-        else:
-            np.matmul(X[:, lo:], M[lo:, lo:mid], out=out[:, lo:mid])
-            lo = mid
-    np.matmul(X[:, lo:hi], M[lo:hi, lo:hi], out=out[:, lo:hi])
-    return out
+def _solve_into(X: np.ndarray, U: np.ndarray, bases: np.ndarray, offset: int) -> None:
+    """Overwrite ``X`` with X @ U^(-T) for the upper triangular ``U`` whose
+    [0, 0] is column ``offset`` of the factor, a multiple of ``_BASE_DIM``,
+    and whose base blocks' inverses are in ``bases``: about r n^2 flops for
+    r rows and n columns, half a dense product's."""
+    n = U.shape[0]
+    if n <= _BASE_DIM:
+        X[...] = X @ bases[offset : offset + n, :n].T
+        return
+    k = _split(offset, offset + n) - offset
+    _solve_into(X[:, k:], U[k:, k:], bases, offset + k)
+    X[:, :k] -= X[:, k:] @ U[:k, k:].T
+    _solve_into(X[:, :k], U[:k, :k], bases, offset)
 
 
 def _failing_minor(A: np.ndarray) -> int:

@@ -297,9 +297,10 @@ class QuantizedLayer:
         """(d_out, d_in), the shape of the weight matrix it stands for."""
         return self.codes.shape
 
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct the real-valued weight matrix from codes and scales."""
-        return self.dequantize_rows(slice(None), np.empty(self.codes.shape))
+    def dequantize(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Reconstruct the real-valued weight matrix from codes and scales,
+        into ``out`` (float64, the layer's shape) if it is given."""
+        return self.dequantize_rows(slice(None), np.empty(self.codes.shape) if out is None else out)
 
     def dequantize_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
         """Write the dequantized ``rows`` of the weight matrix into ``out``

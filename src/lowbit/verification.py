@@ -70,6 +70,15 @@ def check_inverse_factor(seed=0, dim=64, scale=1.0) -> CheckResult:
     return _check("inverse_factor_identity", worst, 1e-8 * scale, f"dim={dim}, 3 seeds")
 
 
+def check_cholesky_factor(seed=0, dim=200, scale=1.0) -> CheckResult:
+    worst = 0.0
+    for s in range(3):
+        damped = _hessian_from_tokens(dim, 4 * dim, 0.9, seed + s).dampen(0.01)
+        U = inverse_cholesky(damped).upper
+        worst = max(worst, _rel_fro(U @ U.T, damped.matrix))
+    return _check("cholesky_factor_identity", worst, 1e-13 * scale, f"dim={dim}, 3 seeds")
+
+
 def check_submatrix_recovery(seed=0, dim=64, scale=1.0) -> CheckResult:
     damped = _hessian_from_tokens(dim, 4 * dim, 0.9, seed).dampen(0.01)
     T = inverse_cholesky(damped)
@@ -259,6 +268,7 @@ def run_checks(tol_scale: float = 1.0, seed: int = 0) -> list[CheckResult]:
     """Run every verification check; thresholds scaled where applicable."""
     return [
         check_inverse_factor(seed, scale=tol_scale),
+        check_cholesky_factor(seed, scale=tol_scale),
         check_submatrix_recovery(seed, scale=tol_scale),
         check_iterative_route(seed, scale=tol_scale),
         check_kkt_optimality(seed, scale=tol_scale),

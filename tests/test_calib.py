@@ -141,7 +141,7 @@ class TestGradients:
             for k in range(1, d):
                 gptq_column_step(bundle, factor, grid, k - 1, book)
                 grad = exact_proxy_gradient(bundle, hess)[:, k:]
-                expected = -2 * damped.damping * bundle.drift()[:, k:]
+                expected = -2 * damped.damping * (bundle.weights - bundle.original)[:, k:]
                 assert np.linalg.norm(grad - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_damped_hessian_rejected(self, rng):

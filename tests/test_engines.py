@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, random_spd, token_hessian, traced_peak
-from lowbit import engines, quantizer
+from lowbit import engines, linalg, quantizer
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.engines import (
     EngineConfig,
@@ -235,7 +235,7 @@ class TestFoemColumnStep:
         for j in range(5):
             foem_column_step(bundle, factor, j, d, book, beta=beta, sign=sign)
         j = 5
-        drift_pre = bundle.drift()[:, j:]
+        drift_pre = (bundle.weights - bundle.original)[:, j:]
         pre = bundle.weights.copy()
         foem_column_step(bundle, factor, j, d, book, beta=beta, sign=sign)
         # reconstruct the drift term from the update of the columns after
@@ -277,25 +277,40 @@ class TestFoemBlockBoundary:
                 assert np.array_equal(q.codes, ref)
 
     def test_boundary_matches_dense_expression(self, rng):
-        # drive the first block by hand, then check the boundary update
-        # against a dense evaluation of the printed expression
+        # the boundary's product runs through U's rows: -errs @ U[block, trailing]
         d = 12
         B = 4
-        hess, damped, factor = _factor_for(d, 11)
-        grid = QuantGrid(4, None, True)
-        T = factor.matrix
+        _, _, factor = _factor_for(d, 11)
         bundle = LayerBundle(rng.standard_normal((5, d)))
+        errs = rng.standard_normal((5, B))
+        pre = bundle.weights.copy()
+        foem_block_boundary(bundle, factor, errs, 0, B, beta=0.0)
+        expected = pre[:, B:] - errs @ factor.upper[:B, B:]
+        np.testing.assert_allclose(bundle.weights[:, B:], expected, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(bundle.weights[:, :B], pre[:, :B])
+
+    def test_carried_drift_reads_back_through_tb(self, rng):
+        # drive the first block by hand with the eager steps, pass the
+        # boundary its drift at block start minus E Tb, and the second
+        # block's carried columns read back, times its Tb, as the T-form
+        # boundary's drift, -E @ T[first, second]
+        d, B = 12, 4
+        _, _, factor = _factor_for(d, 11)
+        T = factor.matrix
+        grid = QuantGrid(4, None, True)
+        W = rng.standard_normal((5, d))
+        bundle = LayerBundle(W)
         book = ScaleBook(grid, 5, d)
         errs = np.empty((5, B))
         for j in range(B):
             w_pre = bundle.weights[:, j].copy()
             foem_column_step(bundle, factor, j, B, book, beta=3e-4)
             errs[:, j] = (w_pre - bundle.weights[:, j]) / T[j, j]
-        pre = bundle.weights.copy()
-        foem_block_boundary(bundle, factor, errs, 0, B, beta=0.0)
-        expected = pre[:, B:] - errs @ T[:B, B:]
-        np.testing.assert_allclose(bundle.weights[:, B:], expected, rtol=1e-12, atol=1e-14)
-        assert np.array_equal(bundle.weights[:, :B], pre[:, :B])
+        carried = LayerBundle(W)
+        foem_block_boundary(carried, factor, -errs @ T[:B, :B], 0, B, beta=0.0)
+        drift = (carried.weights - W)[:, B : 2 * B] @ factor.diagonal_block(B, 2 * B)
+        expected = -errs @ T[:B, B : 2 * B]
+        np.testing.assert_allclose(drift, expected, rtol=1e-12, atol=1e-14 * np.abs(expected).max())
 
     @pytest.mark.parametrize("buffer_width", [None, 5, 12])
     def test_super_block_calls_match_one_level_calls(self, rng, buffer_width):
@@ -592,16 +607,18 @@ class TestPreparedLayer:
     def test_only_the_baseline_is_dequantized(self, rng, monkeypatch):
         # a compensating run leaves the dequantized layer in its bundle, and
         # its report prices that instead of dequantizing the codes again; the
-        # rtn run dequantizes the baseline into its bundle once, and the
-        # baseline's loss is priced from its codes, a row block at a time
+        # rtn run dequantizes the baseline straight into its bundle once, and
+        # the baseline's loss is priced from its codes, a row block at a time
         dequantized = count_calls(monkeypatch, QuantizedLayer, "dequantize")
         hess = token_hessian(16, 64, 0.9, 53)
         W = rng.standard_normal((8, 16))
         prepared = PreparedLayer(W, hess, QuantGrid(3, 8, True), 0.01)
         for token in self.TOKENS:
-            prepared.run(LayerBundle(W), EngineConfig(bits=3, group_size=8, **token))
+            bundle = LayerBundle(W)
+            prepared.run(bundle, EngineConfig(bits=3, group_size=8, **token))
             if token["engine"] == "rtn":
-                assert len(dequantized) == 1
+                # into the bundle's own array: no dequantized copy of the layer
+                assert len(dequantized) == 1 and dequantized[0][1] is bundle.weights
         assert len(dequantized) == 1
 
     @pytest.mark.parametrize(
@@ -626,10 +643,12 @@ def _eager_reference(W, hess, config):
     """Column-at-a-time reference for ``run_engine`` on gptq and foem.
 
     Drives ``foem_column_step`` over each block (beta = 0 for gptq, which is
-    exactly the blocked gptq step) and ``foem_block_boundary`` with beta = 0
-    at each block end, since the first-order term is block-local, updating
-    the whole slab at every column. Returns codes, the scale book and the
-    latent weights.
+    exactly the blocked gptq step), updating the whole slab at every column,
+    and applies gptq's cross-block term -errs @ T[block, trailing] at each
+    block end, since the first-order term is block-local. That boundary is
+    its own, in T's rows and the latent weights themselves; the driver's
+    ``foem_block_boundary`` carries the trailing columns in U-coordinates.
+    Returns codes, the scale book and the latent weights.
     """
     factor = inverse_cholesky(hess.dampen(config.damp_ratio))
     T = factor.matrix
@@ -646,7 +665,7 @@ def _eager_reference(W, hess, config):
             w = bundle.weights[:, j].copy()
             foem_column_step(bundle, factor, j, e, book, beta, sign)
             errs[:, j - i] = (w - bundle.weights[:, j]) / T[j, j]
-        foem_block_boundary(bundle, factor, errs, i, e, 0.0)
+        bundle.weights[:, e:] -= errs @ T[i:e, e:]
     return book.codes, book, bundle.weights
 
 
@@ -680,17 +699,19 @@ class TestLazyBlockPlan:
         plan = engines._lazy_block_plan(Tb, c)
         ref = _reference_lazy_block_plan(Tb, c)
         assert plan.shape == ref.shape == (2 * b, b)
+        # the plan's drift coefficients come as Z = Tb (I + A)
+        ref[:b] = Tb + Tb @ ref[:b]
         for half in (slice(0, b), slice(b, 2 * b)):
             scale = np.abs(ref[half]).max()
             np.testing.assert_allclose(plan[half], ref[half], rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("b", [1, 2, 7, 128])
     def test_zero_strength_plan_is_exact(self, b):
-        # gptq's lazy batch: no drift coefficients, and each column reads
-        # the errors of the columns before it through -Tb
+        # gptq's lazy batch: no drift coefficients (Z = Tb), and each column
+        # reads the errors of the columns before it through -Tb
         Tb = _factor_for(b, 70 + b)[2].matrix
         plan = engines._lazy_block_plan(Tb, 0.0)
-        assert np.array_equal(plan[:b], np.zeros((b, b)))
+        assert np.array_equal(plan[:b], Tb)
         assert np.array_equal(plan[b:], -np.triu(Tb, 1))
 
 
@@ -756,6 +777,25 @@ class TestLazyBlockDriver:
             codes, _, latent = _eager_reference(W, hess, config)
             assert np.array_equal(q.codes, codes), variant
             assert np.array_equal(bundle.weights, latent), variant
+
+    def test_runs_never_form_t(self, rng, monkeypatch):
+        # the driver reads U and T's diagonal blocks; the full T is built
+        # only when ``matrix`` is read, which no gptq or foem run does
+        formed = []
+        build = linalg.InvCholFactor.matrix.func
+
+        def spy(factor):
+            formed.append(factor.dim)
+            return build(factor)
+
+        monkeypatch.setattr(linalg.InvCholFactor, "matrix", property(spy))
+        hess = token_hessian(200, 400, 0.9, 49)
+        W = rng.standard_normal((30, 200))
+        for variant in (dict(engine="gptq"), dict(engine="foem", beta=3e-3)):
+            run_engine(LayerBundle(W), hess, EngineConfig(bits=3, block_size=64, **variant))
+        assert formed == []
+        inverse_cholesky(hess.dampen(0.01)).matrix
+        assert formed == [200]
 
     def test_boundary_gets_no_first_order_term(self, rng, monkeypatch):
         # one boundary per block, the last included, each with beta = 0 and

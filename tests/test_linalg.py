@@ -12,10 +12,10 @@ from conftest import token_hessian, traced_peak
 from lowbit.engines import EngineConfig, LayerBundle, PreparedLayer, _run_oracle, run_engine
 from lowbit.errors import FactorizationError, NumericalError
 from lowbit.linalg import (
-    _TRI_BASE,
+    _BASE_DIM,
     HessianState,
     InvCholFactor,
-    _tri_matmul,
+    _solve_into,
     inverse_cholesky,
     iterative_inverse_update,
     recover_inverse_submatrix,
@@ -219,8 +219,8 @@ class TestInverseCholesky:
         [({150: 0.0}, 150), ({30: -1.0}, 30), ({30: -1.0, 150: 0.0}, 150)],
     )
     def test_breakdown_names_exact_pivot_across_recursion(self, bad, pivot):
-        # d = 200 splits at 100: a bad entry at 150 fails in the trailing half,
-        # one at 30 only in the Schur complement of the leading half
+        # d = 200 splits at 64: a bad entry at 150 fails in the trailing
+        # part, one at 30 only in the Schur complement of the leading part
         H = np.eye(200)
         for k, value in bad.items():
             H[k, k] = value
@@ -228,10 +228,9 @@ class TestInverseCholesky:
             inverse_cholesky(_damped_from_matrix(H))
         assert excinfo.value.pivot == pivot
 
-    # above 2 * _TRI_BASE the triangular products split: at d = 513 the
-    # top level's two products with T22 once, at d = 1100 the top level's
-    # twice and each half's once
-    @pytest.mark.parametrize("d", [2 * _TRI_BASE + 1, 1100])
+    # several levels of recursion, each with a ragged last base block (1
+    # and 12 columns wide)
+    @pytest.mark.parametrize("d", [513, 1100])
     def test_split_products_against_oracle(self, rng, d):
         A = rng.standard_normal((d, 2 * d))
         damped = HessianState(d).accumulate(A).dampen(0.01)
@@ -245,11 +244,11 @@ class TestInverseCholesky:
         resid = np.linalg.norm(T.T @ T @ H - np.eye(d)) / np.sqrt(d)
         assert resid <= 1e-8
 
-    @pytest.mark.parametrize("d", [2 * _TRI_BASE + 1, 1100])
+    @pytest.mark.parametrize("d", [513, 1100])
     @pytest.mark.parametrize("where", [0.1, 0.6, 0.99])
     def test_split_products_name_pivot(self, rng, d, where):
         # a bad entry in the leading half fails only in a Schur complement
-        # built from split products, one in the trailing half inside it
+        # built from triangular solves, one in the trailing half inside it
         bad = int(where * d)
         A = rng.standard_normal((d, d))
         H = A @ A.T
@@ -264,7 +263,36 @@ class TestInverseCholesky:
 
     def test_empty_dimension(self):
         factor = inverse_cholesky(_damped_from_matrix(np.zeros((0, 0))))
-        assert factor.matrix.shape == (0, 0)
+        assert factor.matrix.shape == factor.upper.shape == (0, 0)
+
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 513, 1100])
+    def test_upper_factor_reproduces_damped_matrix(self, rng, d):
+        damped = HessianState(d).accumulate(rng.standard_normal((d, 2 * d))).dampen(0.01)
+        U = inverse_cholesky(damped).upper
+        assert np.array_equal(U, np.triu(U))
+        assert (np.diagonal(U) > 0).all()
+        H = damped.matrix
+        assert np.linalg.norm(U @ U.T - H) <= 1e-13 * np.linalg.norm(H)
+
+    @pytest.mark.parametrize("d, block", [(300, (0, 128)), (300, (256, 300)), (300, (5, 12)),
+                                          (300, (60, 70)), (300, (7, 290)), (1100, (128, 256))])
+    def test_diagonal_block_is_the_inverse_of_upper_block(self, rng, d, block):
+        # aligned with the base blocks or not, within one or across several
+        damped = HessianState(d).accumulate(rng.standard_normal((d, 2 * d))).dampen(0.01)
+        factor = inverse_cholesky(damped)
+        i, e = block
+        Tb = factor.diagonal_block(i, e)
+        assert np.array_equal(Tb, np.triu(Tb))
+        resid = Tb @ factor.upper[i:e, i:e] - np.eye(e - i)
+        assert np.abs(resid).max() <= 1e-13
+        np.testing.assert_allclose(Tb, factor.matrix[i:e, i:e], rtol=0, atol=1e-13 * np.abs(Tb).max())
+
+    def test_factor_given_by_t(self):
+        T = np.diag([0.5, 1.0, 0.25])
+        T[0, 2] = 0.125
+        factor = InvCholFactor(T)
+        assert factor.matrix is T and factor.dim == 3
+        assert np.array_equal(factor.diagonal_block(1, 3), T[1:, 1:])
 
     def test_library_loads_no_second_blas_runtime(self):
         # scipy bundles its own OpenBLAS; importing it beside numpy's would
@@ -303,9 +331,10 @@ class TestNoCopyFactor:
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 200, 513])
     def test_factor_bit_identical_to_explicitly_damped_matrix(self, rng, d, ratio):
         state = HessianState(d).accumulate(rng.standard_normal((d, d + 8)))
-        got = inverse_cholesky(state.dampen(ratio)).matrix
-        want = inverse_cholesky(_explicitly_damped(state, ratio)).matrix
-        assert np.array_equal(got, want)
+        got = inverse_cholesky(state.dampen(ratio))
+        want = inverse_cholesky(_explicitly_damped(state, ratio))
+        assert np.array_equal(got.upper, want.upper)
+        assert np.array_equal(got.matrix, want.matrix)
 
     @pytest.mark.parametrize("bad", [30, 150, 199])
     def test_indefinite_matrix_names_same_pivot_on_both_routes(self, rng, bad):
@@ -354,36 +383,34 @@ class TestNoCopyFactor:
         assert np.array_equal(quantized.codes, codes)
 
 
-class TestTriMatmul:
-    """``_tri_matmul`` against a plain product, for both triangles."""
+class TestTriangularSolve:
+    """``_solve_into`` against the product it inverts, X @ U^T."""
 
-    @pytest.mark.parametrize("upper", [True, False])
-    @pytest.mark.parametrize("w", [1, _TRI_BASE, _TRI_BASE + 1, 3 * _TRI_BASE + 5])
-    def test_matches_plain_product(self, rng, w, upper):
-        M = np.triu(rng.standard_normal((w, w)))
-        if not upper:
-            M = M.T.copy()
-        X = rng.standard_normal((40, w))
-        X_in, M_in = X.copy(), M.copy()
-        # ``out`` is a view inside a larger buffer, as T12 is inside T
+    @pytest.mark.parametrize("w", [1, _BASE_DIM, _BASE_DIM + 1, 257, 773])
+    def test_solves_in_place(self, rng, w):
+        damped = HessianState(w).accumulate(rng.standard_normal((w, 2 * w))).dampen(0.01)
+        factor = inverse_cholesky(damped)
+        U = factor.upper
+        B = rng.standard_normal((40, w))
+        # ``X`` is a view inside a larger buffer, as U12 is inside U
         buf = np.full((42, w + 3), np.nan)
-        out = buf[1:-1, 2:-1]
-        assert _tri_matmul(X, M, out, upper) is out
-        want = X @ M
-        np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-        buf[1:-1, 2:-1] = 0.0
-        assert np.isnan(buf).sum() == buf.size - out.size
-        assert np.array_equal(X, X_in) and np.array_equal(M, M_in)
+        X = buf[1:-1, 2:-1]
+        X[...] = B
+        _solve_into(X, U, factor._bases, 0)
+        np.testing.assert_allclose(X @ U.T, B, rtol=0, atol=1e-12 * np.abs(B).max())
+        X[...] = 0.0
+        assert np.isnan(buf).sum() == buf.size - X.size
 
-    def test_transposed_operands(self, rng):
-        # the factor forms T11 @ Q as (Q^T @ T11^T)^T, into T12's transpose
-        w = 2 * _TRI_BASE + 7
-        U = np.triu(rng.standard_normal((w, w)))
-        Q = rng.standard_normal((w, w))
-        out = np.empty((w, w))
-        _tri_matmul(Q.T, U.T, out.T, upper=False)
-        want = U @ Q
-        np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    def test_trailing_block_at_its_offset(self, rng):
+        # the factor solves against U22, whose base blocks start at its offset
+        d, k = 773, 320
+        damped = HessianState(d).accumulate(rng.standard_normal((d, 2 * d))).dampen(0.01)
+        factor = inverse_cholesky(damped)
+        U22 = factor.upper[k:, k:]
+        B = rng.standard_normal((k, d - k))
+        X = B.copy()
+        _solve_into(X, U22, factor._bases, k)
+        np.testing.assert_allclose(X @ U22.T, B, rtol=0, atol=1e-12 * np.abs(B).max())
 
 
 class TestPeakMemory:

@@ -36,6 +36,21 @@ class TestMutationSensitivity:
         assert not res.passed
         assert res.measured > res.threshold
 
+    def test_perturbed_upper_factor_breaks_cholesky_check(self, monkeypatch):
+        # U off by a relative 1e-11 must fail the 1e-13 check on U U^T,
+        # which the 1e-8 check through T would not see
+        factor_of = verification.inverse_cholesky
+
+        def perturbed(state):
+            factor = factor_of(state)
+            factor.upper[...] *= 1 + 1e-11
+            return factor
+
+        monkeypatch.setattr(verification, "inverse_cholesky", perturbed)
+        res = verification.check_cholesky_factor()
+        assert not res.passed
+        assert res.measured > res.threshold
+
     def test_unscalable_checks_ignore_tol_scale(self):
         res = verification.check_oracle_equivalence(scale=1e6)
         assert res.threshold == 0
