@@ -195,8 +195,8 @@ def _open_hessians(
     hessians_dir: str, weights: TensorFile, layers: list[str]
 ) -> dict[str, tuple[TensorFile, int]]:
     """Each layer's Hessian file and sample count, its header checked: the
-    file exists, its ``hessian`` entry is d_in x d_in and its ``n_samples``
-    a non-negative JSON integer. No payload is read."""
+    file exists, its ``hessian`` entry is d_in x d_in and its metadata has
+    ``n_samples``, a non-negative JSON integer. No payload is read."""
     opened = {}
     for layer in layers:
         d_in = weights.shape(layer + ".weight")[1]
@@ -206,7 +206,9 @@ def _open_hessians(
         tf = TensorFile.open(path)
         if tf.shape("hessian") != (d_in, d_in):
             raise TensorFormatError(f"{path}: hessian must be {d_in} x {d_in}, got {tf.shape('hessian')}")
-        raw = tf.metadata.get("n_samples", "0")
+        raw = tf.metadata.get("n_samples")
+        if raw is None:
+            raise TensorFormatError(f"{path}: metadata has no n_samples")
         try:
             n_samples = json.loads(raw)
         except (TypeError, json.JSONDecodeError):

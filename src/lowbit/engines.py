@@ -20,7 +20,8 @@ the rounding error already committed.
   ``_SUPER_BLOCK`` columns) at the block's end and the columns past the
   super-block in one product when it closes, and a block turns its
   carried columns back into drift with its own diagonal block of T. No
-  run forms the rest of T.
+  run forms the rest of T, or U as one dense array: the factor holds U in
+  row bands of ``linalg._BAND`` rows, and a super-block's rows lie in one.
 * ``foem`` - gptq plus a first-order correction: compensation drags the
   latent weights away from the originals, so a drift-proportional gradient
   estimate beta * (W - W_orig) is folded into each update through the
@@ -68,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .linalg import HessianState, InvCholFactor, _all_finite, inverse_cholesky
+from .linalg import _BAND, HessianState, InvCholFactor, _all_finite, inverse_cholesky
 from .linalg import iterative_inverse_update
 from .quantizer import ENGINES, EngineConfig, QuantGrid, QuantizedLayer, ScaleBook
 from .quantizer import _column_params, quantize_values, rtn_quantize
@@ -214,8 +215,11 @@ def foem_block_boundary(
     out: np.ndarray | None = None,
 ) -> None:
     """Batched update of the columns past ``block_end``: the factor-route
-    cross-block term -errs @ U[block, trailing], with U the factor's
-    ``upper`` (H + damping * I = U U^T).
+    cross-block term -errs @ U[block, trailing], with U the factor's upper
+    triangle (H + damping * I = U U^T), read from its bands through
+    ``InvCholFactor.times_upper``: one product when the rows lie in one
+    band, which they do whenever the block size divides the band height,
+    and one per band when they cross a band edge.
 
     The blocked driver carries every column that no block has reached yet
     in U-coordinates: ``bundle.weights`` holds O + X there, with O the
@@ -246,7 +250,7 @@ def foem_block_boundary(
     """
     if beta != 0.0:
         raise ConfigError(f"the block boundary applies no first-order term, got beta {beta!r}")
-    W, U = bundle.weights, factor.upper
+    W = bundle.weights
     if reach is None:
         rows, start, stop = slice(block_start, block_end), block_end, W.shape[1]
     elif block_end < reach:
@@ -255,11 +259,11 @@ def foem_block_boundary(
         errs = pending
         rows, start, stop = slice(reach - errs.shape[1], reach), reach, W.shape[1]
     if out is None:
-        W[:, start:stop] -= errs @ U[rows, start:stop]
+        W[:, start:stop] -= factor.times_upper(errs, rows, slice(start, stop))
         return
     for k in range(start, stop, out.shape[1]):
         t = slice(k, min(k + out.shape[1], stop))
-        W[:, t] -= np.matmul(errs, U[rows, t], out=out[:, : t.stop - k])
+        W[:, t] -= factor.times_upper(errs, rows, t, out=out[:, : t.stop - k])
 
 
 def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
@@ -311,7 +315,8 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
 
 
 # Widths of the driver's levels around the block, in columns. A super-block
-# is _SUPER_BLOCK rounded down to whole blocks (one block at least). Timed
+# is one band of the factor's rows (_BAND, 512) rounded down to whole blocks
+# (one block at least), so the product that closes it reads one band. Timed
 # on the driver alone with blocks of 128 (medians of 7 runs in each of three
 # rounds; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31), 512 took 0.36-0.42 s
 # at 2048 x 2048 (foem) and 0.21-0.25 s at 512 x 4096 (gptq); 1024 took
@@ -319,7 +324,7 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
 # and 0.24-0.26 s. Sub-blocks of 16, 32 and 64 ran within noise of each
 # other; one product per column over all the block's earlier errors ran
 # about 10% slower at 2048 x 2048 and within noise at 512 x 4096.
-_SUPER_BLOCK = 512
+_SUPER_BLOCK = _BAND
 _SUB_BLOCK = 32
 # rows per step of the transposed slab copy and of the report's row blocks
 _ROWS = 64
@@ -335,7 +340,8 @@ def _run_blocked(
     on the scales and zero points of ``baseline``, the layer's RTN
     quantization, so it fits none, and returns the int32 codes.
 
-    It reads the factor's U and T's diagonal blocks, never the rest of T.
+    It reads the factor's U, through its bands, and T's diagonal blocks,
+    never the rest of T.
     A column that no block has reached yet holds O + X in ``bundle.weights``,
     with X its drift in U-coordinates (``foem_block_boundary``). Block
     [i, e), ``block_size`` wide, recovers Tb = T[i:e, i:e] and is quantized
@@ -485,11 +491,12 @@ class PreparedLayer:
     first run of any engine, since the compensating engines quantize on its
     scales and every report prices its loss. The factor is built straight
     from the undamped H, with the damping added on its diagonal as it is
-    read, so the layer holds no damped copy of H: its d x d arrays are the
-    caller's H and the factor's U (an ``obs_oracle`` run builds the damped
-    matrix and its inverse for itself, and a read of the factor's
-    ``matrix`` builds T). ``run`` refuses a config whose grid or damping differs
-    from the preparation's.
+    read, so the layer holds no damped copy of H: its one d x d array is the
+    caller's H, and the factor holds U's upper triangle in row bands, about
+    half as much (an ``obs_oracle`` run builds the damped matrix and its
+    inverse for itself, and a read of the factor's ``upper`` or ``matrix``
+    builds a dense U or T). ``run`` refuses a config whose grid or damping
+    differs from the preparation's.
     """
 
     def __init__(
@@ -513,9 +520,10 @@ class PreparedLayer:
 
     @cached_property
     def factor(self) -> InvCholFactor:
-        """U with U U^T = H + damping * I, factored from the undamped H
-        through a damped state that shares its buffer; T = U^(-1) is formed
-        only if its ``matrix`` is read, which no engine run does."""
+        """U with U U^T = H + damping * I, in row bands, factored from the
+        undamped H through a damped state that shares its buffer; a dense U
+        or T = U^(-1) is formed only if ``upper`` or ``matrix`` is read,
+        which no engine run does."""
         return inverse_cholesky(self.hessian.dampen(self.damp_ratio))
 
     @cached_property

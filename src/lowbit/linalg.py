@@ -30,8 +30,11 @@ Conventions fixed here:
   (see ``recover_inverse_submatrix``), and U's trailing blocks factor H's,
   so ``inverse_cholesky`` builds U trailing block first by recursive
   halving, in numpy GEMMs and triangular solves, at about d^3 / 3 flops.
-  T is formed only when read (``InvCholFactor.matrix``); the engines need
-  U and T's diagonal blocks, each the inverse of U's block in its place.
+  U is held as row bands of its upper triangle, 512 rows each, built in
+  place, so neither the factor nor its construction makes a d x d array.
+  T and a dense U are formed only when read (``InvCholFactor.matrix`` and
+  ``upper``); the engines need U's rows and T's diagonal blocks, each the
+  inverse of U's block in its place.
 * Only numpy is called. A second library with its own bundled BLAS (such
   as scipy's) would start a second thread pool whose busy-waiting workers
   compete with numpy's for the same CPUs and slow both.
@@ -206,13 +209,42 @@ def _mirror_upper(M: np.ndarray) -> np.ndarray:
     return M
 
 
+# rows per band of the factor (see InvCholFactor); the blocked driver's
+# super-block is one band wide, so its rows lie in one band
+_BAND = 512
+# widest diagonal block that LAPACK factors and inverts; every other block
+# of at most one band starts and ends on a multiple of it
+_BASE_DIM = 64
+
+
+def _band_pieces(start: int, stop: int):
+    """The rows start .. stop - 1 cut at band edges, as (a, b) pairs."""
+    while start < stop:
+        edge = min(start // _BAND * _BAND + _BAND, stop)
+        yield start, edge
+        start = edge
+
+
+def _view(bands: list[np.ndarray], start: int, stop: int, cstart: int, cstop: int) -> np.ndarray:
+    """U[start:stop, cstart:cstop] as a view of the band that holds rows
+    start .. stop - 1; the columns start at or past that band's first row."""
+    k = start // _BAND
+    o = k * _BAND
+    return bands[k][start - o : stop - o, cstart - o : cstop - o]
+
+
 class InvCholFactor:
     """The factor of a damped Hessian: H + damping * I = U U^T with U upper
     triangular and a positive diagonal, and its inverse T = U^(-1), for
     which T^T T = (H + damping * I)^(-1).
 
-    ``upper`` is U. ``matrix`` is T, built on its first read (about
-    2 d^3 / 3 flops) and kept; the blocked engines never read it, only the
+    U is held as row bands of ``_BAND`` rows: band k is U[k B : k B + B,
+    k B:] for B = ``_BAND``, the last band ragged, so the factor stores
+    about d^2 / 2 + (B / 2) d entries, and of U's zero lower triangle only
+    the parts inside the bands' diagonal blocks. ``times_upper``
+    multiplies by any block of U's rows. ``upper`` is U as one dense d x d
+    array and ``matrix`` is T (about 2 d^3 / 3 flops), each built on its
+    first read and kept; the blocked engines read neither, only the
     reference steps, the oracle tests and the verification checks do.
     ``diagonal_block`` gives any diagonal block of T without forming the
     rest. ``InvCholFactor(T)`` wraps a given T, with no U, for the routes
@@ -224,13 +256,13 @@ class InvCholFactor:
         self.matrix = matrix
 
     @classmethod
-    def _from_upper(cls, upper: np.ndarray, bases: np.ndarray) -> "InvCholFactor":
-        """U, and in ``bases`` row r the row of T's diagonal block of at most
-        ``_BASE_DIM`` columns that holds column r: T[r, k:k + w] for the
-        block [k, k + w)."""
+    def _from_bands(cls, dim: int, bands: list[np.ndarray], bases: np.ndarray) -> "InvCholFactor":
+        """U's bands, and in ``bases`` row r the row of T's diagonal block of
+        at most ``_BASE_DIM`` columns that holds column r: T[r, k:k + w] for
+        the block [k, k + w)."""
         out = cls.__new__(cls)
-        out.dim = upper.shape[0]
-        out.upper = upper
+        out.dim = dim
+        out._bands = bands
         out._bases = bases
         return out
 
@@ -238,77 +270,106 @@ class InvCholFactor:
     def matrix(self) -> np.ndarray:
         return self.diagonal_block(0, self.dim)
 
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """U as one dense d x d array, its bands copied in."""
+        U = np.zeros((self.dim, self.dim))
+        for k, band in zip(range(0, self.dim, _BAND), self._bands):
+            U[k : k + len(band), k:] = band
+        return U
+
+    def times_upper(
+        self, A: np.ndarray, rows: slice, cols: slice, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A @ U[rows, cols], for columns at or past the rows' first, written
+        into ``out`` when it is given. The rows are not empty. Rows within
+        one band take one product; rows that cross a band edge take one per
+        band, each later one added to the first."""
+        result = None
+        for a, b in _band_pieces(rows.start, rows.stop):
+            part = A[:, a - rows.start : b - rows.start]
+            U = _view(self._bands, a, b, cols.start, cols.stop)
+            if result is None:
+                result = np.matmul(part, U, out=out)
+            else:
+                result += part @ U
+        return result
+
     def diagonal_block(self, start: int, stop: int) -> np.ndarray:
         """T[start:stop, start:stop] as a new array, upper triangular.
 
         A diagonal block of T is the inverse of U's block at the same place,
         since U is triangular. A block within one of the factor's base
-        blocks is read from it; a wider one is split at a base block's edge
-        and joined as [[T1, -T1 U12 T2], [0, T2]], two products per split.
+        blocks is read from it; a wider one is split where the factor
+        splits (``_split``) and joined as [[T1, -T1 U12 T2], [0, T2]], two
+        products per split.
         """
         if "matrix" in self.__dict__:
             return self.matrix[start:stop, start:stop].copy()
         out = np.empty((stop - start, stop - start))
-        _inverse_into(self.upper, self._bases, start, stop, out)
+        self._inverse_into(start, stop, out)
         return out
 
-
-# widest diagonal block that LAPACK factors and inverts; every other block
-# starts and ends on a multiple of it
-_BASE_DIM = 64
+    def _inverse_into(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Write T[start:stop, start:stop] into ``out``."""
+        k = start // _BASE_DIM * _BASE_DIM
+        if stop <= k + _BASE_DIM:
+            out[...] = self._bases[start:stop, start - k : stop - k]
+            return
+        s = _split(start, stop)
+        a = s - start
+        self._inverse_into(start, s, out[:a, :a])
+        self._inverse_into(s, stop, out[a:, a:])
+        out[a:, :a] = 0.0
+        T1U12 = self.times_upper(out[:a, :a], slice(start, s), slice(s, stop))
+        np.matmul(T1U12, out[a:, a:], out=out[:a, a:])
+        np.negative(out[:a, a:], out=out[:a, a:])
 
 
 def _split(start: int, stop: int) -> int:
-    """The last multiple of ``_BASE_DIM`` strictly inside (start, stop) at
-    or before its middle, or the first one past it if there is none; only
-    called when there is one."""
-    lo, hi = start // _BASE_DIM + 1, (stop - 1) // _BASE_DIM
-    return min(max((start + stop) // (2 * _BASE_DIM), lo), hi) * _BASE_DIM
-
-
-def _inverse_into(U: np.ndarray, bases: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
-    """Write T[start:stop, start:stop], the inverse of U[start:stop,
-    start:stop], into ``out``."""
-    k = start // _BASE_DIM * _BASE_DIM
-    if stop <= k + _BASE_DIM:
-        out[...] = bases[start:stop, start - k : stop - k]
-        return
-    s = _split(start, stop)
-    a = s - start
-    _inverse_into(U, bases, start, s, out[:a, :a])
-    _inverse_into(U, bases, s, stop, out[a:, a:])
-    out[a:, :a] = 0.0
-    np.matmul(out[:a, :a] @ U[start:s, s:stop], out[a:, a:], out=out[:a, a:])
-    np.negative(out[:a, a:], out=out[:a, a:])
+    """Where [start, stop) is split: for more than ``_BAND`` columns the
+    last band edge strictly inside (start, stop) at or before its middle,
+    or the first one past it if there is none; for fewer, the same for a
+    multiple of ``_BASE_DIM``. Only called when there is one."""
+    unit = _BAND if stop - start > _BAND else _BASE_DIM
+    lo, hi = start // unit + 1, (stop - 1) // unit
+    return min(max((start + stop) // (2 * unit), lo), hi) * unit
 
 
 def inverse_cholesky(state: HessianState) -> InvCholFactor:
     """Factor a damped Hessian as H + damping * I = U U^T, U upper triangular.
 
-    Works without forming the dense inverse or the damped matrix: the
-    damping is added to diagonal entries as the factorization reads them.
-    H is split at a multiple of ``_BASE_DIM`` at or before its middle
-    (``_split``) into [[H11, H12], [H21, H22]], and U is built trailing
-    block first:
+    Works without forming the dense inverse, the damped matrix or any d x d
+    array. H's rows are copied into U's bands (``InvCholFactor``) from each
+    band's diagonal on, with the damping added to the diagonal as it is
+    copied, so each diagonal entry is (H_ii + damping) before anything is
+    subtracted from it, as in a damped copy of H, and the bands are factored
+    in place. [start, stop) is split at
+    ``_split`` into [[H11, H12], [H21, H22]] and U is built trailing block
+    first:
 
         U22 = factor(H22)
         U12 = H12 @ U22^(-T)              (a triangular solve)
         U11 = factor(H11 - U12 @ U12^T)   (the Schur complement of H22)
 
-    H12 is copied into U12's own storage and solved there, and the Schur
-    complement is one symmetric BLAS product written into U's lower-left
-    block, which is zero in the finished factor and is cleared once the
-    leading block is factored. So the factor costs about d^3 / 3 flops and,
-    besides H and U, holds T's base blocks (d x ``_BASE_DIM``) and the
-    solve's products, at most (d/2) x (d/4). The solve splits U22 the same
-    way: its trailing columns first, one GEMM for their part of the leading
-    ones, then the leading columns. Blocks of at most ``_BASE_DIM`` columns,
-    which start on its multiples, are Cholesky-factored in reversed order,
-    which lands exactly on the block's upper U; the inverse of their lower
-    factor, reversed, is T's diagonal block there, and the solve applies it
-    as one product. Every other flop is a numpy GEMM, so the factor runs on
-    numpy's own BLAS thread pool; the library links no second BLAS runtime
-    whose busy-waiting workers would compete with it for the CPUs.
+    Above one band the split is at a band edge: U12 is solved one band of
+    rows at a time where H12 lies in the bands, and the Schur complement is
+    subtracted from H11's bands one pair of bands at a time, a symmetric
+    product for each band's diagonal block. Within a band the split is at a
+    multiple of ``_BASE_DIM``, the Schur complement is subtracted from the
+    band's square in one symmetric product, and the band's lower-left block
+    there, which is zero in the finished factor, is cleared. So the factor
+    costs about d^3 / 3 flops and, besides H and U's bands, holds T's base
+    blocks (d x ``_BASE_DIM``) and temporaries of at most a band's rows.
+    The solve splits U22 the same way: its trailing columns first, one
+    product per band for their part of the leading ones, then the leading
+    columns. Blocks of at most ``_BASE_DIM`` columns, which start on its
+    multiples, are Cholesky-factored in reversed order, which lands exactly
+    on the block's upper U; the inverse of their lower factor, reversed, is
+    T's diagonal block there, and the solve applies it as one product.
+    Every other flop is a numpy GEMM, so the factor runs on numpy's own BLAS
+    thread pool; the library links no second BLAS runtime whose
+    busy-waiting workers would compete with it for the CPUs.
 
     Raises FactorizationError naming the offending pivot if the damped
     matrix is not positive definite: the largest q for which H[q:, q:] is
@@ -318,74 +379,78 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     """
     if not state.damped:
         raise NumericalError("inverse_cholesky requires a damped Hessian")
-    U = np.zeros((state.dim, state.dim), dtype=np.float64)
-    bases = np.empty((state.dim, min(_BASE_DIM, state.dim)))
-    _factor_into(state._h, state.damping, U, bases, 0)
-    return InvCholFactor._from_upper(U, bases)
+    d = state.dim
+    bands = []
+    for k in range(0, d, _BAND):
+        band = state._h[k : k + _BAND, k:].copy()
+        if state.damping:
+            band[np.diag_indices(len(band))] += state.damping
+        bands.append(band)
+    bases = np.empty((d, min(_BASE_DIM, d)))
+    if d:
+        _factor_into(bands, bases, 0, d)
+    return InvCholFactor._from_bands(d, bands, bases)
 
 
-def _factor_into(
-    H: np.ndarray, shift: float, U: np.ndarray, bases: np.ndarray, offset: int
-) -> None:
-    """Write the upper factor of ``H + shift * I`` into the zeroed view
-    ``U``, and its base blocks' inverses into ``bases``; ``H`` is only read.
+def _factor_into(bands: list[np.ndarray], bases: np.ndarray, start: int, stop: int) -> None:
+    """Overwrite U[start:stop, start:stop] in ``bands`` with its upper
+    factor, and write its base blocks' inverses into ``bases``.
 
-    ``offset`` is the column of H[0, 0] in the full matrix, so a breakdown
-    names its pivot in the original column order and the blocks split at
-    the full matrix's multiples of ``_BASE_DIM``. The trailing block is
-    factored first, so the first breakdown found is the largest such q.
-    Each diagonal entry is formed as (H_ii + shift) before anything is
-    subtracted from it, the order a damped copy of H would give.
+    On entry the block holds H + damping * I there less the Schur terms of
+    every later block, the parts inside a band's diagonal block in full
+    (symmetric). The trailing block is factored first, so the first
+    breakdown found is the largest such q, named in the full matrix's
+    column order.
     """
-    n = H.shape[0]
+    n = stop - start
     if n <= _BASE_DIM:
-        rev = H[::-1, ::-1]
-        if shift:
-            rev = rev.copy()
-            rev[np.diag_indices(n)] += shift
+        A = _view(bands, start, stop, start, stop)
+        rev = A[::-1, ::-1]
         try:
             low = np.linalg.cholesky(rev)
         except np.linalg.LinAlgError:
             # leading minor k of the reversed block is the trailing block
             # that starts at its column n - k
-            pivot = offset + n - _failing_minor(rev)
+            pivot = start + n - _failing_minor(rev)
             raise FactorizationError(
                 f"Cholesky breakdown: pivot at column {pivot} is not positive "
                 "(matrix not positive definite)",
                 pivot=pivot,
             ) from None
-        U[...] = low[::-1, ::-1]
-        bases[offset : offset + n, :n] = np.triu(np.linalg.inv(low)[::-1, ::-1])
+        A[...] = low[::-1, ::-1]
+        bases[start:stop, :n] = np.triu(np.linalg.inv(low)[::-1, ::-1])
         return
-    m = _split(offset, offset + n) - offset
-    U22, U12 = U[m:, m:], U[:m, m:]
-    _factor_into(H[m:, m:], shift, U22, bases, offset + m)
-    U12[...] = H[:m, m:]
-    _solve_into(U12, U22, bases, offset + m)
-    # the Schur complement is built in U's zero lower-left block when it fits
-    spare = U[m : 2 * m, :m] if 2 * m <= n else np.empty((m, m))
-    schur = np.matmul(U12, U12.T, out=spare)
-    diag = np.diagonal(H[:m, :m]) + shift
-    diag -= np.diagonal(schur)
-    np.subtract(H[:m, :m], schur, out=schur)
-    schur[np.diag_indices(m)] = diag
-    _factor_into(schur, 0.0, U[:m, :m], bases, offset)
-    schur[...] = 0.0
+    s = _split(start, stop)
+    _factor_into(bands, bases, s, stop)
+    pieces = list(_band_pieces(start, s))
+    for a, b in pieces:
+        _solve_into(_view(bands, a, b, s, stop), bands, bases, s, stop)
+    for x, (a, b) in enumerate(pieces):
+        U12 = _view(bands, a, b, s, stop)
+        for a2, b2 in pieces[x:]:
+            _view(bands, a, b, a2, b2)[...] -= U12 @ _view(bands, a2, b2, s, stop).T
+    if n <= _BAND:
+        # within a band the lower-left block is stored, and zero in U
+        _view(bands, s, stop, start, s)[...] = 0.0
+    _factor_into(bands, bases, start, s)
 
 
-def _solve_into(X: np.ndarray, U: np.ndarray, bases: np.ndarray, offset: int) -> None:
-    """Overwrite ``X`` with X @ U^(-T) for the upper triangular ``U`` whose
-    [0, 0] is column ``offset`` of the factor, a multiple of ``_BASE_DIM``,
-    and whose base blocks' inverses are in ``bases``: about r n^2 flops for
-    r rows and n columns, half a dense product's."""
-    n = U.shape[0]
+def _solve_into(
+    X: np.ndarray, bands: list[np.ndarray], bases: np.ndarray, start: int, stop: int
+) -> None:
+    """Overwrite ``X`` with X @ U22^(-T) for U22 = U[start:stop,
+    start:stop], already factored in ``bands``, with ``start`` a multiple
+    of ``_BASE_DIM``: about r n^2 flops for r rows and n columns, half a
+    dense product's."""
+    n = stop - start
     if n <= _BASE_DIM:
-        X[...] = X @ bases[offset : offset + n, :n].T
+        X[...] = X @ bases[start:stop, :n].T
         return
-    k = _split(offset, offset + n) - offset
-    _solve_into(X[:, k:], U[k:, k:], bases, offset + k)
-    X[:, :k] -= X[:, k:] @ U[:k, k:].T
-    _solve_into(X[:, :k], U[:k, :k], bases, offset)
+    k = _split(start, stop)
+    _solve_into(X[:, k - start :], bands, bases, k, stop)
+    for a, b in _band_pieces(start, k):
+        X[:, a - start : b - start] -= X[:, k - start :] @ _view(bands, a, b, k, stop).T
+    _solve_into(X[:, : k - start], bands, bases, start, k)
 
 
 def _failing_minor(A: np.ndarray) -> int:

@@ -610,6 +610,27 @@ class TestHessianFile:
         if rc == 2:
             assert "n_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engines", [["rtn", "rtn(plus)"], ["gptq", "rtn"]], ids=["rtn", "gptq"])
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_missing_n_samples_exits_2(self, workspace, rng, capsys, command, engines):
+        # refused as a format error before anything runs, whether or not
+        # an engine would damp the Hessian
+        ws = workspace
+        hes = ws["dir"] / "hes"
+        hes.mkdir()
+        for layer, arr in ws["arrays"].items():
+            x = rng.standard_normal((arr.shape[1], 64))
+            save_tensors(hes / f"{layer[: -len('.weight')]}.hessian.safetensors", {"hessian": x @ x.T})
+        out = ws["dir"] / "out"
+        if command == "quantize":
+            args = quantize_args(ws, out, hes, **{"--engine": engines[0]})
+        else:
+            args = ["compare", "--weights", ws["weights"], "--hessians", hes, "--out", out,
+                    "--engines", *engines]
+        assert run_cli(*args) == 2
+        assert "metadata has no n_samples" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("shape", [(6, 6), (8,), (8, 6)], ids=["6x6", "1d", "8x6"])
     @pytest.mark.parametrize("command", ["quantize", "compare"])

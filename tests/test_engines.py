@@ -779,23 +779,32 @@ class TestLazyBlockDriver:
             assert np.array_equal(bundle.weights, latent), variant
 
     def test_runs_never_form_t(self, rng, monkeypatch):
-        # the driver reads U and T's diagonal blocks; the full T is built
-        # only when ``matrix`` is read, which no gptq or foem run does
+        # the driver reads U's bands and T's diagonal blocks; the dense T
+        # and the dense U are built only when ``matrix`` or ``upper`` is
+        # read, which no gptq or foem run does. d_in = 1100 is three bands,
+        # the last one ragged
         formed = []
-        build = linalg.InvCholFactor.matrix.func
 
-        def spy(factor):
-            formed.append(factor.dim)
-            return build(factor)
+        def spy_on(name):
+            build = getattr(linalg.InvCholFactor, name).func
 
-        monkeypatch.setattr(linalg.InvCholFactor, "matrix", property(spy))
-        hess = token_hessian(200, 400, 0.9, 49)
-        W = rng.standard_normal((30, 200))
+            def spy(factor):
+                formed.append((name, factor.dim))
+                return build(factor)
+
+            monkeypatch.setattr(linalg.InvCholFactor, name, property(spy))
+
+        spy_on("matrix")
+        spy_on("upper")
+        d = 1100
+        hess = token_hessian(d, 2 * d, 0.9, 49)
+        W = rng.standard_normal((30, d))
         for variant in (dict(engine="gptq"), dict(engine="foem", beta=3e-3)):
             run_engine(LayerBundle(W), hess, EngineConfig(bits=3, block_size=64, **variant))
         assert formed == []
-        inverse_cholesky(hess.dampen(0.01)).matrix
-        assert formed == [200]
+        factor = inverse_cholesky(hess.dampen(0.01))
+        factor.matrix, factor.upper
+        assert formed == [("matrix", d), ("upper", d)]
 
     def test_boundary_gets_no_first_order_term(self, rng, monkeypatch):
         # one boundary per block, the last included, each with beta = 0 and

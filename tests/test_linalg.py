@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -250,16 +251,13 @@ class TestInverseCholesky:
         # a bad entry in the leading half fails only in a Schur complement
         # built from triangular solves, one in the trailing half inside it
         bad = int(where * d)
-        A = rng.standard_normal((d, d))
-        H = A @ A.T
-        H[bad, bad] = -1e4
-        state = HessianState.from_matrix(H, d)
-        pivots = []
-        for damped in (state.dampen(0.01), _explicitly_damped(state, 0.01)):
-            with pytest.raises(FactorizationError) as excinfo:
-                inverse_cholesky(damped)
-            pivots.append(excinfo.value.pivot)
-        assert pivots[0] == pivots[1] == bad
+        assert _pivots_on_both_routes(rng, d, bad) == [bad, bad]
+
+    @pytest.mark.parametrize("bad", [511, 512, 513, 1099])
+    def test_pivot_named_across_band_edges(self, rng, bad):
+        # d = 1100 is three bands, the last one ragged: a bad entry on
+        # either side of the first band edge, or in the last column
+        assert _pivots_on_both_routes(rng, 1100, bad) == [bad, bad]
 
     def test_empty_dimension(self):
         factor = inverse_cholesky(_damped_from_matrix(np.zeros((0, 0))))
@@ -275,9 +273,11 @@ class TestInverseCholesky:
         assert np.linalg.norm(U @ U.T - H) <= 1e-13 * np.linalg.norm(H)
 
     @pytest.mark.parametrize("d, block", [(300, (0, 128)), (300, (256, 300)), (300, (5, 12)),
-                                          (300, (60, 70)), (300, (7, 290)), (1100, (128, 256))])
+                                          (300, (60, 70)), (300, (7, 290)), (1100, (128, 256)),
+                                          (1100, (400, 900)), (1100, (7, 1100))])
     def test_diagonal_block_is_the_inverse_of_upper_block(self, rng, d, block):
-        # aligned with the base blocks or not, within one or across several
+        # aligned with the base blocks or not, within one or across several,
+        # and across the factor's band edges at 512 and 1024
         damped = HessianState(d).accumulate(rng.standard_normal((d, 2 * d))).dampen(0.01)
         factor = inverse_cholesky(damped)
         i, e = block
@@ -323,6 +323,21 @@ def _explicitly_damped(state, ratio):
     return HessianState.from_matrix(H, state.n_samples).dampen(0.0)
 
 
+def _pivots_on_both_routes(rng, d, bad):
+    """The pivots that the shared-buffer route and the explicitly damped
+    route name for a d x d Gram matrix with -1e4 at (bad, bad)."""
+    A = rng.standard_normal((d, d))
+    H = A @ A.T
+    H[bad, bad] = -1e4
+    state = HessianState.from_matrix(H, d)
+    pivots = []
+    for damped in (state.dampen(0.01), _explicitly_damped(state, 0.01)):
+        with pytest.raises(FactorizationError) as excinfo:
+            inverse_cholesky(damped)
+        pivots.append(excinfo.value.pivot)
+    return pivots
+
+
 class TestNoCopyFactor:
     """``dampen`` shares the undamped buffer and the factor adds the damping
     on its diagonal; every value must equal the explicitly damped route."""
@@ -338,16 +353,7 @@ class TestNoCopyFactor:
 
     @pytest.mark.parametrize("bad", [30, 150, 199])
     def test_indefinite_matrix_names_same_pivot_on_both_routes(self, rng, bad):
-        A = rng.standard_normal((200, 200))
-        H = A @ A.T
-        H[bad, bad] = -1e4
-        state = HessianState.from_matrix(H, 200)
-        pivots = []
-        for damped in (state.dampen(0.01), _explicitly_damped(state, 0.01)):
-            with pytest.raises(FactorizationError) as excinfo:
-                inverse_cholesky(damped)
-            pivots.append(excinfo.value.pivot)
-        assert pivots[0] == pivots[1] == bad
+        assert _pivots_on_both_routes(rng, 200, bad) == [bad, bad]
 
     @pytest.mark.parametrize("ratio", [0.0, 0.01])
     def test_accumulate_after_dampen_leaves_damped_state_unchanged(self, rng, ratio):
@@ -396,20 +402,21 @@ class TestTriangularSolve:
         buf = np.full((42, w + 3), np.nan)
         X = buf[1:-1, 2:-1]
         X[...] = B
-        _solve_into(X, U, factor._bases, 0)
+        _solve_into(X, factor._bands, factor._bases, 0, w)
         np.testing.assert_allclose(X @ U.T, B, rtol=0, atol=1e-12 * np.abs(B).max())
         X[...] = 0.0
         assert np.isnan(buf).sum() == buf.size - X.size
 
     def test_trailing_block_at_its_offset(self, rng):
-        # the factor solves against U22, whose base blocks start at its offset
+        # the factor solves against U22, whose base blocks start at its
+        # offset; here U22 crosses the band edge at 512
         d, k = 773, 320
         damped = HessianState(d).accumulate(rng.standard_normal((d, 2 * d))).dampen(0.01)
         factor = inverse_cholesky(damped)
         U22 = factor.upper[k:, k:]
         B = rng.standard_normal((k, d - k))
         X = B.copy()
-        _solve_into(X, U22, factor._bases, k)
+        _solve_into(X, factor._bands, factor._bases, k, d)
         np.testing.assert_allclose(X @ U22.T, B, rtol=0, atol=1e-12 * np.abs(B).max())
 
 
@@ -427,6 +434,22 @@ class TestPeakMemory:
         factor, peak = traced_peak(lambda: prepared.factor)
         assert factor.matrix.shape == (d, d)
         assert peak <= 1.5 * 8 * d * d
+
+    def test_factor_holds_u_in_bands_and_makes_no_d_by_d_array(self, rng):
+        # U's bands hold about d^2 / 2 + 256 d entries and T's base blocks
+        # d x 64, 0.66 d^2 in all at d = 2048; a dense U alone would be d^2
+        d = 2048
+        damped = HessianState(d).accumulate(rng.standard_normal((d, d + 64))).dampen(0.01)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            factor = inverse_cholesky(damped)
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert factor.dim == d
+        assert held <= 0.7 * 8 * d * d
+        assert peak < 8 * d * d
 
     def test_from_matrix_copies_once(self, rng):
         d = self.D
