@@ -35,7 +35,10 @@ HESSIAN_SUFFIX = ".hessian.safetensors"
 QUANTIZED_SUFFIX = ".quantized.safetensors"
 
 _ENGINE_DEFAULTS = EngineConfig(engine="foem").to_dict()
-_RUN_DEFAULTS = {"weights": None, "hessians": None, "out": None, "layers": [], **_ENGINE_DEFAULTS}
+# an unset damp_ratio is read from the selected layers' Hessian headers
+_RUN_DEFAULTS = {
+    "weights": None, "hessians": None, "out": None, "layers": [], **_ENGINE_DEFAULTS, "damp_ratio": None
+}
 
 _DEFAULTS = {
     "calibrate": {
@@ -222,6 +225,37 @@ def _open_hessians(
     return opened
 
 
+def _resolve_damp_ratio(effective: dict, hessians: dict[str, tuple[TensorFile, int]]) -> None:
+    """Set an unset ``damp_ratio`` to the value the selected layers'
+    Hessian headers record, a header without one counting as the default.
+    A recorded value the engines would refuse, or headers that disagree,
+    are a ConfigError. A value already set is kept."""
+    if effective["damp_ratio"] is not None:
+        return
+    recorded = set()
+    for tf, _ in hessians.values():
+        raw = tf.metadata.get("damp_ratio")
+        try:
+            value = _ENGINE_DEFAULTS["damp_ratio"] if raw is None else json.loads(raw)
+            recorded.add(EngineConfig.from_dict({"damp_ratio": value}).damp_ratio)
+        except (json.JSONDecodeError, ConfigError) as exc:
+            raise ConfigError(f"{tf.path}: recorded damp_ratio {raw!r} is invalid: {exc}") from None
+    if len(recorded) > 1:
+        raise ConfigError(
+            f"the Hessian headers record different damp_ratio values {sorted(recorded)}; "
+            "pass --damp-ratio to choose one"
+        )
+    (effective["damp_ratio"],) = recorded
+
+
+def _load_hessian(tf: TensorFile, n_samples: int) -> HessianState:
+    """The file's ``hessian`` as a state, read one band of rows at a time, so
+    no dense d x d copy of it is made."""
+    return HessianState.from_rows(
+        tf.shape("hessian")[0], n_samples, lambda start, stop: tf.load_rows("hessian", start, stop)
+    )
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
     effective = _merged_config(args, "calibrate")
     _require(effective, "weights", "out")
@@ -273,16 +307,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_quantize(args: argparse.Namespace) -> int:
     effective = _merged_config(args, "quantize")
     _require(effective, "weights", "hessians", "out")
-    engine_cfg = EngineConfig.from_dict({k: effective[k] for k in _ENGINE_DEFAULTS})
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
     hessians = _open_hessians(effective["hessians"], weights, layers)
+    _resolve_damp_ratio(effective, hessians)
+    engine_cfg = EngineConfig.from_dict({k: effective[k] for k in _ENGINE_DEFAULTS})
     config_blob = _run_config(effective)
 
     # one call per layer, so a layer's arrays are freed before the next loads
     def one(layer: str):
         tf, n_samples = hessians[layer]
-        hessian = HessianState.from_matrix(tf.load("hessian"), n_samples)
+        hessian = _load_hessian(tf, n_samples)
         bundle = LayerBundle(weights.load(layer + ".weight"))
         quantized, rep = run_engine(bundle, hessian, engine_cfg, layer_name=layer)
         quantized.extra["run_config"] = json.loads(config_blob)
@@ -306,20 +341,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     tokens = effective["engines"]
     if len(tokens) < 2:
         raise ConfigError("compare needs at least two engines")
-    parsed = [_parse_engine_token(tok, effective) for tok in tokens]
     repeated = sorted({tok for tok in tokens if tokens.count(tok) > 1})
     if repeated:
         raise ConfigError(f"repeated engine tokens: {repeated}")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
     hessians = _open_hessians(effective["hessians"], weights, layers)
+    _resolve_damp_ratio(effective, hessians)
+    parsed = [_parse_engine_token(tok, effective) for tok in tokens]
     _run_config(effective)
     # tokens differ only in engine and sign, so they share grid and damping
     shared = parsed[0][1]
 
     def one(layer: str):
         tf, n_samples = hessians[layer]
-        hessian = HessianState.from_matrix(tf.load("hessian"), n_samples)
+        hessian = _load_hessian(tf, n_samples)
         prepared = PreparedLayer(
             weights.load(layer + ".weight"), hessian, shared.grid(), shared.damp_ratio
         )
@@ -380,7 +416,13 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--block-size", dest="block_size", type=int, help="columns per lazy-update block, and the reach of foem's first-order term (foem at block size 1 is gptq)")
     p.add_argument("--beta", type=float, help="drift-to-gradient scale for the first-order engines")
-    p.add_argument("--damp-ratio", dest="damp_ratio", type=float, help="Hessian damping as a fraction of the mean diagonal")
+    p.add_argument(
+        "--damp-ratio",
+        dest="damp_ratio",
+        type=float,
+        help="Hessian damping as a fraction of the mean diagonal (default: the value the "
+        f"Hessian headers record, {_ENGINE_DEFAULTS['damp_ratio']} where they record none)",
+    )
     p.add_argument(
         "--first-order-sign",
         dest="first_order_sign",
@@ -406,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV})")
     p_cal.add_argument("--layers", nargs="*", help="glob patterns selecting layers")
-    p_cal.add_argument("--damp-ratio", dest="damp_ratio", type=float, help=f"damping ratio, only recorded in each Hessian header and run_config; quantize and compare apply their own --damp-ratio (default {_ENGINE_DEFAULTS['damp_ratio']})")
+    p_cal.add_argument("--damp-ratio", dest="damp_ratio", type=float, help=f"damping ratio recorded in each Hessian header and run_config (default {_ENGINE_DEFAULTS['damp_ratio']}); quantize and compare apply it unless given their own --damp-ratio")
     p_cal.add_argument("--config", help="JSON config file (flags override it)")
     p_cal.set_defaults(func=cmd_calibrate)
 

@@ -491,12 +491,13 @@ class PreparedLayer:
     first run of any engine, since the compensating engines quantize on its
     scales and every report prices its loss. The factor is built straight
     from the undamped H, with the damping added on its diagonal as it is
-    read, so the layer holds no damped copy of H: its one d x d array is the
-    caller's H, and the factor holds U's upper triangle in row bands, about
-    half as much (an ``obs_oracle`` run builds the damped matrix and its
-    inverse for itself, and a read of the factor's ``upper`` or ``matrix``
-    builds a dense U or T). ``run`` refuses a config whose grid or damping
-    differs from the preparation's.
+    read, so the layer holds no damped copy of H and no d x d array: H and
+    U are each held as row bands of an upper triangle, about half a dense
+    array each, and the proxy loss reads H's bands in place (an
+    ``obs_oracle`` run builds the damped matrix and its inverse for
+    itself, and a read of the factor's ``upper`` or ``matrix`` builds a
+    dense U or T). ``run`` refuses a config whose grid or damping differs
+    from the preparation's.
     """
 
     def __init__(
@@ -521,7 +522,7 @@ class PreparedLayer:
     @cached_property
     def factor(self) -> InvCholFactor:
         """U with U U^T = H + damping * I, in row bands, factored from the
-        undamped H through a damped state that shares its buffer; a dense U
+        undamped H through a damped state that shares its bands; a dense U
         or T = U^(-1) is formed only if ``upper`` or ``matrix`` is read,
         which no engine run does."""
         return inverse_cholesky(self.hessian.dampen(self.damp_ratio))

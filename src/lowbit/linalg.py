@@ -13,14 +13,19 @@ Conventions fixed here:
   foem is not: it multiplies the drift by slices of the inverse factor, so
   scaling H by c scales that term by 1/c, and ``beta`` is calibrated
   against H without the factor 2.
-* The upper triangle of every accumulated block is mirrored into the lower
-  one once, when it is added, so the stored H is exactly symmetric and a
-  read returns it without copying.
-* A state's buffer is written only while it is built: ``accumulate``
-  keeps each new sum in a new buffer, so a damped state or an earlier
-  ``matrix`` read shares a buffer that no later ``accumulate`` changes.
+* H is held in the factor's layout: 512-row bands of its upper triangle
+  (``HessianState``), about half of a dense H. Only each band's diagonal
+  block holds lower-triangle entries, mirrored from its upper triangle
+  64 rows at a time when the band is built, so it is exactly symmetric.
+  The engines read H without copying it: the factor copies each band
+  into U's band in its place, and the proxy loss reads the bands' rows,
+  H[>J, J] as a transposed view. A dense H is built only when
+  ``HessianState.matrix`` is read, a new d x d array each time.
+* A state's bands are written only while they are built: ``accumulate``
+  keeps each new sum in new bands, so a damped state shares bands that
+  no later ``accumulate`` changes.
 * Damping is recorded, not applied: a damped state shares the undamped
-  matrix and the factorization adds the damping to each diagonal entry as
+  bands and the factorization adds the damping to each diagonal entry as
   it reads it, so an engine run holds H and the factor and no damped copy.
 * The factor is upper-triangular: H + damping * I = U U^T with U upper
   triangular and a strictly positive diagonal, so its inverse T = U^(-1)
@@ -59,10 +64,19 @@ __all__ = [
 
 
 class HessianState:
-    """Accumulated input covariance for one layer.
+    """Accumulated input covariance H for one layer, held in the factor's
+    layout.
+
+    H is kept as row bands of its upper triangle: band k is H[k B : k B +
+    B, k B:] for B = ``_BAND``, the last band ragged, as ``InvCholFactor``
+    keeps U. A state so stores about d^2 / 2 + (B / 2) d entries instead
+    of d^2, and each band's diagonal block in full and exactly symmetric.
+    The rest of the lower triangle is not stored: the factor reads only
+    H's upper rows, and ``report.proxy_loss`` reads H[>J, J] as the
+    transpose of H[J, >J] (``band_view``).
 
     Mutable only through :meth:`accumulate` (single writer), which swaps
-    in a new buffer, so no array the state has handed out changes.
+    in new bands, so no array the state has handed out changes.
     :meth:`dampen` returns a new state and leaves the original untouched,
     so the undamped covariance stays available for loss reporting.
     """
@@ -70,17 +84,19 @@ class HessianState:
     def __init__(self, dim: int):
         if dim < 0:
             raise ValueError("dim must be non-negative")
-        self._h = np.zeros((dim, dim), dtype=np.float64)
+        self._dim = dim
+        self._bands = [np.zeros((min(_BAND, dim - a), dim - a)) for a in range(0, dim, _BAND)]
         self.n_samples = 0
         self.damped = False
-        # added to the diagonal of _h wherever H is read, never written into it
+        # added to H's diagonal wherever H is read, never written into the bands
         self.damping = 0.0
 
     @classmethod
-    def _wrap(cls, h: np.ndarray, n_samples: int, damping=None) -> "HessianState":
-        """A state over the buffer ``h``; damped with ``damping`` unless it is None."""
+    def _wrap(cls, dim: int, bands: list[np.ndarray], n_samples: int, damping=None) -> "HessianState":
+        """A state over ``bands``; damped with ``damping`` unless it is None."""
         out = cls.__new__(cls)
-        out._h = h
+        out._dim = dim
+        out._bands = bands
         out.n_samples = n_samples
         out.damped = damping is not None
         out.damping = 0.0 if damping is None else damping
@@ -88,64 +104,84 @@ class HessianState:
 
     @property
     def dim(self) -> int:
-        return self._h.shape[0]
+        return self._dim
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense symmetric H, read-only; a later :meth:`accumulate` leaves it
-        as it was.
+        """Dense symmetric H, plus damping * I for a damped state, as a new
+        read-only d x d array built from the bands on each read.
 
-        A view of the stored matrix, except for a state from :meth:`dampen`
-        with non-zero damping: that state shares its source's undamped
-        buffer, so each read builds H + damping * I as a new d x d array.
-        The factor never reads it; in the library only the dense oracle and
-        the verification checks read a damped matrix.
+        No engine run reads it: the factor and the proxy loss read the
+        bands. In the library only calibrate's save of H, the dense oracle
+        and the verification checks do.
         """
+        d = self._dim
+        out = np.empty((d, d))
+        for a, band in zip(range(0, d, _BAND), self._bands):
+            b = a + len(band)
+            out[a:b, a:] = band
+            out[b:, a:b] = band[:, b - a :].T
         if self.damping:
-            out = self._h.copy()
-            out[np.diag_indices(self.dim)] += self.damping
-        else:
-            out = self._h.view()
+            out[np.diag_indices(d)] += self.damping
+        out.flags.writeable = False
+        return out
+
+    def band_view(self, start: int, stop: int, cstart: int) -> np.ndarray:
+        """H[start:stop, cstart:] of the undamped H as a read-only view of
+        the band that holds the rows, which lie in one band; ``cstart`` is
+        at or past the first of them."""
+        out = _view(self._bands, start, stop, cstart, self._dim)
         out.flags.writeable = False
         return out
 
     def mean_diagonal(self) -> float:
-        if self.dim == 0:
+        if self._dim == 0:
             return 0.0
-        diag = np.diagonal(self._h)
+        diag = np.concatenate([np.diagonal(band) for band in self._bands])
         if self.damping:
-            diag = diag + self.damping
+            diag += self.damping
         return float(diag.mean())
 
     def accumulate(self, X: np.ndarray) -> "HessianState":
         """Add X X^T for a (dim x n_tokens) activation block; returns self.
 
         Refused after damping: the damped matrix is a derived artifact, not
-        a running sum. Non-finite activations raise NumericalError. The old
-        sum is added into the block's new product, which becomes the buffer:
-        states damped from this one and earlier ``matrix`` reads keep theirs,
-        and the memory is that of an in-place add.
+        a running sum. Non-finite activations raise NumericalError. Each
+        band gets the product of its rows of X with X's rows from the
+        band's first on, written into a new band: a symmetric product
+        X_k X_k^T on its diagonal block and one product for the rest, n d^2
+        flops in all. The old band is added into it, so states damped from
+        this one keep their bands, and the memory is that of an in-place
+        add.
         """
         if self.damped:
             raise NumericalError("cannot accumulate into a damped Hessian")
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.dim:
+        if X.ndim != 2 or X.shape[0] != self._dim:
             raise NumericalError(
-                f"activation block must be ({self.dim} x n_tokens), got {X.shape}"
+                f"activation block must be ({self._dim} x n_tokens), got {X.shape}"
             )
         if not _all_finite(X):
             raise NumericalError("activation block contains non-finite values")
-        update = _mirror_upper(X @ X.T)
-        update += self._h
-        self._h = update
+        bands = []
+        for a, band in zip(range(0, self._dim, _BAND), self._bands):
+            m = len(band)
+            Xk = X[a : a + m]
+            update = np.empty_like(band)
+            np.matmul(Xk, Xk.T, out=update[:, :m])
+            np.matmul(Xk, X[a + m :].T, out=update[:, m:])
+            _symmetrize(update)
+            update += band
+            bands.append(update)
+        self._bands = bands
         self.n_samples += X.shape[1]
         return self
 
     def dampen(self, ratio: float) -> "HessianState":
         """Return a damped state: H + lam * I with lam = ratio * mean(diag(H)).
 
-        No d x d array is written. The new state shares this state's buffer
-        and records lam as ``damping``; ``inverse_cholesky`` adds lam to the
+        Nothing is copied. The new state shares this state's bands and
+        records lam as ``damping``; ``inverse_cholesky`` adds lam to the
         diagonal as it factors, and ``matrix`` adds it only when read. This
         state stays undamped, and a later :meth:`accumulate` on it leaves the
         damped state as it was.
@@ -162,25 +198,52 @@ class HessianState:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        # damping a damped state: the first damping joins the matrix
-        base = self.matrix if self.damping else self._h
-        return self._wrap(base, self.n_samples, damping=lam)
+        bands = self._bands
+        if self.damping:
+            # damping a damped state: the first damping joins the bands
+            bands = [band.copy() for band in bands]
+            for band in bands:
+                band[np.diag_indices(len(band))] += self.damping
+        return self._wrap(self._dim, bands, self.n_samples, damping=lam)
 
     @classmethod
     def from_matrix(cls, H: np.ndarray, n_samples: int) -> "HessianState":
         """Wrap a precomputed symmetric matrix (upper triangle is trusted) as
         an undamped state.
 
-        The state holds one new d x d array: the upper triangle of H
-        mirrored into the lower. Raises NumericalError if the matrix has
-        non-finite entries.
+        H's upper rows are copied into new bands, one band at a time, and
+        each band's diagonal block is made symmetric from its upper
+        triangle. Raises NumericalError if any entry of H, in either
+        triangle, is not finite.
         """
-        H = np.array(H, dtype=np.float64, order="C")
+        H = np.asarray(H, dtype=np.float64)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise NumericalError(f"Hessian must be square, got {H.shape}")
         if not _all_finite(H):
             raise NumericalError("Hessian contains non-finite values")
-        return cls._wrap(_mirror_upper(H), int(n_samples))
+        d = H.shape[0]
+        bands = [_symmetrize(H[a : a + _BAND, a:].copy()) for a in range(0, d, _BAND)]
+        return cls._wrap(d, bands, int(n_samples))
+
+    @classmethod
+    def from_rows(cls, dim: int, n_samples: int, rows) -> "HessianState":
+        """An undamped state from a dim x dim H read one band of rows at a
+        time, as from a file: ``rows(start, stop)`` returns H[start:stop] as
+        a new float64 array, which the state may keep.
+
+        Every entry read is checked as ``from_matrix`` checks H, and each
+        band keeps its rows from its diagonal on. The bands are read last
+        first, so the first band is kept as read, and the state holds at
+        most its bands and one band's rows: below d^2 entries.
+        """
+        bands = []
+        for a in reversed(range(0, dim, _BAND)):
+            block = rows(a, min(a + _BAND, dim))
+            if not _all_finite(block):
+                raise NumericalError("Hessian contains non-finite values")
+            bands.append(_symmetrize(block[:, a:].copy() if a else block))
+            del block  # not held while the next band's rows are read
+        return cls._wrap(dim, bands[::-1], int(n_samples))
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -189,28 +252,26 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-# fastest of 16 to 128 at d = 512 and d = 4096
-_MIRROR_BLOCK = 64
+def _symmetrize(band: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of ``band``'s leading square block with
+    its upper triangle, transposed; returns ``band``.
 
-
-def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    """Overwrite the lower triangle of the square C-ordered ``M`` with its
-    upper triangle, transposed; returns ``M``.
-
-    Runs in blocks of rows, so the only temporaries are block-sized.
+    Runs ``_BASE_DIM`` rows at a time, so the only temporaries are the
+    index arrays of one such block's triangle.
     """
-    n = M.shape[0]
-    for a in range(0, n, _MIRROR_BLOCK):
-        e = min(a + _MIRROR_BLOCK, n)
-        diag = M[a:e, a:e]
+    n = len(band)
+    for a in range(0, n, _BASE_DIM):
+        e = min(a + _BASE_DIM, n)
+        diag = band[a:e, a:e]
         upper = np.triu_indices(e - a, 1)
         diag.T[upper] = diag[upper]
-        M[e:, a:e] = M[a:e, e:].T
-    return M
+        band[e:n, a:e] = band[a:e, e:n].T
+    return band
 
 
-# rows per band of the factor (see InvCholFactor); the blocked driver's
-# super-block is one band wide, so its rows lie in one band
+# rows per band of H and of its factor (see HessianState, InvCholFactor);
+# the blocked driver's super-block is one band wide, so its rows lie in one
+# band, and so do those of each of proxy_loss's column blocks
 _BAND = 512
 # widest diagonal block that LAPACK factors and inverts; every other block
 # of at most one band starts and ends on a multiple of it
@@ -340,11 +401,11 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     """Factor a damped Hessian as H + damping * I = U U^T, U upper triangular.
 
     Works without forming the dense inverse, the damped matrix or any d x d
-    array. H's rows are copied into U's bands (``InvCholFactor``) from each
-    band's diagonal on, with the damping added to the diagonal as it is
-    copied, so each diagonal entry is (H_ii + damping) before anything is
-    subtracted from it, as in a damped copy of H, and the bands are factored
-    in place. [start, stop) is split at
+    array. Each of H's bands (``HessianState``) is copied into U's band in
+    its place (``InvCholFactor``), with the damping added to the diagonal
+    as it is copied, so each diagonal entry is (H_ii + damping) before
+    anything is subtracted from it, as in a damped copy of H, and the
+    bands are factored in place. [start, stop) is split at
     ``_split`` into [[H11, H12], [H21, H22]] and U is built trailing block
     first:
 
@@ -381,8 +442,8 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
         raise NumericalError("inverse_cholesky requires a damped Hessian")
     d = state.dim
     bands = []
-    for k in range(0, d, _BAND):
-        band = state._h[k : k + _BAND, k:].copy()
+    for band in state._bands:
+        band = band.copy()
         if state.damping:
             band[np.diag_indices(len(band))] += state.damping
         bands.append(band)

@@ -30,7 +30,9 @@ __all__ = ["LayerReport", "proxy_loss", "compare_table"]
 
 CSV_SCHEMA = "lowbit-compare-v1"
 
-# proxy_loss's blocks: rows of D per step, and columns of H per product
+# proxy_loss's blocks: rows of D per step, and columns of H per product;
+# _COL_BLOCK divides the Hessian's band height (linalg._BAND), so each
+# column block's rows lie in one band
 _ROW_BLOCK, _COL_BLOCK = 512, 256
 
 @dataclass
@@ -67,12 +69,12 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
     numbers, so the same loss, with no d_out x d_in array.
 
     ``hessian`` may be a HessianState (must be undamped: the metric is
-    defined by the calibration data, not by the regularizer), whose matrix
-    is exactly symmetric, or a plain symmetric matrix, of which only the
-    lower block triangle is read: the diagonal blocks and what lies below
-    them. The two weight arrays must be 2-D and of one shape, with H's
-    dimension as their width; any other input is refused with
-    ``NumericalError``.
+    defined by the calibration data, not by the regularizer), whose bands
+    are read in place, H_>J,J as the transpose of H_J,>J, or a plain
+    symmetric matrix, of which only the lower block triangle is read: the
+    diagonal blocks and what lies below them. The two weight arrays must be
+    2-D and of one shape, with H's dimension as their width; any other
+    input is refused with ``NumericalError``.
 
     For each block of ``_ROW_BLOCK`` rows of D and each block J of
     ``_COL_BLOCK`` columns it adds <D_J, D_J H_JJ + 2 D_>J H_>J,J>, with
@@ -83,9 +85,17 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
     if isinstance(hessian, HessianState):
         if hessian.damped:
             raise NumericalError("proxy loss must be computed on the undamped Hessian")
-        H = hessian.matrix
+        shape = (hessian.dim, hessian.dim)
+
+        def blocks(j, k):
+            rows = hessian.band_view(j, k, j)
+            return rows[:, : k - j], rows[:, k - j :].T
     else:
         H = np.asarray(hessian, dtype=np.float64)
+        shape = H.shape
+
+        def blocks(j, k):
+            return H[j:k, j:k], H[k:, j:k]
     if not isinstance(w_deq, QuantizedLayer):
         w_deq = np.asarray(w_deq)
     w_orig = np.asarray(w_orig)
@@ -94,9 +104,9 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
             f"shape mismatch: weights {w_deq.shape} against originals {w_orig.shape}"
         )
     d_out, d_in = w_deq.shape
-    if H.shape != (d_in, d_in):
+    if shape != (d_in, d_in):
         raise NumericalError(
-            f"shape mismatch: weights {w_deq.shape} against Hessian {H.shape}"
+            f"shape mismatch: weights {w_deq.shape} against Hessian {shape}"
         )
     delta = np.empty((min(_ROW_BLOCK, d_out), d_in))
     products = np.empty((2, len(delta), min(_COL_BLOCK, d_in)))
@@ -111,9 +121,10 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
         for j in range(0, d_in, _COL_BLOCK):
             k = min(j + _COL_BLOCK, d_in)
             acc, cross = products[:, :n, : k - j]
-            np.matmul(D[:, j:k], H[j:k, j:k], out=acc)
+            H_JJ, H_after = blocks(j, k)
+            np.matmul(D[:, j:k], H_JJ, out=acc)
             if k < d_in:
-                np.matmul(D[:, k:], H[k:, j:k], out=cross)
+                np.matmul(D[:, k:], H_after, out=cross)
                 cross *= 2.0
                 acc += cross
             acc *= D[:, j:k]

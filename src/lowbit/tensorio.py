@@ -136,13 +136,32 @@ class TensorFile:
         its entry declares raises TensorFormatError.
         """
         entry = self._entry(name)
-        arr = np.empty(entry.shape, dtype=_DTYPES[entry.dtype_name])
+        return self._read(name, entry.begin, entry.shape)
+
+    def load_rows(self, name: str, start: int, stop: int) -> np.ndarray:
+        """Rows start .. stop - 1 (along the first axis) of a tensor of at
+        least one dimension, read as ``load`` reads a whole tensor: only
+        their bytes, which lie back to back in the payload, and float32
+        widened to float64 for these rows alone."""
+        entry = self._entry(name)
+        if not entry.shape or not 0 <= start <= stop <= entry.shape[0]:
+            raise TensorFormatError(
+                f"{self.path}: rows {start}:{stop} outside tensor {name!r} of shape {entry.shape}"
+            )
+        row = math.prod(entry.shape[1:]) * _DTYPES[entry.dtype_name].itemsize
+        return self._read(name, entry.begin + start * row, (stop - start, *entry.shape[1:]))
+
+    def _read(self, name: str, begin: int, shape: tuple[int, ...]) -> np.ndarray:
+        """The ``shape`` array of ``name``'s element kind whose bytes start at
+        ``begin`` in the payload, float32 widened to float64."""
+        dtype_name = self.entries[name].dtype_name
+        arr = np.empty(shape, dtype=_DTYPES[dtype_name])
         with open(self.path, "rb") as fh:
-            fh.seek(self._payload_offset + entry.begin)
+            fh.seek(self._payload_offset + begin)
             got = fh.readinto(arr.reshape(-1).view(np.uint8))
-        if got != entry.end - entry.begin:
+        if got != arr.nbytes:
             raise TensorFormatError(f"{self.path}: truncated payload for {name!r}")
-        if entry.dtype_name == "F32":
+        if dtype_name == "F32":
             return arr.astype(np.float64)
         return arr
 
@@ -155,10 +174,12 @@ def save_tensors(
     """Write a tensor container. Supported dtypes: float64/32, int64/32.
 
     Tensor names must be unique and non-empty; entries are laid out in
-    sorted name order so identical content yields identical bytes.
+    sorted name order so identical content yields identical bytes. Each
+    payload is written from its array, copied first only if the array is
+    not C-contiguous or not little-endian.
     """
     header: dict[str, object] = {}
-    blobs: list[bytes] = []
+    arrays: list[np.ndarray] = []
     offset = 0
     for name in sorted(tensors):
         if not name or name == "__metadata__":
@@ -170,22 +191,22 @@ def save_tensors(
                 f"tensor {name!r} has unsupported dtype {arr.dtype}; "
                 "expected float64, float32, int64, or int32"
             )
-        blob = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         header[name] = {
             "dtype": dtype_name,
             "shape": list(arr.shape),
-            "data_offsets": [offset, offset + len(blob)],
+            "data_offsets": [offset, offset + arr.nbytes],
         }
-        blobs.append(blob)
-        offset += len(blob)
+        arrays.append(arr)
+        offset += arr.nbytes
     if metadata:
         header["__metadata__"] = {str(k): str(v) for k, v in metadata.items()}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(raw)))
         fh.write(raw)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def _config_keys(config: EngineConfig, d_in: int) -> dict:

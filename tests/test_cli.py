@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import count_calls
-from lowbit import engines
+from conftest import count_calls, traced_peak
+from lowbit import cli, engines
 from lowbit.cli import main
 from lowbit.engines import EngineConfig, LayerBundle, run_engine
 from lowbit.errors import TensorFormatError
@@ -649,6 +649,151 @@ class TestHessianFile:
                     "--engines", "rtn", "gptq"]
         assert run_cli(*args) == 2
         assert f"blk.fc.hessian.safetensors: hessian must be 8 x 8, got {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestHessianBands:
+    """quantize and compare read each Hessian file one band of rows at a
+    time; d = 1100 is three bands, the last one ragged."""
+
+    def test_state_from_file_bands_equals_from_matrix_and_makes_no_dense_copy(self, tmp_path, rng):
+        d = 1100
+        A = rng.standard_normal((d, d))
+        path = tmp_path / "h.safetensors"
+        save_tensors(path, {"hessian": A @ A.T}, metadata={"n_samples": "7"})
+        tf = TensorFile.open(path)
+        state, peak = traced_peak(lambda: cli._load_hessian(tf, 7))
+        assert peak < 8 * d * d
+        want = HessianState.from_matrix(tf.load("hessian"), 7)
+        assert state.n_samples == want.n_samples and not state.damped
+        assert all(np.array_equal(a, b) for a, b in zip(state._bands, want._bands, strict=True))
+
+    def test_float32_file_widens_per_band(self, tmp_path, rng):
+        d = 600
+        x = rng.standard_normal((d, 30))
+        H = (x @ x.T).astype(np.float32)
+        path = tmp_path / "h.safetensors"
+        save_tensors(path, {"hessian": H}, metadata={"n_samples": "30"})
+        state = cli._load_hessian(TensorFile.open(path), 30)
+        assert np.array_equal(state.matrix, H.astype(np.float64))
+
+    @pytest.mark.parametrize("where", [(1, 0), (1000, 3), (1099, 1099)])
+    def test_non_finite_entry_anywhere_exits_3(self, tmp_path, rng, capsys, where):
+        # the lower triangle outside the bands' diagonal blocks is read,
+        # checked and dropped
+        d = 1100
+        weights = tmp_path / "w.safetensors"
+        save_tensors(weights, {"blk.fc.weight": rng.standard_normal((4, d))})
+        hes = tmp_path / "hes"
+        hes.mkdir()
+        H = np.eye(d)
+        H[where] = np.nan
+        save_tensors(hes / "blk.fc.hessian.safetensors", {"hessian": H}, metadata={"n_samples": "1"})
+        assert run_cli(*quantize_args({"weights": weights}, tmp_path / "x", hes)) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
+def _calibrate(ws, out, *flags):
+    assert run_cli(
+        "calibrate", "--weights", ws["weights"], "--synthetic", "n_tokens=64,rho=0.9,seed=0",
+        "--out", out, *flags,
+    ) == 0
+    return out
+
+
+def _run_command(ws, command, out, hessians, *flags):
+    if command == "quantize":
+        args = quantize_args(ws, out, hessians)
+    else:
+        args = ["compare", "--weights", ws["weights"], "--hessians", hessians, "--out", out,
+                "--engines", "rtn", "gptq"]
+    return run_cli(*args, *flags)
+
+
+def _applied_damping(command, out):
+    """The damp_ratio a finished run recorded, and what it applied: the
+    artifacts' damping under quantize, the gptq losses (which the damping
+    sets) under compare."""
+    recorded = json.loads((out / "effective_config.json").read_text())["damp_ratio"]
+    if command == "quantize":
+        applied = {load_quantized(p).config.damp_ratio for p in out.glob("*.quantized.safetensors")}
+    else:
+        reports = json.loads((out / "compare_reports.json").read_text())
+        applied = {rep["proxy_loss"] for rep in reports if rep["engine"] == "gptq"}
+    return recorded, applied
+
+
+@pytest.mark.parametrize("command", ["quantize", "compare"])
+class TestRecordedDamping:
+    """With no --damp-ratio and no config-file value, quantize and compare
+    apply the damping calibrate recorded in the Hessian headers."""
+
+    def test_recorded_value_is_applied(self, workspace, command):
+        ws = workspace
+        hes = _calibrate(ws, ws["dir"] / "hes", "--damp-ratio", "0.5")
+        out, explicit = ws["dir"] / "out", ws["dir"] / "explicit"
+        assert _run_command(ws, command, out, hes) == 0
+        assert _run_command(ws, command, explicit, hes, "--damp-ratio", "0.5") == 0
+        recorded, applied = _applied_damping(command, out)
+        assert recorded == 0.5
+        assert (recorded, applied) == _applied_damping(command, explicit)
+        if command == "quantize":
+            assert applied == {0.5}
+            for name in ("blk0.fc", "blk1.fc"):
+                path = f"{name}.quantized.safetensors"
+                assert (out / path).read_bytes() == (explicit / path).read_bytes()
+
+    def test_flag_and_config_file_win(self, workspace, command):
+        ws = workspace
+        hes = _calibrate(ws, ws["dir"] / "hes", "--damp-ratio", "0.5")
+        out = ws["dir"] / "flag"
+        assert _run_command(ws, command, out, hes, "--damp-ratio", "0.02") == 0
+        assert _applied_damping(command, out)[0] == 0.02
+        cfg = ws["dir"] / "cfg.json"
+        cfg.write_text(json.dumps({"damp_ratio": 0.03}))
+        out = ws["dir"] / "config"
+        assert _run_command(ws, command, out, hes, "--config", cfg) == 0
+        assert _applied_damping(command, out)[0] == 0.03
+
+    def test_header_without_damp_ratio_takes_the_default(self, workspace, rng, command):
+        ws = workspace
+        hes = ws["dir"] / "hes"
+        hes.mkdir()
+        for layer, arr in ws["arrays"].items():
+            x = rng.standard_normal((arr.shape[1], 64))
+            save_tensors(hes / f"{layer[: -len('.weight')]}.hessian.safetensors", {"hessian": x @ x.T},
+                         metadata={"n_samples": "64"})
+        out = ws["dir"] / "out"
+        assert _run_command(ws, command, out, hes) == 0
+        assert _applied_damping(command, out)[0] == EngineConfig().damp_ratio
+
+    def test_headers_that_disagree_exit_2(self, workspace, capsys, command):
+        ws = workspace
+        hes = _calibrate(ws, ws["dir"] / "hes", "--damp-ratio", "0.5")
+        # blk1.fc's header records 0.2
+        _calibrate(ws, ws["dir"] / "other", "--damp-ratio", "0.2", "--layers", "blk1.fc")
+        (ws["dir"] / "other" / "blk1.fc.hessian.safetensors").replace(hes / "blk1.fc.hessian.safetensors")
+        out = ws["dir"] / "out"
+        assert _run_command(ws, command, out, hes) == 2
+        assert "different damp_ratio values [0.2, 0.5]" in capsys.readouterr().err
+        assert not out.exists()
+        # one layer alone, or an explicit value, settles it
+        assert _run_command(ws, command, out, hes, "--layers", "blk1.fc") == 0
+        assert _applied_damping(command, out)[0] == 0.2
+        assert _run_command(ws, command, ws["dir"] / "flag", hes, "--damp-ratio", "0.01") == 0
+
+    @pytest.mark.parametrize("raw", ["-1", "abc", "true", '"0.5"'])
+    def test_invalid_recorded_value_exits_2(self, workspace, rng, capsys, command, raw):
+        ws = workspace
+        hes = ws["dir"] / "hes"
+        hes.mkdir()
+        for layer, arr in ws["arrays"].items():
+            x = rng.standard_normal((arr.shape[1], 64))
+            save_tensors(hes / f"{layer[: -len('.weight')]}.hessian.safetensors", {"hessian": x @ x.T},
+                         metadata={"n_samples": "64", "damp_ratio": raw})
+        out = ws["dir"] / "out"
+        assert _run_command(ws, command, out, hes) == 2
+        assert "recorded damp_ratio" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -806,6 +806,27 @@ class TestLazyBlockDriver:
         factor.matrix, factor.upper
         assert formed == [("matrix", d), ("upper", d)]
 
+    def test_runs_never_read_a_dense_hessian(self, rng, monkeypatch):
+        # the factor copies H's bands and the proxy loss reads them in
+        # place; a dense H is built only when ``matrix`` is read
+        reads = []
+        build = HessianState.matrix.fget
+
+        def spy(state):
+            reads.append(state.dim)
+            return build(state)
+
+        monkeypatch.setattr(HessianState, "matrix", property(spy))
+        d = 1100
+        hess = token_hessian(d, 2 * d, 0.9, 50)
+        W = rng.standard_normal((30, d))
+        prepared = PreparedLayer(W, hess, EngineConfig(bits=3).grid(), 0.01)
+        for engine in ("rtn", "gptq", "foem"):
+            prepared.run(LayerBundle(W), EngineConfig(engine=engine, bits=3, block_size=64))
+        assert reads == []
+        hess.matrix
+        assert reads == [d]
+
     def test_boundary_gets_no_first_order_term(self, rng, monkeypatch):
         # one boundary per block, the last included, each with beta = 0 and
         # reaching the end of its super-block: 16 columns, two blocks of 8

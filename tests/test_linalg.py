@@ -127,6 +127,54 @@ class TestAccumulate:
             damped.accumulate(np.eye(2))
 
 
+class TestBandedState:
+    """H is held as 512-row bands of its upper triangle; d = 1100 is three
+    bands, the last one ragged."""
+
+    def test_state_holds_its_bands_not_a_dense_matrix(self, rng):
+        # the bands are about d^2 / 2 + 256 d entries, 0.625 d^2 at d = 2048
+        d = 2048
+        X = rng.standard_normal((d, 64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state = HessianState(d).accumulate(X)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert state.dim == d
+        assert held <= 0.63 * 8 * d * d
+
+    def test_matrix_mirrors_the_upper_triangle_across_bands(self, rng):
+        d = 1100
+        A = rng.standard_normal((d, d))  # deliberately not symmetric
+        m = HessianState.from_matrix(A, 1).matrix
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(m, np.triu(A) + np.triu(A, 1).T)
+        assert not m.flags.writeable
+
+    def test_three_blocks_equal_from_matrix_of_summed_products(self, rng):
+        # integer-valued tokens make every product and sum exact, so the
+        # bands must hold exactly the mirrored sum
+        d = 1100
+        blocks = [rng.integers(-8, 9, size=(d, n)).astype(np.float64) for n in (40, 1, 70)]
+        state = HessianState(d)
+        for X in blocks:
+            state.accumulate(X)
+        want = HessianState.from_matrix(sum(X @ X.T for X in blocks), 111)
+        assert state.n_samples == want.n_samples == 111
+        assert all(np.array_equal(a, b) for a, b in zip(state._bands, want._bands, strict=True))
+        assert np.array_equal(state.matrix, want.matrix)
+
+    def test_band_view_reads_rows_in_place(self, rng):
+        d = 1100
+        state = HessianState(d).accumulate(rng.standard_normal((d, 40)))
+        H = state.matrix
+        view = state.band_view(512 + 256, 1024, 900)
+        assert np.array_equal(view, H[768:1024, 900:])
+        assert np.shares_memory(view, state._bands[1]) and not view.flags.writeable
+
+
 class TestDampen:
     def test_identity_scaling(self):
         state = HessianState(2).accumulate(np.eye(2))

@@ -90,6 +90,16 @@ class TestBlockedKernel:
         else:
             assert abs(got - expected) <= 1e-13 * expected
 
+    @pytest.mark.parametrize("d_in", [300, 1100])
+    def test_banded_state_prices_like_its_dense_matrix(self, d_in):
+        # a state's H_>J,J is the transpose of its band rows H_J,>J; d_in =
+        # 1100 is three bands, the last one ragged
+        rng = np.random.default_rng(d_in)
+        hess = token_hessian(d_in, d_in + 64, seed=d_in)
+        w0 = rng.standard_normal((600, d_in))
+        w1 = w0 + 0.05 * rng.standard_normal((600, d_in))
+        assert proxy_loss(w1, w0, hess) == proxy_loss(w1, w0, hess.matrix)
+
     def test_peak_is_a_row_block_not_the_layer(self):
         d_out, d_in = 2048, 1024
         rng = np.random.default_rng(7)

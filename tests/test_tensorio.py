@@ -71,6 +71,66 @@ class TestLoadMemory:
         assert peak <= 1.1 * arr.nbytes
 
 
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4", "<i8", "<i4"])
+    def test_load_rows_reads_a_row_range(self, tmp_path, rng, dtype):
+        arr = (100 * rng.standard_normal((7, 3, 2))).astype(dtype)
+        path = tmp_path / "t.safetensors"
+        save_tensors(path, {"a": np.zeros(5), "w": arr})
+        tf = TensorFile.open(path)
+        for start, stop in [(0, 7), (2, 5), (6, 7), (4, 4)]:
+            rows = tf.load_rows("w", start, stop)
+            assert rows.dtype == tf.load("w").dtype
+            assert np.array_equal(rows, tf.load("w")[start:stop])
+        for start, stop in [(-1, 2), (3, 2), (0, 8)]:
+            with pytest.raises(TensorFormatError, match="outside"):
+                tf.load_rows("w", start, stop)
+
+    def test_load_rows_of_a_truncated_payload(self, tmp_path, rng):
+        # the rows before the cut still read; the last one is refused
+        arr = rng.standard_normal((4, 4))
+        path = tmp_path / "t.safetensors"
+        save_tensors(path, {"w": arr})
+        tf = TensorFile.open(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8)
+        assert np.array_equal(tf.load_rows("w", 0, 3), arr[:3])
+        with pytest.raises(TensorFormatError, match="truncated payload"):
+            tf.load_rows("w", 2, 4)
+
+
+class TestSaveFromArrays:
+    def test_bytes_are_the_header_and_each_little_endian_payload(self, tmp_path, rng):
+        # Fortran-ordered, strided and 0-d tensors are stored as they
+        # always were: in C order, and a 0-d one as shape [1]
+        tensors = {
+            "b": np.asfortranarray(rng.standard_normal((3, 4))),
+            "c": rng.integers(-9, 9, size=(4, 6)).astype(np.int32)[:, ::2],
+            "a": np.array(2.5, dtype=np.float32),
+            "d": np.zeros((0, 3), dtype=np.int64),
+        }
+        header, payload = {}, b""
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name])
+            blob = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+            kind = {"f": "F", "i": "I"}[arr.dtype.kind] + str(8 * arr.dtype.itemsize)
+            header[name] = {"dtype": kind, "shape": list(arr.shape),
+                            "data_offsets": [len(payload), len(payload) + len(blob)]}
+            payload += blob
+        header["__metadata__"] = {"k": "v"}
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "t.safetensors"
+        save_tensors(path, tensors, metadata={"k": "v"})
+        assert path.read_bytes() == struct.pack("<Q", len(raw)) + raw + payload
+
+    def test_save_makes_no_copy_of_a_contiguous_array(self, tmp_path, rng):
+        arr = rng.standard_normal((1024, 1024))
+        arr.flags.writeable = False  # as a Hessian state's matrix is
+        path = tmp_path / "t.safetensors"
+        _, peak = traced_peak(lambda: save_tensors(path, {"hessian": arr}, metadata={"k": "v"}))
+        assert peak <= 0.01 * arr.nbytes
+        assert np.array_equal(TensorFile.open(path).load("hessian"), arr)
+
+
 def _write_f64_spans(path, offsets):
     """Container of F64 vectors at the given payload byte spans, 32 zero bytes long."""
     header = json.dumps(
