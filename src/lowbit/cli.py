@@ -16,7 +16,9 @@ import fnmatch
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
+from functools import partial
 
 from .calib import SyntheticSpec, activation_entries, generate_synthetic
 from .engines import LayerBundle, PreparedLayer, run_engine
@@ -195,15 +197,23 @@ def _parse_engine_token(token: str, effective: dict) -> tuple[str, EngineConfig]
 
 
 def _open_hessians(
-    hessians_dir: str, weights: TensorFile, layers: list[str]
-) -> dict[str, tuple[TensorFile, int]]:
-    """Each layer's Hessian file and sample count, its header checked: the
-    file exists, its ``hessian`` entry is d_in x d_in and its metadata has
-    ``n_samples``, a non-negative JSON integer. No payload is read."""
-    opened = {}
+    effective: dict, weights: TensorFile, layers: list[str]
+) -> dict[str, Callable[[], HessianState]]:
+    """Each layer's Hessian loader, its file's header checked: the file
+    exists, its ``hessian`` entry is d_in x d_in and its metadata has
+    ``n_samples``, a non-negative JSON integer. No payload is read; the
+    loader reads the entry one band of rows at a time
+    (``HessianState.from_rows``), so no dense d x d copy of it is made.
+
+    An unset ``damp_ratio`` is set to the value the headers record, a
+    header without one counting as the default. A recorded value the
+    engines would refuse, or headers that disagree, are a ConfigError. A
+    value already set is kept and the recorded ones are not read.
+    """
+    loaders, recorded = {}, set()
     for layer in layers:
         d_in = weights.shape(layer + ".weight")[1]
-        path = os.path.join(hessians_dir, layer + HESSIAN_SUFFIX)
+        path = os.path.join(effective["hessians"], layer + HESSIAN_SUFFIX)
         if not os.path.exists(path):
             raise ConfigError(f"missing Hessian file {path}")
         tf = TensorFile.open(path)
@@ -221,39 +231,22 @@ def _open_hessians(
             raise TensorFormatError(
                 f"{path}: n_samples must be a non-negative JSON integer, got {raw!r}"
             )
-        opened[layer] = tf, n_samples
-    return opened
-
-
-def _resolve_damp_ratio(effective: dict, hessians: dict[str, tuple[TensorFile, int]]) -> None:
-    """Set an unset ``damp_ratio`` to the value the selected layers'
-    Hessian headers record, a header without one counting as the default.
-    A recorded value the engines would refuse, or headers that disagree,
-    are a ConfigError. A value already set is kept."""
-    if effective["damp_ratio"] is not None:
-        return
-    recorded = set()
-    for tf, _ in hessians.values():
-        raw = tf.metadata.get("damp_ratio")
-        try:
-            value = _ENGINE_DEFAULTS["damp_ratio"] if raw is None else json.loads(raw)
-            recorded.add(EngineConfig.from_dict({"damp_ratio": value}).damp_ratio)
-        except (json.JSONDecodeError, ConfigError) as exc:
-            raise ConfigError(f"{tf.path}: recorded damp_ratio {raw!r} is invalid: {exc}") from None
+        if effective["damp_ratio"] is None:
+            raw = tf.metadata.get("damp_ratio")
+            try:
+                value = _ENGINE_DEFAULTS["damp_ratio"] if raw is None else json.loads(raw)
+                recorded.add(EngineConfig.from_dict({"damp_ratio": value}).damp_ratio)
+            except (json.JSONDecodeError, ConfigError) as exc:
+                raise ConfigError(f"{path}: recorded damp_ratio {raw!r} is invalid: {exc}") from None
+        loaders[layer] = partial(HessianState.from_rows, d_in, n_samples, partial(tf.load_rows, "hessian"))
     if len(recorded) > 1:
         raise ConfigError(
             f"the Hessian headers record different damp_ratio values {sorted(recorded)}; "
             "pass --damp-ratio to choose one"
         )
-    (effective["damp_ratio"],) = recorded
-
-
-def _load_hessian(tf: TensorFile, n_samples: int) -> HessianState:
-    """The file's ``hessian`` as a state, read one band of rows at a time, so
-    no dense d x d copy of it is made."""
-    return HessianState.from_rows(
-        tf.shape("hessian")[0], n_samples, lambda start, stop: tf.load_rows("hessian", start, stop)
-    )
+    if recorded:
+        (effective["damp_ratio"],) = recorded
+    return loaders
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -267,6 +260,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     EngineConfig.from_dict({"damp_ratio": effective["damp_ratio"]})
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
+    d_ins = {layer: weights.shape(layer + ".weight")[1] for layer in layers}
 
     if have_acts:
         act_files = [TensorFile.open(p) for p in effective["activations"]]
@@ -274,12 +268,21 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         for layer, entries in shards.items():
             if not entries:
                 raise ConfigError(f"no activation shards found for layer {layer!r}")
+            for tf, name in entries:
+                shape = tf.shape(name)
+                if len(shape) != 2 or shape[0] != d_ins[layer]:
+                    raise TensorFormatError(
+                        f"{tf.path}: {name} must be {d_ins[layer]} x n_tokens, got shape {shape}"
+                    )
     else:
         synth = _parse_synthetic(effective["synthetic"])
+        for layer, d_in in d_ins.items():
+            if d_in < 1:
+                raise ConfigError(f"layer {layer!r} has no input columns; --synthetic needs d_in >= 1")
     config_blob = _run_config(effective)
 
     for idx, layer in enumerate(layers):
-        d_in = weights.shape(layer + ".weight")[1]
+        d_in = d_ins[layer]
         state = HessianState(d_in)
         if have_acts:
             for tf, name in shards[layer]:
@@ -309,15 +312,13 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     _require(effective, "weights", "hessians", "out")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
-    hessians = _open_hessians(effective["hessians"], weights, layers)
-    _resolve_damp_ratio(effective, hessians)
+    hessians = _open_hessians(effective, weights, layers)
     engine_cfg = EngineConfig.from_dict({k: effective[k] for k in _ENGINE_DEFAULTS})
     config_blob = _run_config(effective)
 
     # one call per layer, so a layer's arrays are freed before the next loads
     def one(layer: str):
-        tf, n_samples = hessians[layer]
-        hessian = _load_hessian(tf, n_samples)
+        hessian = hessians[layer]()
         bundle = LayerBundle(weights.load(layer + ".weight"))
         quantized, rep = run_engine(bundle, hessian, engine_cfg, layer_name=layer)
         quantized.extra["run_config"] = json.loads(config_blob)
@@ -346,16 +347,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError(f"repeated engine tokens: {repeated}")
     weights = TensorFile.open(effective["weights"])
     layers = _discover_layers(weights, effective["layers"])
-    hessians = _open_hessians(effective["hessians"], weights, layers)
-    _resolve_damp_ratio(effective, hessians)
+    hessians = _open_hessians(effective, weights, layers)
     parsed = [_parse_engine_token(tok, effective) for tok in tokens]
     _run_config(effective)
     # tokens differ only in engine and sign, so they share grid and damping
     shared = parsed[0][1]
 
     def one(layer: str):
-        tf, n_samples = hessians[layer]
-        hessian = _load_hessian(tf, n_samples)
+        hessian = hessians[layer]()
         prepared = PreparedLayer(
             weights.load(layer + ".weight"), hessian, shared.grid(), shared.damp_ratio
         )
@@ -440,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="accumulate per-layer calibration Hessians")
     p_cal.add_argument("--weights", help="safetensors file with '<layer>.weight' entries")
-    p_cal.add_argument("--activations", nargs="+", help="tensor files with '<layer>.input[.<shard>]' entries")
+    p_cal.add_argument("--activations", nargs="+", help="tensor files with '<layer>.input[.<shard>]' entries, each d_in x n_tokens")
     p_cal.add_argument(
         "--synthetic",
         help="synthetic activation spec, e.g. 'n_tokens=512,rho=0.9,seed=0' "

@@ -185,7 +185,9 @@ def foem_column_step(
 
     No engine runs this step: it is the eager reference for the lazy
     blocked driver, which the tests drive column by column and compare
-    against ``run_engine``. The grid is the book's.
+    against ``run_engine``. It takes the factor that ``inverse_cholesky``
+    builds, as ``_run_blocked`` does, and reads T whole (``factor.matrix``,
+    formed from U's bands on its first read). The grid is the book's.
     """
     T = factor.matrix
     w = bundle.weights[:, col]

@@ -27,6 +27,8 @@ Conventions fixed here:
 * Damping is recorded, not applied: a damped state shares the undamped
   bands and the factorization adds the damping to each diagonal entry as
   it reads it, so an engine run holds H and the factor and no damped copy.
+  A damped state is final: ``accumulate`` and ``dampen`` refuse it, so a
+  damping never compounds.
 * The factor is upper-triangular: H + damping * I = U U^T with U upper
   triangular and a strictly positive diagonal, so its inverse T = U^(-1)
   is upper triangular too and T^T T = (H + damping * I)^(-1). The
@@ -78,7 +80,9 @@ class HessianState:
     Mutable only through :meth:`accumulate` (single writer), which swaps
     in new bands, so no array the state has handed out changes.
     :meth:`dampen` returns a new state and leaves the original untouched,
-    so the undamped covariance stays available for loss reporting.
+    so the undamped covariance stays available for loss reporting. A
+    damped state is final: it can be neither accumulated into nor damped
+    again.
     """
 
     def __init__(self, dim: int):
@@ -184,10 +188,13 @@ class HessianState:
         records lam as ``damping``; ``inverse_cholesky`` adds lam to the
         diagonal as it factors, and ``matrix`` adds it only when read. This
         state stays undamped, and a later :meth:`accumulate` on it leaves the
-        damped state as it was.
+        damped state as it was. A damped state is refused: its damping is
+        final, as for :meth:`accumulate`.
         """
         if ratio < 0:
             raise ValueError("damping ratio must be non-negative")
+        if self.damped:
+            raise NumericalError("cannot dampen a damped Hessian")
         if self.n_samples <= 0:
             raise NumericalError("cannot dampen before any samples are accumulated")
         lam = ratio * self.mean_diagonal()
@@ -198,13 +205,7 @@ class HessianState:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        bands = self._bands
-        if self.damping:
-            # damping a damped state: the first damping joins the bands
-            bands = [band.copy() for band in bands]
-            for band in bands:
-                band[np.diag_indices(len(band))] += self.damping
-        return self._wrap(self._dim, bands, self.n_samples, damping=lam)
+        return self._wrap(self._dim, self._bands, self.n_samples, damping=lam)
 
     @classmethod
     def from_matrix(cls, H: np.ndarray, n_samples: int) -> "HessianState":
@@ -229,7 +230,9 @@ class HessianState:
     def from_rows(cls, dim: int, n_samples: int, rows) -> "HessianState":
         """An undamped state from a dim x dim H read one band of rows at a
         time, as from a file: ``rows(start, stop)`` returns H[start:stop] as
-        a new float64 array, which the state may keep.
+        a new array, which the state may keep. Rows of another kind, such as
+        an integer file's, are widened to float64; float64 rows are kept as
+        read, with no copy.
 
         Every entry read is checked as ``from_matrix`` checks H, and each
         band keeps its rows from its diagonal on. The bands are read last
@@ -238,7 +241,7 @@ class HessianState:
         """
         bands = []
         for a in reversed(range(0, dim, _BAND)):
-            block = rows(a, min(a + _BAND, dim))
+            block = np.asarray(rows(a, min(a + _BAND, dim)), dtype=np.float64)
             if not _all_finite(block):
                 raise NumericalError("Hessian contains non-finite values")
             bands.append(_symmetrize(block[:, a:].copy() if a else block))
@@ -308,24 +311,16 @@ class InvCholFactor:
     first read and kept; the blocked engines read neither, only the
     reference steps, the oracle tests and the verification checks do.
     ``diagonal_block`` gives any diagonal block of T without forming the
-    rest. ``InvCholFactor(T)`` wraps a given T, with no U, for the routes
-    that read only T: the reference steps and ``recover_inverse_submatrix``.
+    rest, and ``matrix`` is built from it.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        self.dim = matrix.shape[0]
-        self.matrix = matrix
-
-    @classmethod
-    def _from_bands(cls, dim: int, bands: list[np.ndarray], bases: np.ndarray) -> "InvCholFactor":
+    def __init__(self, dim: int, bands: list[np.ndarray], bases: np.ndarray):
         """U's bands, and in ``bases`` row r the row of T's diagonal block of
         at most ``_BASE_DIM`` columns that holds column r: T[r, k:k + w] for
-        the block [k, k + w)."""
-        out = cls.__new__(cls)
-        out.dim = dim
-        out._bands = bands
-        out._bases = bases
-        return out
+        the block [k, k + w). Only ``inverse_cholesky`` builds a factor."""
+        self.dim = dim
+        self._bands = bands
+        self._bases = bases
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -365,8 +360,6 @@ class InvCholFactor:
         splits (``_split``) and joined as [[T1, -T1 U12 T2], [0, T2]], two
         products per split.
         """
-        if "matrix" in self.__dict__:
-            return self.matrix[start:stop, start:stop].copy()
         out = np.empty((stop - start, stop - start))
         self._inverse_into(start, stop, out)
         return out
@@ -450,7 +443,7 @@ def inverse_cholesky(state: HessianState) -> InvCholFactor:
     bases = np.empty((d, min(_BASE_DIM, d)))
     if d:
         _factor_into(bands, bases, 0, d)
-    return InvCholFactor._from_bands(d, bands, bases)
+    return InvCholFactor(d, bands, bases)
 
 
 def _factor_into(bands: list[np.ndarray], bases: np.ndarray, start: int, stop: int) -> None:

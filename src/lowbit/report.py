@@ -9,7 +9,9 @@ same number; tests hold them together at 1e-10.
 The trace is evaluated in blocks and uses H's symmetry: D is formed a few
 hundred rows at a time, and each column block pairs with itself and with
 the columns after it only, so a call does d_out * d_in^2 flops, half the
-dense product's, and holds no d_out x d_in temporary.
+dense product's, and holds no d_out x d_in temporary. H is read from the
+row bands of its upper triangle that ``HessianState`` keeps; a dense H is
+first copied into such bands.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class LayerReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LayerReport":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__})
-
 
 def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) -> float:
     """trace(D H D^T) for D = w_deq - w_orig; equals ||D X||_F^2 for H = X X^T.
@@ -68,13 +66,14 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
     are dequantized one row block at a time into D's buffer: the same
     numbers, so the same loss, with no d_out x d_in array.
 
-    ``hessian`` may be a HessianState (must be undamped: the metric is
-    defined by the calibration data, not by the regularizer), whose bands
-    are read in place, H_>J,J as the transpose of H_J,>J, or a plain
-    symmetric matrix, of which only the lower block triangle is read: the
-    diagonal blocks and what lies below them. The two weight arrays must be
-    2-D and of one shape, with H's dimension as their width; any other
-    input is refused with ``NumericalError``.
+    ``hessian`` is an undamped HessianState (the metric is defined by the
+    calibration data, not by the regularizer), whose bands are read in
+    place, H_>J,J as the transpose of H_J,>J, or a dense symmetric matrix,
+    which ``HessianState.from_matrix`` copies into bands first: its upper
+    triangle is read, and any entry that is not finite, or a matrix that
+    is not square, is refused. The two weight arrays must be 2-D and of one
+    shape, with H's dimension as their width; any other input is refused
+    with ``NumericalError``.
 
     For each block of ``_ROW_BLOCK`` rows of D and each block J of
     ``_COL_BLOCK`` columns it adds <D_J, D_J H_JJ + 2 D_>J H_>J,J>, with
@@ -82,20 +81,10 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
     product's. Besides H it holds one row block of D and the two
     _ROW_BLOCK x _COL_BLOCK products.
     """
-    if isinstance(hessian, HessianState):
-        if hessian.damped:
-            raise NumericalError("proxy loss must be computed on the undamped Hessian")
-        shape = (hessian.dim, hessian.dim)
-
-        def blocks(j, k):
-            rows = hessian.band_view(j, k, j)
-            return rows[:, : k - j], rows[:, k - j :].T
-    else:
-        H = np.asarray(hessian, dtype=np.float64)
-        shape = H.shape
-
-        def blocks(j, k):
-            return H[j:k, j:k], H[k:, j:k]
+    if not isinstance(hessian, HessianState):
+        hessian = HessianState.from_matrix(hessian, 0)
+    if hessian.damped:
+        raise NumericalError("proxy loss must be computed on the undamped Hessian")
     if not isinstance(w_deq, QuantizedLayer):
         w_deq = np.asarray(w_deq)
     w_orig = np.asarray(w_orig)
@@ -104,9 +93,9 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
             f"shape mismatch: weights {w_deq.shape} against originals {w_orig.shape}"
         )
     d_out, d_in = w_deq.shape
-    if shape != (d_in, d_in):
+    if hessian.dim != d_in:
         raise NumericalError(
-            f"shape mismatch: weights {w_deq.shape} against Hessian {shape}"
+            f"shape mismatch: weights {w_deq.shape} against Hessian dim {hessian.dim}"
         )
     delta = np.empty((min(_ROW_BLOCK, d_out), d_in))
     products = np.empty((2, len(delta), min(_COL_BLOCK, d_in)))
@@ -121,10 +110,10 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
         for j in range(0, d_in, _COL_BLOCK):
             k = min(j + _COL_BLOCK, d_in)
             acc, cross = products[:, :n, : k - j]
-            H_JJ, H_after = blocks(j, k)
-            np.matmul(D[:, j:k], H_JJ, out=acc)
+            rows = hessian.band_view(j, k, j)
+            np.matmul(D[:, j:k], rows[:, : k - j], out=acc)
             if k < d_in:
-                np.matmul(D[:, k:], H_after, out=cross)
+                np.matmul(D[:, k:], rows[:, k - j :].T, out=cross)
                 cross *= 2.0
                 acc += cross
             acc *= D[:, j:k]

@@ -199,6 +199,27 @@ class TestCalibrate:
         assert "non-finite" in capsys.readouterr().err
         assert not (workspace["dir"] / "x" / "blk0.fc.hessian.safetensors").exists()
 
+    @pytest.mark.parametrize("shape", [(9, 8), (10,), (10, 8, 2)], ids=["rows", "1d", "3d"])
+    def test_activation_shard_of_wrong_shape_exits_2(self, workspace, rng, capsys, shape):
+        # blk1.fc is 10 wide and runs after blk0.fc, whose shard is good
+        acts = workspace["dir"] / "acts.st"
+        save_tensors(acts, {"blk0.fc.input": rng.standard_normal((12, 8)),
+                            "blk1.fc.input.0": rng.standard_normal(shape)})
+        out = workspace["dir"] / "x"
+        rc = run_cli("calibrate", "--weights", workspace["weights"], "--activations", acts, "--out", out)
+        assert rc == 2
+        assert f"acts.st: blk1.fc.input.0 must be 10 x n_tokens, got shape {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synthetic_layer_without_input_columns_exits_2(self, tmp_path, rng, capsys):
+        weights = tmp_path / "weights.safetensors"
+        save_tensors(weights, {"blk0.fc.weight": rng.standard_normal((4, 6)), "blk1.fc.weight": np.zeros((4, 0))})
+        out = tmp_path / "out"
+        rc = run_cli("calibrate", "--weights", weights, "--synthetic", "n_tokens=16", "--out", out)
+        assert rc == 2
+        assert "layer 'blk1.fc' has no input columns" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def calibrated(workspace):
@@ -652,6 +673,18 @@ class TestHessianFile:
         assert not out.exists()
 
 
+def _hessian_loader(tmp_path, H, n_samples):
+    """The loader that quantize and compare build for a one-layer model
+    whose Hessian file holds ``H``."""
+    weights = tmp_path / "w.safetensors"
+    save_tensors(weights, {"blk.fc.weight": np.zeros((2, len(H)))})
+    hes = tmp_path / "hes"
+    hes.mkdir()
+    save_tensors(hes / "blk.fc.hessian.safetensors", {"hessian": H}, metadata={"n_samples": str(n_samples)})
+    effective = {"hessians": str(hes), "damp_ratio": 0.01}
+    return cli._open_hessians(effective, TensorFile.open(weights), ["blk.fc"])["blk.fc"]
+
+
 class TestHessianBands:
     """quantize and compare read each Hessian file one band of rows at a
     time; d = 1100 is three bands, the last one ragged."""
@@ -659,12 +692,10 @@ class TestHessianBands:
     def test_state_from_file_bands_equals_from_matrix_and_makes_no_dense_copy(self, tmp_path, rng):
         d = 1100
         A = rng.standard_normal((d, d))
-        path = tmp_path / "h.safetensors"
-        save_tensors(path, {"hessian": A @ A.T}, metadata={"n_samples": "7"})
-        tf = TensorFile.open(path)
-        state, peak = traced_peak(lambda: cli._load_hessian(tf, 7))
+        loader = _hessian_loader(tmp_path, A @ A.T, 7)
+        state, peak = traced_peak(loader)
         assert peak < 8 * d * d
-        want = HessianState.from_matrix(tf.load("hessian"), 7)
+        want = HessianState.from_matrix(A @ A.T, 7)
         assert state.n_samples == want.n_samples and not state.damped
         assert all(np.array_equal(a, b) for a, b in zip(state._bands, want._bands, strict=True))
 
@@ -672,9 +703,7 @@ class TestHessianBands:
         d = 600
         x = rng.standard_normal((d, 30))
         H = (x @ x.T).astype(np.float32)
-        path = tmp_path / "h.safetensors"
-        save_tensors(path, {"hessian": H}, metadata={"n_samples": "30"})
-        state = cli._load_hessian(TensorFile.open(path), 30)
+        state = _hessian_loader(tmp_path, H, 30)()
         assert np.array_equal(state.matrix, H.astype(np.float64))
 
     @pytest.mark.parametrize("where", [(1, 0), (1000, 3), (1099, 1099)])
@@ -691,6 +720,36 @@ class TestHessianBands:
         save_tensors(hes / "blk.fc.hessian.safetensors", {"hessian": H}, metadata={"n_samples": "1"})
         assert run_cli(*quantize_args({"weights": weights}, tmp_path / "x", hes)) == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("command", ["quantize", "compare"])
+def test_integer_hessian_file_runs_as_float64_file(workspace, command, dtype):
+    # the container holds I32 and I64 entries; the bands are widened as read
+    ws = workspace
+    hessians = {}
+    for seed, (layer, arr) in enumerate(ws["arrays"].items()):
+        x = np.random.default_rng(seed).integers(-3, 4, (arr.shape[1], 64))
+        hessians[layer[: -len(".weight")]] = x @ x.T
+    results = []
+    for kind in (np.float64, dtype):
+        hes, out = ws["dir"] / f"hes-{np.dtype(kind)}", ws["dir"] / f"out-{np.dtype(kind)}"
+        hes.mkdir()
+        for layer, H in hessians.items():
+            save_tensors(hes / f"{layer}.hessian.safetensors", {"hessian": H.astype(kind)},
+                         metadata={"n_samples": "64"})
+        assert _run_command(ws, command, out, hes) == 0
+        if command == "quantize":
+            reports = [json.loads((out / f"{layer}.report.json").read_text()) for layer in hessians]
+            codes = [load_quantized(out / f"{layer}.quantized.safetensors").codes for layer in hessians]
+        else:
+            reports, codes = json.loads((out / "compare_reports.json").read_text()), []
+        for rep in reports:
+            del rep["wall_time_s"]
+        results.append((reports, codes))
+    (want_reports, want_codes), (got_reports, got_codes) = results
+    assert got_reports == want_reports
+    assert all(np.array_equal(a, b) for a, b in zip(got_codes, want_codes, strict=True))
 
 
 def _calibrate(ws, out, *flags):

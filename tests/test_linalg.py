@@ -15,7 +15,6 @@ from lowbit.errors import FactorizationError, NumericalError
 from lowbit.linalg import (
     _BASE_DIM,
     HessianState,
-    InvCholFactor,
     _solve_into,
     inverse_cholesky,
     iterative_inverse_update,
@@ -212,6 +211,14 @@ class TestDampen:
         with pytest.raises(ValueError):
             state.dampen(-0.1)
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.01])
+    def test_damped_state_refused(self, ratio):
+        # the damping is final: a second one would compound into the first
+        damped = HessianState(2).accumulate(np.eye(2)).dampen(ratio)
+        with pytest.raises(NumericalError, match="damped"):
+            damped.dampen(0.01)
+        assert damped.damping == ratio
+
 
 def _damped_from_matrix(H, ratio=0.0):
     state = HessianState.from_matrix(H, n_samples=1)
@@ -334,13 +341,6 @@ class TestInverseCholesky:
         resid = Tb @ factor.upper[i:e, i:e] - np.eye(e - i)
         assert np.abs(resid).max() <= 1e-13
         np.testing.assert_allclose(Tb, factor.matrix[i:e, i:e], rtol=0, atol=1e-13 * np.abs(Tb).max())
-
-    def test_factor_given_by_t(self):
-        T = np.diag([0.5, 1.0, 0.25])
-        T[0, 2] = 0.125
-        factor = InvCholFactor(T)
-        assert factor.matrix is T and factor.dim == 3
-        assert np.array_equal(factor.diagonal_block(1, 3), T[1:, 1:])
 
     def test_library_loads_no_second_blas_runtime(self):
         # scipy bundles its own OpenBLAS; importing it beside numpy's would
@@ -528,9 +528,15 @@ class TestPeakMemory:
         assert peak <= W.size / 4
 
 
+def _identity_factor(d):
+    """The factor of an undamped identity H, exactly T = I."""
+    return inverse_cholesky(_damped_from_matrix(np.eye(d)))
+
+
 class TestRecoverInverseSubmatrix:
     def test_identity_factor(self):
-        factor = InvCholFactor(np.eye(5))
+        factor = _identity_factor(5)
+        assert np.array_equal(factor.matrix, np.eye(5))
         for q in range(5):
             assert np.array_equal(recover_inverse_submatrix(factor, q), np.eye(4 - q))
 
@@ -562,12 +568,12 @@ class TestRecoverInverseSubmatrix:
             assert resid <= 1e-8
 
     def test_last_column_yields_empty(self):
-        factor = InvCholFactor(np.eye(3))
+        factor = _identity_factor(3)
         assert recover_inverse_submatrix(factor, 2).shape == (0, 0)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            recover_inverse_submatrix(InvCholFactor(np.eye(3)), 3)
+            recover_inverse_submatrix(_identity_factor(3), 3)
 
 
 class TestIterativeInverseUpdate:

@@ -50,6 +50,17 @@ class TestProxyLoss:
         with pytest.raises(NumericalError, match="undamped"):
             proxy_loss(np.zeros((1, 2)), np.zeros((1, 2)), hess)
 
+    @pytest.mark.parametrize(
+        "H, message",
+        [(np.ones((4, 3)), "square"), (np.ones(4), "square"),
+         (np.diag([1.0, np.nan, 1.0, 1.0]), "non-finite"), (np.where(np.tri(4, k=-1, dtype=bool), np.inf, np.eye(4)), "non-finite")],
+        ids=["4x3", "1d", "nan", "inf-lower"],
+    )
+    def test_dense_hessian_refused(self, H, message):
+        # checked as from_matrix checks it, the lower triangle included
+        with pytest.raises(NumericalError, match=message):
+            proxy_loss(np.zeros((2, 4)), np.zeros((2, 4)), H)
+
     def test_shape_mismatch(self):
         with pytest.raises(NumericalError, match="shape"):
             proxy_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.eye(4))
@@ -188,7 +199,3 @@ class TestCompareTable:
         reports = [_report("a", "gptq", 1.0), _report("b", "gptq", 2.0)]
         _, summary = compare_table(reports)
         assert summary["engines"]["gptq"]["proxy_loss"] == {"a": 1.0, "b": 2.0}
-
-    def test_report_dict_round_trip(self):
-        rep = _report("a", "gptq", 1.5, 0.7)
-        assert LayerReport.from_dict(rep.to_dict()) == rep
