@@ -268,12 +268,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         for layer, entries in shards.items():
             if not entries:
                 raise ConfigError(f"no activation shards found for layer {layer!r}")
+            n_tokens = 0
             for tf, name in entries:
                 shape = tf.shape(name)
                 if len(shape) != 2 or shape[0] != d_ins[layer]:
                     raise TensorFormatError(
                         f"{tf.path}: {name} must be {d_ins[layer]} x n_tokens, got shape {shape}"
                     )
+                n_tokens += shape[1]
+            # a Hessian of no samples cannot be damped, so quantize would refuse it
+            if n_tokens == 0:
+                raise TensorFormatError(f"the activation shards of layer {layer!r} hold no tokens")
     else:
         synth = _parse_synthetic(effective["synthetic"])
         for layer, d_in in d_ins.items():

@@ -295,6 +295,12 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     sweep carries Y: before step a, rows a.. of Z's columns a+1 onward are
     R = Tb[a:, a+1:] + c K[a:, a+1:] Y[a+1:, a+1:], N's row a is -R[0],
     and step a adds R to Y[a:, a+1:]; A itself is Tb^(-1) (Z - Tb) = c Tb^T Y.
+    Before step a, row a and column a+1 of Y are still zero: the steps
+    taken so far, a' > a, wrote rows a' onward of columns a' + 1 onward
+    only. So Y[a:, a+1:] is I[a:, a+1:] Y[a+1:, a+1:], and the step is the
+    one product Y[a:, a+1:] = (I + c K)[a:, a+1:] Y[a+1:, a+1:] +
+    Tb[a:, a+1:], which writes the step's whole block. Z is formed from
+    c K, not from I + c K, so that it loses nothing to cancellation.
     Step a is one (b - a) x (b - a - 1) x (b - a - 1) product, so a plan
     costs about b^4 / 2 flops, whatever d_out is. With c = 0 Z is Tb and N
     is -triu(Tb, 1).
@@ -307,12 +313,15 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     if c == 0.0:
         return F
     cK = c * (Tb @ Tb.T)
+    step = cK.copy()
+    step[np.diag_indices(b)] += 1.0
     Y = np.zeros((b, b))
     for a in range(b - 1, -1, -1):
-        R = Tb[a:, a + 1 :] + cK[a:, a + 1 :] @ Y[a + 1 :, a + 1 :]
+        R = step[a:, a + 1 :] @ Y[a + 1 :, a + 1 :]
+        R += Tb[a:, a + 1 :]
         np.negative(R[0], out=N[a, a + 1 :])
-        Y[a:, a + 1 :] += R
-    F[:b] = Tb + cK @ Y
+        Y[a:, a + 1 :] = R
+    F[:b] += cK @ Y
     return F
 
 

@@ -198,7 +198,7 @@ class HessianState:
         if self.n_samples <= 0:
             raise NumericalError("cannot dampen before any samples are accumulated")
         lam = ratio * self.mean_diagonal()
-        if ratio > 0 and lam == 0.0:
+        if ratio > 0 and lam == 0.0 and self._dim > 0:
             warnings.warn(
                 "Hessian diagonal is all zero; damping has no effect and the "
                 "matrix may be singular",

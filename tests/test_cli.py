@@ -211,6 +211,24 @@ class TestCalibrate:
         assert f"acts.st: blk1.fc.input.0 must be 10 x n_tokens, got shape {shape}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_activation_shards_without_tokens_exit_2(self, workspace, rng, capsys):
+        # blk1.fc's two shards are 10 x 0: its Hessian would hold no samples,
+        # which quantize cannot dampen; one empty shard beside a full one is fine
+        acts = workspace["dir"] / "acts.st"
+        save_tensors(acts, {"blk0.fc.input.0": rng.standard_normal((12, 8)),
+                            "blk0.fc.input.1": np.zeros((12, 0)),
+                            "blk1.fc.input.0": np.zeros((10, 0)),
+                            "blk1.fc.input.1": np.zeros((10, 0))})
+        out = workspace["dir"] / "x"
+        rc = run_cli("calibrate", "--weights", workspace["weights"], "--activations", acts, "--out", out)
+        assert rc == 2
+        assert "the activation shards of layer 'blk1.fc' hold no tokens" in capsys.readouterr().err
+        assert not out.exists()
+        rc = run_cli("calibrate", "--weights", workspace["weights"], "--layers", "blk0.fc",
+                     "--activations", acts, "--out", out)
+        assert rc == 0
+        assert json.loads(TensorFile.open(out / "blk0.fc.hessian.safetensors").metadata["n_samples"]) == 8
+
     def test_synthetic_layer_without_input_columns_exits_2(self, tmp_path, rng, capsys):
         weights = tmp_path / "weights.safetensors"
         save_tensors(weights, {"blk0.fc.weight": rng.standard_normal((4, 6)), "blk1.fc.weight": np.zeros((4, 0))})
@@ -383,6 +401,17 @@ class TestQuantize:
         err = capsys.readouterr().err
         assert "numerical failure: Cholesky breakdown" in err
         assert "pivot at column 15 " in err
+
+    def test_layer_without_input_columns_quantizes_without_warning(self, tmp_path, recwarn):
+        # an empty Hessian's mean diagonal reads 0, but there is no diagonal
+        # for the damping to miss
+        wpath, hes = tmp_path / "w.safetensors", tmp_path / "hes"
+        save_tensors(wpath, {"fc.weight": np.zeros((4, 0))})
+        hes.mkdir()
+        save_tensors(hes / "fc.hessian.safetensors", {"hessian": np.zeros((0, 0))}, metadata={"n_samples": "5"})
+        assert run_cli(*quantize_args({"weights": wpath}, tmp_path / "q", hes)) == 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert load_quantized(tmp_path / "q" / "fc.quantized.safetensors").codes.shape == (4, 0)
 
     @pytest.mark.parametrize("command", ["quantize", "compare"])
     def test_numerical_failure_leaves_no_effective_config(self, tmp_path, rng, command):

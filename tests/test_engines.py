@@ -692,8 +692,11 @@ class TestLazyBlockPlan:
     """The plan, swept backward in Tb-coordinates, against the forward
     recursion it replaced."""
 
-    @pytest.mark.parametrize("c", [0.0, 3e-4, -3e-4, 3e-3, -3e-3])
-    @pytest.mark.parametrize("b", [1, 2, 7, 128])
+    # at b >= 64, ||Tb||_2^2 is 4.7-4.9, so c = +-2e-2 puts |c| ||Tb||_2^2
+    # near 0.1: there c K is no longer small beside I in the sweep's
+    # products (I + c K) Y
+    @pytest.mark.parametrize("c", [0.0, 3e-4, -3e-4, 3e-3, -3e-3, 2e-2, -2e-2])
+    @pytest.mark.parametrize("b", [1, 2, 7, 64, 100, 128])
     def test_matches_forward_recursion(self, b, c):
         Tb = _factor_for(b, 60 + b)[2].matrix
         plan = engines._lazy_block_plan(Tb, c)
@@ -704,6 +707,14 @@ class TestLazyBlockPlan:
         for half in (slice(0, b), slice(b, 2 * b)):
             scale = np.abs(ref[half]).max()
             np.testing.assert_allclose(plan[half], ref[half], rtol=0, atol=1e-12 * scale)
+
+    def test_peak_is_a_fixed_number_of_blocks(self):
+        # the plan is two b x b arrays, and the sweep holds c K, I + c K, Y
+        # and one product at a time: seven, whatever b; ten is the bound
+        b = 128
+        Tb = _factor_for(b, 60 + b)[2].matrix
+        _, peak = traced_peak(lambda: engines._lazy_block_plan(Tb, 3e-3))
+        assert peak <= 10 * b * b * 8
 
     @pytest.mark.parametrize("b", [1, 2, 7, 128])
     def test_zero_strength_plan_is_exact(self, b):
