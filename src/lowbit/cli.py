@@ -365,7 +365,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         out = []
         for label, cfg in parsed:
-            _, rep = prepared.run(LayerBundle(prepared.original), cfg, layer_name=layer)
+            # every bundle shares the layer's one original; only the report
+            # is kept, so no run's codes outlive it
+            rep = prepared.run(prepared.bundle(), cfg, layer_name=layer)[1]
             rep.engine = label
             out.append(rep)
         return out

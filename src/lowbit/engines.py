@@ -87,20 +87,34 @@ __all__ = [
     "run_engine",
 ]
 
+
+def _held(weights) -> np.ndarray:
+    """``weights`` at the precision a layer holds its originals in: a
+    float32 array as it is, anything else as float64 (no copy if it is
+    already float64). Every engine computes in float64, and a float32
+    original widens exactly wherever float64 arithmetic reads it."""
+    weights = np.asarray(weights)
+    return weights if weights.dtype == np.float32 else weights.astype(np.float64, copy=False)
+
+
 class LayerBundle:
     """Latent weights being calibrated plus the frozen originals.
 
-    ``weights`` is mutated in place by the engines; ``original`` is the
-    full-precision snapshot taken at construction and never changes.
+    ``weights`` is float64 and mutated in place by the engines;
+    ``original`` is the snapshot taken at construction, read-only and never
+    changed, held at the input's precision: float32 for a float32 input
+    (8 + 4 bytes a weight in all), float64 otherwise.
+    ``PreparedLayer.bundle`` makes a bundle that shares the prepared
+    layer's original instead of copying it.
     """
 
     def __init__(self, weights: np.ndarray):
-        weights = np.array(weights, dtype=np.float64, copy=True)
-        if weights.ndim != 2:
-            raise NumericalError(f"weights must be 2-D, got shape {weights.shape}")
-        self.weights = weights
-        self.original = weights.copy()
+        original = _held(weights)
+        if original.ndim != 2:
+            raise NumericalError(f"weights must be 2-D, got shape {original.shape}")
+        self.original = original.copy()
         self.original.setflags(write=False)
+        self.weights = self.original.astype(np.float64)
 
 
 def first_order_quant_step(
@@ -378,7 +392,9 @@ def _run_blocked(
     written back once per block. The first-order term is block-local, so
     the boundary is the same for both engines. For c = 0 (gptq, or foem
     with beta = 0) this is gptq's lazy batch, so foem with beta = 0 runs
-    gptq's arithmetic.
+    gptq's arithmetic. The originals are read as the bundle holds them,
+    float32 or float64: each read copies or subtracts them into a float64
+    buffer, which widens a float32 original exactly.
     """
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
@@ -509,12 +525,20 @@ class PreparedLayer:
     itself, and a read of the factor's ``upper`` or ``matrix`` builds a
     dense U or T). ``run`` refuses a config whose grid or damping differs
     from the preparation's.
+
+    ``original`` is the weights as given, float32 kept as float32 and
+    anything else as float64, with no copy where none is needed; a
+    writable array is held through a read-only view of it. ``bundle``
+    makes each run's bundle around that one array.
     """
 
     def __init__(
         self, weights: np.ndarray, hessian: HessianState, grid: QuantGrid, damp_ratio: float
     ):
-        original = np.asarray(weights, dtype=np.float64)
+        original = _held(weights)
+        if original.flags.writeable:
+            original = original.view()
+            original.setflags(write=False)
         if not _all_finite(original):
             raise NumericalError("layer weights contain non-finite values")
         if original.ndim != 2:
@@ -529,6 +553,15 @@ class PreparedLayer:
         self.hessian = hessian
         self.grid = grid
         self.damp_ratio = damp_ratio
+
+    def bundle(self) -> LayerBundle:
+        """A new undrifted bundle of this layer: float64 latent weights,
+        and this layer's read-only ``original`` itself, not a copy, so that
+        the runs on one layer hold its originals once."""
+        bundle = LayerBundle.__new__(LayerBundle)
+        bundle.original = self.original
+        bundle.weights = self.original.astype(np.float64)
+        return bundle
 
     @cached_property
     def factor(self) -> InvCholFactor:

@@ -374,8 +374,12 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     ``quantize_values`` call per group. This is the only place a layer's
     scales are fitted. Rejects non-finite weights. The layer's config is
     the ``rtn`` engine's on ``grid``, its other fields at their defaults.
+
+    The weights are read at their own precision and widened to float64
+    one group at a time (exactly, for float32), so a float32 layer is never
+    copied whole into float64 and quantizes as its float64 widening does.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights)
     if weights.ndim != 2:
         raise ValueError("weights must be a 2-D matrix")
     if not _all_finite(weights):
@@ -387,8 +391,9 @@ def rtn_quantize(weights: np.ndarray, grid: QuantGrid) -> QuantizedLayer:
     zero_points = np.empty(scales.shape, dtype=np.int32)
     for g, lo in enumerate(range(0, d_in, size)):
         cols = slice(lo, lo + size)
-        gs = fit_scales(weights[:, cols], grid)
+        group = weights[:, cols].astype(np.float64, copy=False)
+        gs = fit_scales(group, grid)
         scales[:, g], zero_points[:, g] = gs.scale, gs.zero_point
         gs = GroupScale(gs.scale[:, None], gs.zero_point[:, None])
-        codes[:, cols], _ = quantize_values(weights[:, cols], gs, grid)
+        codes[:, cols], _ = quantize_values(group, gs, grid)
     return QuantizedLayer(codes, scales, zero_points, EngineConfig(engine="rtn", **asdict(grid)))

@@ -73,7 +73,8 @@ def proxy_loss(w_deq: np.ndarray | QuantizedLayer, w_orig: np.ndarray, hessian) 
     triangle is read, and any entry that is not finite, or a matrix that
     is not square, is refused. The two weight arrays must be 2-D and of one
     shape, with H's dimension as their width; any other input is refused
-    with ``NumericalError``.
+    with ``NumericalError``. Either may be float32 (a layer's originals
+    are held as loaded): D is formed in float64, which widens it exactly.
 
     For each block of ``_ROW_BLOCK`` rows of D and each block J of
     ``_COL_BLOCK`` columns it adds <D_J, D_J H_JJ + 2 D_>J H_>J,J>, with

@@ -6,9 +6,12 @@ a JSON header mapping tensor names to dtype/shape/offsets (plus a free-form
 back. Files written here are readable by standard safetensors tooling and
 vice versa for the supported element kinds (F32/F64/I32/I64).
 
-All floating payloads are widened to float64 on load; internal computation
-is 64-bit throughout so oracle tolerances hold. Writers sort tensor names
-and header keys, which makes output bytes a pure function of the content.
+A payload loads in its stored element kind: an F32 tensor is a float32
+array. Computation is float64 throughout, so oracle tolerances hold; a
+float32 operand widens exactly wherever float64 arithmetic reads it, so a
+layer need not hold a float64 copy of its float32 weights. Writers sort
+tensor names and header keys, which makes output bytes a pure function of
+the content.
 
 A quantized-layer artifact records its ``EngineConfig`` as ``x.config``, and
 its grid and engine header keys are derived from it: load refuses an
@@ -130,10 +133,10 @@ class TensorFile:
     def load(self, name: str) -> np.ndarray:
         """Read one tensor into a new array.
 
-        The payload is read straight into the returned array, so an F64 or
-        integer load allocates nothing besides it. Float32 payloads widen to
-        float64, converted from one float32 buffer. A payload shorter than
-        its entry declares raises TensorFormatError.
+        The payload is read straight into the returned array, of the
+        entry's element kind (an F32 payload loads as float32, unwidened),
+        so a load allocates nothing besides it. A payload shorter than its
+        entry declares raises TensorFormatError.
         """
         entry = self._entry(name)
         return self._read(name, entry.begin, entry.shape)
@@ -141,8 +144,8 @@ class TensorFile:
     def load_rows(self, name: str, start: int, stop: int) -> np.ndarray:
         """Rows start .. stop - 1 (along the first axis) of a tensor of at
         least one dimension, read as ``load`` reads a whole tensor: only
-        their bytes, which lie back to back in the payload, and float32
-        widened to float64 for these rows alone."""
+        their bytes, which lie back to back in the payload, into an array
+        of the entry's element kind."""
         entry = self._entry(name)
         if not entry.shape or not 0 <= start <= stop <= entry.shape[0]:
             raise TensorFormatError(
@@ -153,7 +156,7 @@ class TensorFile:
 
     def _read(self, name: str, begin: int, shape: tuple[int, ...]) -> np.ndarray:
         """The ``shape`` array of ``name``'s element kind whose bytes start at
-        ``begin`` in the payload, float32 widened to float64."""
+        ``begin`` in the payload, read straight into it."""
         dtype_name = self.entries[name].dtype_name
         arr = np.empty(shape, dtype=_DTYPES[dtype_name])
         with open(self.path, "rb") as fh:
@@ -161,8 +164,6 @@ class TensorFile:
             got = fh.readinto(arr.reshape(-1).view(np.uint8))
         if got != arr.nbytes:
             raise TensorFormatError(f"{self.path}: truncated payload for {name!r}")
-        if dtype_name == "F32":
-            return arr.astype(np.float64)
         return arr
 
 
@@ -273,7 +274,8 @@ def load_quantized(path: str | os.PathLike) -> QuantizedLayer:
         raise TensorFormatError(f"{tf.path}: header keys {recorded} disagree with x.config {raw}")
     layer = QuantizedLayer(
         codes=codes,
-        scales=tf.load("scales"),
+        # float64, as a layer holds them, from an F32 entry too
+        scales=tf.load("scales").astype(np.float64, copy=False),
         zero_points=tf.load("zero_points"),
         config=config,
         extra=extra,

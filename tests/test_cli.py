@@ -1,5 +1,6 @@
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -605,6 +606,30 @@ class TestCompare:
         summary = json.loads((out / "compare_summary.json").read_text())
         assert summary["ties"] == 2
 
+    def test_engine_runs_share_the_original_and_keep_no_codes(self, calibrated, monkeypatch):
+        # each run's bundle holds the prepared layer's one read-only original,
+        # and a run's quantized layer (its d_out x d_in codes) is gone before
+        # the next run starts
+        ws = calibrated
+        seen, layers = [], []
+        run = engines.PreparedLayer.run
+
+        def spy(prepared, bundle, *args, **kwargs):
+            if layers:
+                assert layers[-1]() is None, "the previous run's quantized layer is still held"
+            seen.append((bundle.original is prepared.original, prepared.original.flags.writeable))
+            out = run(prepared, bundle, *args, **kwargs)
+            layers.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(engines.PreparedLayer, "run", spy)
+        rc = run_cli(
+            "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+            "--out", ws["dir"] / "cmp", "--engines", "rtn", "gptq", "foem",
+        )
+        assert rc == 0
+        assert seen == [(True, False)] * 6
+
     def test_indefinite_hessian_exits_3_naming_pivot(self, workspace, rng, capsys):
         ws = workspace
         hes = ws["dir"] / "indefinite"
@@ -779,6 +804,45 @@ def test_integer_hessian_file_runs_as_float64_file(workspace, command, dtype):
     (want_reports, want_codes), (got_reports, got_codes) = results
     assert got_reports == want_reports
     assert all(np.array_equal(a, b) for a, b in zip(got_codes, want_codes, strict=True))
+
+
+def test_float32_weights_file_runs_as_its_float64_widening(tmp_path, rng):
+    # one float32 weight set, stored as F32 and again as F64; the F32 file
+    # loads as float32 and is held that way, and every number must match
+    arrays = {
+        "blk0.fc.weight": rng.standard_normal((16, 40)).astype(np.float32),
+        "blk1.fc.weight": rng.standard_normal((24, 12)).astype(np.float32),
+    }
+    flags = ["--bits", "3", "--group-size", "8", "--block-size", "8"]
+    results = []
+    for kind in (np.float32, np.float64):
+        run = tmp_path / np.dtype(kind).name
+        weights = run / "weights.safetensors"
+        run.mkdir()
+        save_tensors(weights, {name: arr.astype(kind) for name, arr in arrays.items()})
+        ws = {"weights": weights}
+        hes = _calibrate(ws, run / "hes")
+        assert run_cli(*quantize_args(ws, run / "q", hes, **{"--engine": "foem"}), *flags) == 0
+        assert run_cli(
+            "compare", "--weights", weights, "--hessians", hes, "--out", run / "cmp",
+            "--engines", "rtn", "gptq", "foem", *flags,
+        ) == 0
+        layers, reports = [], []
+        for name in sorted(arrays):
+            layer = name[: -len(".weight")]
+            layers.append(load_quantized(run / "q" / f"{layer}{cli.QUANTIZED_SUFFIX}"))
+            reports.append(json.loads((run / "q" / f"{layer}.report.json").read_text()))
+        reports += json.loads((run / "cmp" / "compare_reports.json").read_text())
+        for rep in reports:
+            del rep["wall_time_s"]
+        summary = json.loads((run / "cmp" / "compare_summary.json").read_text())
+        results.append((layers, reports, summary))
+    (layers32, reports32, summary32), (layers64, reports64, summary64) = results
+    for a, b in zip(layers32, layers64, strict=True):
+        for name in ("codes", "scales", "zero_points"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.config == b.config
+    assert reports32 == reports64 and summary32 == summary64
 
 
 def _calibrate(ws, out, *flags):

@@ -639,6 +639,61 @@ class TestPreparedLayer:
             prepared.run(LayerBundle(W + 1.0), EngineConfig())
 
 
+class TestFloat32Originals:
+    """A float32 layer is held as float32 and computed on in float64, each
+    original widening exactly where it is read, so it gives every number
+    its float64 widening gives."""
+
+    def test_bundle_holds_a_read_only_float32_original(self, rng):
+        # 8 bytes a weight for the latent weights and 4 for the original
+        W = rng.standard_normal((512, 384)).astype(np.float32)
+        bundle, peak = traced_peak(lambda: LayerBundle(W))
+        assert peak <= 12 * W.size + 1024
+        assert bundle.original.dtype == np.float32 and bundle.weights.dtype == np.float64
+        assert np.array_equal(bundle.original, W) and not np.shares_memory(bundle.original, W)
+        assert np.array_equal(bundle.weights, W)
+        with pytest.raises(ValueError):
+            bundle.original[0, 0] = 1.0
+
+    def test_prepared_layer_keeps_float32_as_given(self, rng):
+        W = rng.standard_normal((8, 16)).astype(np.float32)
+        prepared = PreparedLayer(W, token_hessian(16, 64, 0.9, 58), QuantGrid(3, 8, True), 0.01)
+        assert prepared.original.dtype == np.float32 and np.shares_memory(prepared.original, W)
+        assert not prepared.original.flags.writeable and W.flags.writeable
+        bundle = prepared.bundle()
+        assert bundle.original is prepared.original
+        assert bundle.weights.dtype == np.float64 and np.array_equal(bundle.weights, W)
+
+    @pytest.mark.parametrize("token", TestPreparedLayer.TOKENS)
+    @pytest.mark.parametrize("shape", [(24, 40), (40, 24)])
+    def test_run_engine_matches_its_float64_widening(self, token, shape):
+        d_in = shape[1]
+        hess = token_hessian(d_in, 4 * d_in, 0.9, 59)
+        W = np.random.default_rng(60).standard_normal(shape).astype(np.float32)
+        config = EngineConfig(bits=3, group_size=16, block_size=8, **token)
+        runs = []
+        for weights in (W, W.astype(np.float64)):
+            bundle = LayerBundle(weights)
+            quantized, report = run_engine(bundle, hess, config)
+            runs.append((quantized, report.to_dict(), bundle))
+        (q32, rep32, b32), (q64, rep64, b64) = runs
+        assert b32.original.dtype == np.float32 and b64.original.dtype == np.float64
+        for name in ("codes", "scales", "zero_points"):
+            assert np.array_equal(getattr(q32, name), getattr(q64, name))
+        rep32.pop("wall_time_s"), rep64.pop("wall_time_s")
+        assert rep32 == rep64
+        assert np.array_equal(b32.weights, b64.weights)
+
+    @pytest.mark.parametrize("engine", ["gptq", "foem"])
+    def test_reference_steps_match_their_float64_widening(self, engine):
+        hess = token_hessian(20, 80, 0.9, 61)
+        W = np.random.default_rng(62).standard_normal((6, 20)).astype(np.float32)
+        config = EngineConfig(engine=engine, bits=3, group_size=8, block_size=8)
+        codes32, _, w32 = _eager_reference(W, hess, config)
+        codes64, _, w64 = _eager_reference(W.astype(np.float64), hess, config)
+        assert np.array_equal(codes32, codes64) and np.array_equal(w32, w64)
+
+
 def _eager_reference(W, hess, config):
     """Column-at-a-time reference for ``run_engine`` on gptq and foem.
 

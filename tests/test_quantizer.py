@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from lowbit.errors import NumericalError
 from lowbit.quantizer import (
     EngineConfig,
@@ -313,6 +314,20 @@ class TestRtn:
         g = np.arange(layer.d_in) // layer.group_size
         step = layer.scales[:, g]
         assert (np.abs(deq - w) <= step / 2 * (1 + 1e-12)).all()
+
+
+    def test_float32_layer_is_widened_one_group_at_a_time(self, rng):
+        # past its int32 codes (4 bytes a weight) the run holds a few float64
+        # groups, d_out x 128; at this width that is below the 8 bytes a
+        # weight of one float64 copy of the layer
+        d_out, d_in = 256, 4096
+        W = rng.standard_normal((d_out, d_in)).astype(np.float32)
+        grid = QuantGrid(3, 128)
+        layer, peak = traced_peak(lambda: rtn_quantize(W, grid))
+        assert peak <= 4 * W.size + 6 * 8 * d_out * 128 < 8 * W.size
+        ref = rtn_quantize(W.astype(np.float64), grid)
+        for name in ("codes", "scales", "zero_points"):
+            assert np.array_equal(getattr(layer, name), getattr(ref, name))
 
 
 class TestScaleBook:

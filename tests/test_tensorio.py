@@ -31,14 +31,16 @@ class TestRoundTrip:
         assert out.shape == arr.shape
         assert np.array_equal(out, arr.astype(out.dtype))
 
-    def test_float32_widens_exactly(self, tmp_path, rng):
+    def test_float32_loads_as_float32(self, tmp_path, rng):
+        # no widening on load: the engines widen float32 exactly where they
+        # compute, so the loader keeps the stored bits and half the bytes
         path = tmp_path / "t.safetensors"
         arr = rng.standard_normal((4, 4)).astype(np.float32)
         save_tensors(path, {"w": arr})
         tf = TensorFile.open(path)
-        widened = tf.load("w")
-        assert widened.dtype == np.float64
-        assert np.array_equal(widened, arr.astype(np.float64))
+        for got, want in [(tf.load("w"), arr), (tf.load_rows("w", 1, 3), arr[1:3])]:
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_two_by_two_named_values(self, tmp_path):
         path = tmp_path / "t.safetensors"
@@ -68,6 +70,15 @@ class TestLoadMemory:
         tf = TensorFile.open(path)
         out, peak = traced_peak(lambda: tf.load("w"))
         assert np.array_equal(out, arr) and out.flags.writeable
+        assert peak <= 1.1 * arr.nbytes
+
+    def test_f32_load_reads_into_its_result(self, tmp_path, rng):
+        arr = rng.standard_normal((512, 512)).astype(np.float32)
+        path = tmp_path / "t.safetensors"
+        save_tensors(path, {"w": arr})
+        tf = TensorFile.open(path)
+        out, peak = traced_peak(lambda: tf.load("w"))
+        assert out.dtype == np.float32 and np.array_equal(out, arr)
         assert peak <= 1.1 * arr.nbytes
 
 
@@ -255,6 +266,19 @@ class TestQuantizedArtifacts:
         assert np.array_equal(back.zero_points, layer.zero_points)
         assert back.config == layer.config
         assert back.extra["layer"] == "proj"
+
+    def test_f32_scales_load_as_float64(self, tmp_path, rng):
+        # an artifact whose scales another writer stored as F32 loads with
+        # the float64 scales a layer holds, as before the loader kept F32
+        layer = self._layer(rng)
+        layer.scales = layer.scales.astype(np.float32).astype(np.float64)
+        path = tmp_path / "q.safetensors"
+        save_quantized(layer, path)
+        tf = TensorFile.open(path)
+        tensors = {name: tf.load(name) for name in tf.names}
+        save_tensors(path, dict(tensors, scales=tensors["scales"].astype(np.float32)), tf.metadata)
+        back = load_quantized(path)
+        assert back.scales.dtype == np.float64 and np.array_equal(back.scales, layer.scales)
 
     def test_dequantized_reconstruction_identical(self, tmp_path, rng):
         layer = self._layer(rng)
