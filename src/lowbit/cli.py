@@ -224,7 +224,7 @@ def _open_hessians(
             raise TensorFormatError(f"{path}: metadata has no n_samples")
         try:
             n_samples = json.loads(raw)
-        except (TypeError, json.JSONDecodeError):
+        except json.JSONDecodeError:
             n_samples = None
         # bool is an int subclass, so the type is compared exactly
         if type(n_samples) is not int or n_samples < 0:
@@ -365,9 +365,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         out = []
         for label, cfg in parsed:
-            # every bundle shares the layer's one original; only the report
-            # is kept, so no run's codes outlive it
-            rep = prepared.run(prepared.bundle(), cfg, layer_name=layer)[1]
+            # only the report is kept, so no run's codes outlive it
+            rep = prepared.run(cfg, layer_name=layer)[1]
             rep.engine = label
             out.append(rep)
         return out

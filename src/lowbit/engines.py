@@ -52,8 +52,9 @@ Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
 damping: the factor and the RTN baseline with its proxy loss.
 ``PreparedLayer`` builds each of them once, on first use, and every run on
-it shares them; ``run_engine`` is one preparation and one run, and
-``compare`` prepares each layer once for all of its engine tokens.
+it shares them and makes each run a new bundle of the layer; ``run_engine``
+is one preparation and one run on the caller's bundle, and ``compare``
+prepares each layer once for all of its engine tokens.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -101,20 +102,21 @@ class LayerBundle:
     """Latent weights being calibrated plus the frozen originals.
 
     ``weights`` is float64 and mutated in place by the engines;
-    ``original`` is the snapshot taken at construction, read-only and never
-    changed, held at the input's precision: float32 for a float32 input
-    (8 + 4 bytes a weight in all), float64 otherwise.
-    ``PreparedLayer.bundle`` makes a bundle that shares the prepared
-    layer's original instead of copying it.
+    ``original`` is read-only and never changed, held at the input's
+    precision: float32 for a float32 input (8 + 4 bytes a weight in all),
+    float64 otherwise. An input already read-only at that precision (a
+    ``PreparedLayer``'s ``original``) is kept as it is, any other copied.
     """
 
     def __init__(self, weights: np.ndarray):
         original = _held(weights)
         if original.ndim != 2:
             raise NumericalError(f"weights must be 2-D, got shape {original.shape}")
-        self.original = original.copy()
-        self.original.setflags(write=False)
-        self.weights = self.original.astype(np.float64)
+        if original.flags.writeable:
+            original = original.copy()
+            original.setflags(write=False)
+        self.original = original
+        self.weights = original.astype(np.float64)
 
 
 def first_order_quant_step(
@@ -528,8 +530,8 @@ class PreparedLayer:
 
     ``original`` is the weights as given, float32 kept as float32 and
     anything else as float64, with no copy where none is needed; a
-    writable array is held through a read-only view of it. ``bundle``
-    makes each run's bundle around that one array.
+    writable array is held through a read-only view of it, which every
+    run's bundle keeps as its original.
     """
 
     def __init__(
@@ -554,15 +556,6 @@ class PreparedLayer:
         self.grid = grid
         self.damp_ratio = damp_ratio
 
-    def bundle(self) -> LayerBundle:
-        """A new undrifted bundle of this layer: float64 latent weights,
-        and this layer's read-only ``original`` itself, not a copy, so that
-        the runs on one layer hold its originals once."""
-        bundle = LayerBundle.__new__(LayerBundle)
-        bundle.original = self.original
-        bundle.weights = self.original.astype(np.float64)
-        return bundle
-
     @cached_property
     def factor(self) -> InvCholFactor:
         """U with U U^T = H + damping * I, in row bands, factored from the
@@ -582,13 +575,10 @@ class PreparedLayer:
         block at a time, so no dequantized copy of the layer is made."""
         return proxy_loss(self.baseline, self.original, self.hessian)
 
-    def run(
-        self, bundle: LayerBundle, config: EngineConfig, layer_name: str = "layer"
-    ) -> tuple[QuantizedLayer, LayerReport]:
-        """Quantize ``bundle`` (undrifted, holding this layer's weights) with
-        ``config``; the bundle's latent weights are consumed in place, and
-        every engine leaves them equal to the dequantized layer. Every run's
-        layer holds the baseline's own scale and zero-point arrays.
+    def run(self, config: EngineConfig, layer_name: str = "layer") -> tuple[QuantizedLayer, LayerReport]:
+        """Quantize this layer with ``config`` on a new bundle of it, which
+        the engine leaves holding the dequantized layer. Every run's layer
+        holds the baseline's own scale and zero-point arrays.
 
         ``wall_time_s`` covers producing the codes, including any shared
         piece this run was the first to need (the factor and the baseline,
@@ -596,20 +586,15 @@ class PreparedLayer:
         alone for ``rtn``); the report's losses are outside it.
         """
         config.validate()
-        grid = config.grid()
-        if grid != self.grid or config.damp_ratio != self.damp_ratio:
+        if config.grid() != self.grid or config.damp_ratio != self.damp_ratio:
             raise ConfigError(
-                f"config has grid {grid} and damp_ratio {config.damp_ratio}, but the layer "
-                f"was prepared for grid {self.grid} and damp_ratio {self.damp_ratio}"
+                f"config has grid {config.grid()} and damp_ratio {config.damp_ratio}, but the "
+                f"layer was prepared for grid {self.grid} and damp_ratio {self.damp_ratio}"
             )
-        # the prepared original is finite, so these refuse a non-finite bundle
-        if bundle.original is not self.original and not _equal_by_rows(
-            bundle.original, self.original
-        ):
-            raise NumericalError("bundle originals differ from the prepared layer's weights")
-        if not _equal_by_rows(bundle.weights, bundle.original):
-            raise NumericalError("engines expect an undrifted bundle (weights equal to original)")
+        return self._run(LayerBundle(self.original), config, layer_name)
 
+    def _run(self, bundle: LayerBundle, config: EngineConfig, layer_name: str):
+        """``run``'s body on an undrifted ``bundle`` of this layer, for a valid config of it."""
         t0 = time.perf_counter()
         if config.engine == "rtn":
             codes = self.baseline.codes
@@ -641,7 +626,7 @@ class PreparedLayer:
         report = LayerReport(
             layer=layer_name,
             engine=config.engine,
-            bits=grid.bits,
+            bits=self.grid.bits,
             group_size=quantized.group_size,
             beta=applied["beta"],
             block_size=applied["block_size"],
@@ -660,15 +645,19 @@ def run_engine(
     config: EngineConfig,
     layer_name: str = "layer",
 ) -> tuple[QuantizedLayer, LayerReport]:
-    """Quantize one layer with the configured engine.
+    """Quantize one layer, held in ``bundle``, with the configured engine.
 
     ``hessian`` must be the accumulated (undamped) state: damping is applied
     internally for factorization while the undamped matrix prices the proxy
-    loss in the report. The bundle must be undrifted (weights equal to the
-    originals); its latent weights are consumed in place, so a bundle runs
-    once. To run several engines on one layer, prepare it once with
-    ``PreparedLayer`` and run each config against that.
+    loss in the report. The layer is prepared from ``bundle.original``, and
+    the bundle must be undrifted (weights equal to the originals); its
+    latent weights are consumed in place, so a bundle runs once and ends
+    holding the dequantized layer. To run several engines on one layer,
+    prepare it once with ``PreparedLayer`` and ``run`` each config on it.
     """
     config.validate()
     prepared = PreparedLayer(bundle.original, hessian, config.grid(), config.damp_ratio)
-    return prepared.run(bundle, config, layer_name)
+    # the prepared original is finite, so this refuses a non-finite bundle
+    if not _equal_by_rows(bundle.weights, bundle.original):
+        raise NumericalError("engines expect an undrifted bundle (weights equal to original)")
+    return prepared._run(bundle, config, layer_name)

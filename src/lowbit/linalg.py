@@ -150,7 +150,8 @@ class HessianState:
         """Add X X^T for a (dim x n_tokens) activation block; returns self.
 
         Refused after damping: the damped matrix is a derived artifact, not
-        a running sum. Non-finite activations raise NumericalError. Each
+        a running sum. Non-finite activations raise NumericalError, and so
+        does a sum that overflows, leaving the state as it was. Each
         band gets the product of its rows of X with X's rows from the
         band's first on, written into a new band: a symmetric product
         X_k X_k^T on its diagonal block and one product for the rest, n d^2
@@ -176,6 +177,8 @@ class HessianState:
             np.matmul(Xk, X[a + m :].T, out=update[:, m:])
             _symmetrize(update)
             update += band
+            if not _all_finite(update):
+                raise NumericalError("accumulated Hessian overflows to non-finite values")
             bands.append(update)
         self._bands = bands
         self.n_samples += X.shape[1]
@@ -189,15 +192,18 @@ class HessianState:
         diagonal as it factors, and ``matrix`` adds it only when read. This
         state stays undamped, and a later :meth:`accumulate` on it leaves the
         damped state as it was. A damped state is refused: its damping is
-        final, as for :meth:`accumulate`.
+        final, as for :meth:`accumulate`. A negative or non-finite ratio
+        raises ValueError, and a lam that overflows NumericalError.
         """
-        if ratio < 0:
-            raise ValueError("damping ratio must be non-negative")
+        if not 0 <= ratio < float("inf"):
+            raise ValueError(f"damping ratio must be finite and non-negative, got {ratio}")
         if self.damped:
             raise NumericalError("cannot dampen a damped Hessian")
         if self.n_samples <= 0:
             raise NumericalError("cannot dampen before any samples are accumulated")
         lam = ratio * self.mean_diagonal()
+        if not np.isfinite(lam):
+            raise NumericalError(f"damping {ratio} x mean(diag(H)) is not finite: {lam}")
         if ratio > 0 and lam == 0.0 and self._dim > 0:
             warnings.warn(
                 "Hessian diagonal is all zero; damping has no effect and the "

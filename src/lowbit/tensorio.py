@@ -90,14 +90,19 @@ class TensorFile:
         if not isinstance(header, dict):
             raise TensorFormatError(f"{path}: header must be a JSON object")
         metadata = header.pop("__metadata__", {}) or {}
+        if not isinstance(metadata, dict) or not all(isinstance(v, str) for v in metadata.values()):
+            raise TensorFormatError(f"{path}: __metadata__ must be an object of strings")
         entries: dict[str, TensorEntry] = {}
         for name, info in header.items():
             try:
                 dtype_name = info["dtype"]
-                shape = tuple(int(s) for s in info["shape"])
-                begin, end = (int(v) for v in info["data_offsets"])
+                shape = tuple(info["shape"])
+                begin, end = info["data_offsets"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise TensorFormatError(f"{path}: malformed entry {name!r}") from exc
+            # bool is an int subclass, so the type is compared exactly
+            if not all(type(v) is int and v >= 0 for v in (*shape, begin, end)):
+                raise TensorFormatError(f"{path}: malformed entry {name!r}")
             if dtype_name not in _DTYPES:
                 raise TensorFormatError(
                     f"{path}: tensor {name!r} has unsupported element kind {dtype_name!r}"
@@ -108,14 +113,14 @@ class TensorFile:
                     f"{path}: tensor {name!r} declares shape {shape} ({expected} bytes) "
                     f"but payload spans {end - begin} bytes"
                 )
-            if begin < 0 or end > payload_size:
+            if end > payload_size:
                 raise TensorFormatError(f"{path}: tensor {name!r} offsets outside payload")
             entries[name] = TensorEntry(shape, dtype_name, begin, end)
         spans = sorted((e.begin, e.end, name) for name, e in entries.items() if e.end > e.begin)
         for (_, prev_end, prev), (begin, _, name) in zip(spans, spans[1:]):
             if begin < prev_end:
                 raise TensorFormatError(f"{path}: tensors {prev!r} and {name!r} overlap in the payload")
-        return cls(path, entries, dict(metadata), 8 + header_len, payload_size)
+        return cls(path, entries, metadata, 8 + header_len, payload_size)
 
     @property
     def names(self) -> list[str]:
@@ -186,7 +191,7 @@ def save_tensors(
         if not name or name == "__metadata__":
             raise TensorFormatError(f"invalid tensor name {name!r}")
         arr = np.ascontiguousarray(tensors[name])
-        dtype_name = _DTYPE_NAMES.get(arr.dtype)
+        dtype_name = _DTYPE_NAMES.get(arr.dtype.newbyteorder("<"))
         if dtype_name is None:
             raise TensorFormatError(
                 f"tensor {name!r} has unsupported dtype {arr.dtype}; "

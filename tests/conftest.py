@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lowbit import engines
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.linalg import HessianState
 
@@ -43,6 +44,20 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def record_bundles(monkeypatch):
+    """Make every bundle the engines build a ``LayerBundle`` that records
+    itself; returns the list it appends to."""
+    bundles = []
+
+    class Recorded(engines.LayerBundle):
+        def __init__(self, weights):
+            super().__init__(weights)
+            bundles.append(self)
+
+    monkeypatch.setattr(engines, "LayerBundle", Recorded)
+    return bundles
 
 
 def traced_peak(fn):

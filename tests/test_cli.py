@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import count_calls, traced_peak
+from conftest import count_calls, record_bundles, traced_peak
 from lowbit import cli, engines
 from lowbit.cli import main
 from lowbit.engines import EngineConfig, LayerBundle, run_engine
@@ -159,8 +159,20 @@ class TestCalibrate:
             (b'{"w": {"shape": [1], "data_offsets": [0, 8]}}', "malformed entry"),
             (b'{"w": {"dtype": "F64", "shape": ["x"], "data_offsets": [0, 8]}}', "malformed entry"),
             (b'{"w": {"dtype": "F64", "shape": [2], "data_offsets": [0, 16]}}', "offsets outside payload"),
+            (b'{"w": {"dtype": "F64", "shape": [-1, -1], "data_offsets": [0, 8]}}', "malformed entry"),
+            (b'{"w": {"dtype": "F64", "shape": [true], "data_offsets": [0, 8]}}', "malformed entry"),
+            (b'{"w": {"dtype": "F64", "shape": ["1"], "data_offsets": [0, 8]}}', "malformed entry"),
+            (b'{"w": {"dtype": "F64", "shape": [1], "data_offsets": [0.0, 8]}}', "malformed entry"),
+            (b'{"w": {"dtype": "F64", "shape": [1], "data_offsets": [-8, 0]}}', "malformed entry"),
+            (b'{"__metadata__": "k"}', "__metadata__ must be an object of strings"),
+            (b'{"__metadata__": ["k", "v"]}', "__metadata__ must be an object of strings"),
+            (b'{"__metadata__": {"x.config": 7}}', "__metadata__ must be an object of strings"),
         ],
-        ids=["invalid_json", "non_utf8", "json_array", "no_dtype", "non_integer_shape", "past_payload"],
+        ids=[
+            "invalid_json", "non_utf8", "json_array", "no_dtype", "non_integer_shape",
+            "past_payload", "negative_shape", "bool_shape", "string_shape", "float_offset", "negative_offset",
+            "string_metadata", "list_metadata", "non_string_metadata_value",
+        ],
     )
     def test_malformed_container_header_exits_2(self, workspace, capsys, header, message):
         bad = workspace["dir"] / "bad.safetensors"
@@ -198,6 +210,18 @@ class TestCalibrate:
         )
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not (workspace["dir"] / "x" / "blk0.fc.hessian.safetensors").exists()
+
+    def test_overflowing_activation_sum_exits_3(self, workspace, capsys):
+        # every entry is finite, but their products pass the float64 range
+        save_tensors(workspace["dir"] / "acts.st", {"blk0.fc.input": np.full((12, 8), 1e160)})
+        rc = run_cli(
+            "calibrate", "--weights", workspace["weights"], "--layers", "blk0.fc",
+            "--activations", workspace["dir"] / "acts.st",
+            "--out", workspace["dir"] / "x",
+        )
+        assert rc == 3
+        assert "overflows" in capsys.readouterr().err
         assert not (workspace["dir"] / "x" / "blk0.fc.hessian.safetensors").exists()
 
     @pytest.mark.parametrize("shape", [(9, 8), (10,), (10, 8, 2)], ids=["rows", "1d", "3d"])
@@ -611,14 +635,15 @@ class TestCompare:
         # and a run's quantized layer (its d_out x d_in codes) is gone before
         # the next run starts
         ws = calibrated
+        bundles = record_bundles(monkeypatch)
         seen, layers = [], []
         run = engines.PreparedLayer.run
 
-        def spy(prepared, bundle, *args, **kwargs):
+        def spy(prepared, *args, **kwargs):
             if layers:
                 assert layers[-1]() is None, "the previous run's quantized layer is still held"
-            seen.append((bundle.original is prepared.original, prepared.original.flags.writeable))
-            out = run(prepared, bundle, *args, **kwargs)
+            out = run(prepared, *args, **kwargs)
+            seen.append((bundles[-1].original is prepared.original, prepared.original.flags.writeable))
             layers.append(weakref.ref(out[0]))
             return out
 
@@ -628,7 +653,15 @@ class TestCompare:
             "--out", ws["dir"] / "cmp", "--engines", "rtn", "gptq", "foem",
         )
         assert rc == 0
-        assert seen == [(True, False)] * 6
+        assert seen == [(True, False)] * 6 and len(bundles) == 6
+
+    @pytest.mark.parametrize("command", ["quantize", "compare"])
+    def test_overflowing_damping_exits_3(self, calibrated, capsys, command):
+        # 1e308 is a valid ratio, but times mean(diag(H)) it passes the
+        # float64 range
+        args = TestRefusedRunWritesNothing._args(calibrated, command, calibrated["dir"] / "out")
+        assert run_cli(*args, "--damp-ratio", "1e308") == 3
+        assert "is not finite" in capsys.readouterr().err
 
     def test_indefinite_hessian_exits_3_naming_pivot(self, workspace, rng, capsys):
         ws = workspace
@@ -976,6 +1009,7 @@ class TestRefusedRunWritesNothing:
         assert run_cli(*self._args(calibrated, command, out)) == 2
         assert "missing Hessian file" in capsys.readouterr().err
         assert not out.exists()
+
 
 
 class TestWeightRank:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_spd, token_hessian, traced_peak
+from conftest import count_calls, random_spd, record_bundles, token_hessian, traced_peak
 from lowbit import engines, linalg, quantizer
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.engines import (
@@ -581,7 +581,7 @@ class TestPreparedLayer:
         configs = [EngineConfig(bits=3, group_size=16, block_size=8, **t) for t in self.TOKENS]
         prepared = PreparedLayer(W, hess, configs[0].grid(), configs[0].damp_ratio)
         for config in configs:
-            q_shared, rep_shared = prepared.run(LayerBundle(W), config, "fc")
+            q_shared, rep_shared = prepared.run(config, "fc")
             q_alone, rep_alone = run_engine(LayerBundle(W), hess, config, "fc")
             for name in ("codes", "scales", "zero_points"):
                 assert np.array_equal(getattr(q_shared, name), getattr(q_alone, name)), config
@@ -598,7 +598,7 @@ class TestPreparedLayer:
         W = rng.standard_normal((8, 16))
         prepared = PreparedLayer(W, hess, QuantGrid(3, 8, True), 0.01)
         for token in self.TOKENS:
-            _, rep = prepared.run(LayerBundle(W), EngineConfig(bits=3, group_size=8, **token))
+            _, rep = prepared.run(EngineConfig(bits=3, group_size=8, **token))
             if token["engine"] == "rtn":
                 assert rep.rtn_relative == 1.0
         assert len(factors) == 1
@@ -610,15 +610,15 @@ class TestPreparedLayer:
         # rtn run dequantizes the baseline straight into its bundle once, and
         # the baseline's loss is priced from its codes, a row block at a time
         dequantized = count_calls(monkeypatch, QuantizedLayer, "dequantize")
+        bundles = record_bundles(monkeypatch)
         hess = token_hessian(16, 64, 0.9, 53)
         W = rng.standard_normal((8, 16))
         prepared = PreparedLayer(W, hess, QuantGrid(3, 8, True), 0.01)
         for token in self.TOKENS:
-            bundle = LayerBundle(W)
-            prepared.run(bundle, EngineConfig(bits=3, group_size=8, **token))
+            prepared.run(EngineConfig(bits=3, group_size=8, **token))
             if token["engine"] == "rtn":
                 # into the bundle's own array: no dequantized copy of the layer
-                assert len(dequantized) == 1 and dequantized[0][1] is bundle.weights
+                assert len(dequantized) == 1 and dequantized[0][1] is bundles[-1].weights
         assert len(dequantized) == 1
 
     @pytest.mark.parametrize(
@@ -629,14 +629,7 @@ class TestPreparedLayer:
         W = rng.standard_normal((8, 16))
         prepared = PreparedLayer(W, hess, QuantGrid(4, 128, True), 0.01)
         with pytest.raises(ConfigError, match="prepared"):
-            prepared.run(LayerBundle(W), EngineConfig(**change))
-
-    def test_bundle_of_other_weights_refused(self, rng):
-        hess = token_hessian(16, 64, 0.9, 55)
-        W = rng.standard_normal((8, 16))
-        prepared = PreparedLayer(W, hess, QuantGrid(4, 128, True), 0.01)
-        with pytest.raises(NumericalError, match="prepared"):
-            prepared.run(LayerBundle(W + 1.0), EngineConfig())
+            prepared.run(EngineConfig(**change))
 
 
 class TestFloat32Originals:
@@ -655,12 +648,28 @@ class TestFloat32Originals:
         with pytest.raises(ValueError):
             bundle.original[0, 0] = 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bundle_shares_a_read_only_input_and_copies_a_writable_one(self, rng, dtype):
+        W = rng.standard_normal((8, 16)).astype(dtype)
+        copied = LayerBundle(W)
+        assert not np.shares_memory(copied.original, W) and not copied.original.flags.writeable
+        W.flags.writeable = False
+        shared = LayerBundle(W)
+        assert shared.original is W
+        assert shared.weights.dtype == np.float64 and np.array_equal(shared.weights, W)
+        # a read-only array at another precision is widened into a copy
+        half = W.astype(np.float16)
+        half.flags.writeable = False
+        widened = LayerBundle(half).original
+        assert widened.dtype == np.float64 and not widened.flags.writeable
+
     def test_prepared_layer_keeps_float32_as_given(self, rng):
         W = rng.standard_normal((8, 16)).astype(np.float32)
         prepared = PreparedLayer(W, token_hessian(16, 64, 0.9, 58), QuantGrid(3, 8, True), 0.01)
         assert prepared.original.dtype == np.float32 and np.shares_memory(prepared.original, W)
         assert not prepared.original.flags.writeable and W.flags.writeable
-        bundle = prepared.bundle()
+        # each run's bundle is made this way, around the one original
+        bundle = LayerBundle(prepared.original)
         assert bundle.original is prepared.original
         assert bundle.weights.dtype == np.float64 and np.array_equal(bundle.weights, W)
 
@@ -888,7 +897,7 @@ class TestLazyBlockDriver:
         W = rng.standard_normal((30, d))
         prepared = PreparedLayer(W, hess, EngineConfig(bits=3).grid(), 0.01)
         for engine in ("rtn", "gptq", "foem"):
-            prepared.run(LayerBundle(W), EngineConfig(engine=engine, bits=3, block_size=64))
+            prepared.run(EngineConfig(engine=engine, bits=3, block_size=64))
         assert reads == []
         hess.matrix
         assert reads == [d]
@@ -958,7 +967,7 @@ class TestLazyBlockDriver:
         baseline = prepared.baseline
         fits = count_calls(monkeypatch, quantizer, "fit_scales")
         config = EngineConfig(engine=engine, bits=3, group_size=16, symmetric=False, block_size=8)
-        q, _ = prepared.run(LayerBundle(W), config)
+        q, _ = prepared.run(config)
         assert fits == []
         assert np.array_equal(q.scales, baseline.scales)
         assert np.array_equal(q.zero_points, baseline.zero_points)
@@ -1004,7 +1013,7 @@ class TestLazyBlockDriver:
             config = EngineConfig(
                 bits=3, group_size=group_size, block_size=block_size, symmetric=symmetric, **token
             )
-            q, _ = prepared.run(LayerBundle(W), config)
+            q, _ = prepared.run(config)
             assert np.array_equal(q.scales, baseline.scales), token
             assert np.array_equal(q.zero_points, baseline.zero_points), token
 
@@ -1018,7 +1027,6 @@ class TestLazyBlockDriver:
         d_in = 300
         hess = token_hessian(d_in, 600, 0.9, 40)
         W = np.random.default_rng(41).standard_normal((20, d_in))
-        prepared = PreparedLayer(W, hess, QuantGrid(3, group_size, symmetric), 0.01)
         for token in (
             dict(engine="rtn"),
             dict(engine="obs_oracle"),
@@ -1030,7 +1038,7 @@ class TestLazyBlockDriver:
                 bits=3, group_size=group_size, block_size=block_size, symmetric=symmetric, **token
             )
             bundle = LayerBundle(W)
-            q, rep = prepared.run(bundle, config)
+            q, rep = run_engine(bundle, hess, config)
             assert np.array_equal(bundle.weights, q.dequantize()), token
             assert rep.proxy_loss == proxy_loss(q.dequantize(), W, hess), token
 
@@ -1041,12 +1049,15 @@ class TestRunPeakMemory:
     @pytest.mark.parametrize("engine", ["gptq", "foem"])
     def test_run_holds_its_codes_and_super_block_buffers(self, monkeypatch, engine):
         # super-blocks of S = 32 columns, so d_in = 512 is sixteen of them.
-        # Past its int32 codes (4 bytes a weight) a run holds buffers of at
-        # most d_out x S float64: the driver's super-block errors and product
-        # buffer, its slab and foem's slab temporaries; then the loss's row
-        # block of D and its two products (4 MB at this shape); then the
-        # report's row blocks. A d_out x (d_in - B) boundary product or a
-        # d_out x d_in drift array would each add 8 bytes a weight.
+        # Past its bundle's float64 latent weights (8 bytes a weight; the
+        # bundle shares the prepared original) and its int32 codes (4 bytes
+        # a weight) a run holds buffers of at most d_out x S float64: the
+        # driver's super-block errors and product buffer, its slab and
+        # foem's slab temporaries; then the loss's row block of D and its
+        # two products (4 MB at this shape); then the report's row blocks.
+        # A d_out x (d_in - B) boundary product or a d_out x d_in drift
+        # array would each add 8 bytes a weight, more than the 6 d_out S
+        # float64 of slack.
         S = 32
         monkeypatch.setattr(engines, "_SUPER_BLOCK", S)
         monkeypatch.setattr(engines, "_SUB_BLOCK", 4)
@@ -1056,10 +1067,9 @@ class TestRunPeakMemory:
         config = EngineConfig(engine=engine, bits=3, group_size=64, block_size=16)
         prepared = PreparedLayer(W, hess, config.grid(), config.damp_ratio)
         prepared.factor, prepared.baseline, prepared.baseline_loss
-        bundle = LayerBundle(W)
-        (q, _), peak = traced_peak(lambda: prepared.run(bundle, config))
+        (q, _), peak = traced_peak(lambda: prepared.run(config))
         assert q.codes.shape == (d_out, d_in)
-        assert peak <= 4 * W.size + 6 * 8 * d_out * S
+        assert peak <= (8 + 4) * W.size + 6 * 8 * d_out * S
 
 
 class TestScaleInvariance:

@@ -100,6 +100,15 @@ class TestAccumulate:
         assert state.n_samples == 0
         assert np.array_equal(state.matrix, np.zeros((4, 4)))
 
+    def test_overflowing_sum_rejected_and_state_kept(self, rng):
+        # finite activations whose products pass the float64 range
+        state = HessianState(4).accumulate(rng.standard_normal((4, 5)))
+        before = state.matrix.copy()
+        with pytest.raises(NumericalError, match="overflow"):
+            state.accumulate(np.full((4, 3), 1e160))
+        assert state.n_samples == 5
+        assert np.array_equal(state.matrix, before)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         H = np.eye(3)
@@ -206,10 +215,17 @@ class TestDampen:
         with pytest.raises(NumericalError, match="samples"):
             HessianState(2).dampen(0.01)
 
-    def test_negative_ratio_rejected(self):
+    @pytest.mark.parametrize("ratio", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_ratio_rejected(self, ratio):
         state = HessianState(2).accumulate(np.eye(2))
-        with pytest.raises(ValueError):
-            state.dampen(-0.1)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            state.dampen(ratio)
+
+    def test_overflowing_damping_rejected(self):
+        # 1e308 x mean(diag(H)) = 1e308 x 2 is past the float64 range
+        state = HessianState(2).accumulate(np.sqrt(2.0) * np.eye(2))
+        with pytest.raises(NumericalError, match="not finite"):
+            state.dampen(1e308)
 
     @pytest.mark.parametrize("ratio", [0.0, 0.01])
     def test_damped_state_refused(self, ratio):

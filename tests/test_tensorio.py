@@ -133,6 +133,18 @@ class TestSaveFromArrays:
         save_tensors(path, tensors, metadata={"k": "v"})
         assert path.read_bytes() == struct.pack("<Q", len(raw)) + raw + payload
 
+    def test_big_endian_arrays_write_their_little_endian_bytes(self, tmp_path, rng):
+        little = {
+            "f64": rng.standard_normal((3, 4)),
+            "f32": rng.standard_normal(5).astype(np.float32),
+            "i64": rng.integers(-9, 9, size=(2, 3)),
+            "i32": rng.integers(-9, 9, size=4).astype(np.int32),
+        }
+        big = {name: arr.astype(arr.dtype.newbyteorder(">")) for name, arr in little.items()}
+        save_tensors(tmp_path / "little.st", little, metadata={"k": "v"})
+        save_tensors(tmp_path / "big.st", big, metadata={"k": "v"})
+        assert (tmp_path / "big.st").read_bytes() == (tmp_path / "little.st").read_bytes()
+
     def test_save_makes_no_copy_of_a_contiguous_array(self, tmp_path, rng):
         arr = rng.standard_normal((1024, 1024))
         arr.flags.writeable = False  # as a Hessian state's matrix is
