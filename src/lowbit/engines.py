@@ -50,11 +50,17 @@ its baseline's: every run leaves the bundle holding the dequantized layer.
 
 Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
-damping: the factor and the RTN baseline with its proxy loss.
-``PreparedLayer`` builds each of them once, on first use, and every run on
-it shares them and makes each run a new bundle of the layer; ``run_engine``
-is one preparation and one run on the caller's bundle, and ``compare``
-prepares each layer once for all of its engine tokens.
+damping: the factor and the RTN baseline's scales, zero points and proxy
+loss. ``PreparedLayer`` builds each of them once, on first use, and every
+run on it shares them and makes each run a new bundle of the layer; the
+baseline's codes are held only until a compensating run has priced their
+loss, and an ``rtn`` run after that builds them again, to the same bits.
+``run_engine`` is one preparation and one run on the caller's bundle, and
+``compare`` prepares each layer once for all of its engine tokens. Neither
+a bundle nor a prepared layer copies the weights it is given, so a
+float32 layer costs a compensating run 16 bytes a weight with its caller's
+array: 4 for that array, 8 for the latent weights and 4 for one set of
+int32 codes.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -64,7 +70,6 @@ row-vectorized; column order is strictly sequential.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -90,33 +95,41 @@ __all__ = [
 
 
 def _held(weights) -> np.ndarray:
-    """``weights`` at the precision a layer holds its originals in: a
-    float32 array as it is, anything else as float64 (no copy if it is
-    already float64). Every engine computes in float64, and a float32
-    original widens exactly wherever float64 arithmetic reads it."""
+    """``weights`` as a layer holds its originals: a float32 array at its
+    own precision, anything else as float64 (no copy if it is already
+    float64), and read-only. A writable array is held through a read-only
+    view of itself, with no copy, so its owner must not write it while a
+    bundle or a prepared layer on it is in use. Every engine computes in
+    float64, and a float32 original widens exactly wherever float64
+    arithmetic reads it."""
     weights = np.asarray(weights)
-    return weights if weights.dtype == np.float32 else weights.astype(np.float64, copy=False)
+    held = weights if weights.dtype == np.float32 else weights.astype(np.float64, copy=False)
+    if held.flags.writeable:
+        held = held.view()
+        held.setflags(write=False)
+    return held
 
 
 class LayerBundle:
     """Latent weights being calibrated plus the frozen originals.
 
-    ``weights`` is float64 and mutated in place by the engines;
-    ``original`` is read-only and never changed, held at the input's
-    precision: float32 for a float32 input (8 + 4 bytes a weight in all),
-    float64 otherwise. An input already read-only at that precision (a
-    ``PreparedLayer``'s ``original``) is kept as it is, any other copied.
+    ``weights`` is a new C-ordered float64 array, mutated in place by the
+    engines; ``original`` is the input as ``_held`` holds it: the caller's
+    own array, or a read-only view of it, at float32 for a float32 input
+    and float64 otherwise, never copied when it already has one of those
+    precisions. So a bundle costs 8 bytes a weight, its latent weights,
+    for an input at either precision. ``run_engine`` refuses a bundle
+    whose weights no longer equal its original, so a caller who writes the
+    array after building the bundle is caught there.
     """
 
     def __init__(self, weights: np.ndarray):
         original = _held(weights)
         if original.ndim != 2:
             raise NumericalError(f"weights must be 2-D, got shape {original.shape}")
-        if original.flags.writeable:
-            original = original.copy()
-            original.setflags(write=False)
         self.original = original
-        self.weights = original.astype(np.float64)
+        # a view of an F-ordered input is F-ordered; the drivers want C rows
+        self.weights = original.astype(np.float64, order="C")
 
 
 def first_order_quant_step(
@@ -361,11 +374,12 @@ def _run_blocked(
     bundle: LayerBundle,
     factor: InvCholFactor,
     config: EngineConfig,
-    baseline: QuantizedLayer,
+    scales: np.ndarray,
+    zero_points: np.ndarray,
 ) -> np.ndarray:
     """Lazy blocked driver shared by gptq and foem: quantizes every column
-    on the scales and zero points of ``baseline``, the layer's RTN
-    quantization, so it fits none, and returns the int32 codes.
+    on ``scales`` and ``zero_points``, the layer's RTN baseline's, so it
+    fits none, and returns the int32 codes.
 
     It reads the factor's U, through its bands, and T's diagonal blocks,
     never the rest of T.
@@ -401,7 +415,8 @@ def _run_blocked(
     W, O = bundle.weights, bundle.original
     d_out, d_in = W.shape
     c = config.sign_factor() * config.applied()["beta"]
-    grid, params = config.grid(), _column_params(baseline)
+    grid = config.grid()
+    params = _column_params(scales, zero_points, grid, d_in)
     codes = np.empty((d_out, d_in), dtype=np.int32)
     B = config.block_size
     S = max(_SUPER_BLOCK // B, 1) * B
@@ -466,12 +481,19 @@ def _run_blocked(
     return codes
 
 
-def _run_oracle(bundle: LayerBundle, damped: HessianState, baseline: QuantizedLayer) -> np.ndarray:
+def _run_oracle(
+    bundle: LayerBundle,
+    damped: HessianState,
+    grid: QuantGrid,
+    scales: np.ndarray,
+    zero_points: np.ndarray,
+) -> np.ndarray:
     """Dense reference driver: explicit inverse, shrunk column by column,
-    quantizing on the baseline's scales as ``_run_blocked`` does. Sets each
-    column to its dequantized value; returns the int32 codes."""
+    quantizing on the baseline's ``scales`` and ``zero_points`` on
+    ``grid``, as ``_run_blocked`` does. Sets each column to its dequantized
+    value; returns the int32 codes."""
     W = bundle.weights
-    grid, params = baseline.config.grid(), _column_params(baseline)
+    params = _column_params(scales, zero_points, grid, W.shape[1])
     codes = np.empty(W.shape, dtype=np.int32)
     hinv = np.linalg.inv(damped.matrix)
     for j, gs in enumerate(params):
@@ -528,19 +550,24 @@ class PreparedLayer:
     dense U or T). ``run`` refuses a config whose grid or damping differs
     from the preparation's.
 
-    ``original`` is the weights as given, float32 kept as float32 and
-    anything else as float64, with no copy where none is needed; a
-    writable array is held through a read-only view of it, which every
-    run's bundle keeps as its original.
+    Of the baseline, the layer keeps for good only what every run needs:
+    its ``scales`` and ``zero_points``, which every run quantizes on and
+    every run's layer holds, and its loss. A compensating run prices that
+    loss if no run has, then releases the baseline's codes before its
+    driver makes its own, so it never holds both; an ``rtn`` run after it
+    builds them again with ``rtn_quantize``, which gives the same bits.
+
+    ``original`` is the weights as ``_held`` holds them: a writable array
+    through a read-only view of itself, not a copy, which every run's
+    bundle keeps as its original. Past it, a run holds 12 bytes a weight:
+    its bundle's float64 latent weights and one set of int32 codes, the
+    baseline's or its own.
     """
 
     def __init__(
         self, weights: np.ndarray, hessian: HessianState, grid: QuantGrid, damp_ratio: float
     ):
         original = _held(weights)
-        if original.flags.writeable:
-            original = original.view()
-            original.setflags(write=False)
         if not _all_finite(original):
             raise NumericalError("layer weights contain non-finite values")
         if original.ndim != 2:
@@ -555,6 +582,11 @@ class PreparedLayer:
         self.hessian = hessian
         self.grid = grid
         self.damp_ratio = damp_ratio
+        # the baseline's held arrays, set when it is first built
+        self.scales: np.ndarray | None = None
+        self.zero_points: np.ndarray | None = None
+        # the baseline while it holds its codes
+        self._baseline: QuantizedLayer | None = None
 
     @cached_property
     def factor(self) -> InvCholFactor:
@@ -564,10 +596,17 @@ class PreparedLayer:
         which no engine run does."""
         return inverse_cholesky(self.hessian.dampen(self.damp_ratio))
 
-    @cached_property
+    @property
     def baseline(self) -> QuantizedLayer:
-        """Round-to-nearest quantization of the original weights."""
-        return rtn_quantize(self.original, self.grid)
+        """Round-to-nearest quantization of the original weights, built on
+        first use, and again after a compensating run released its codes."""
+        return self._baseline if self._baseline is not None else self._build_baseline()
+
+    def _build_baseline(self) -> QuantizedLayer:
+        self._baseline = rtn_quantize(self.original, self.grid)
+        if self.scales is None:
+            self.scales, self.zero_points = self._baseline.scales, self._baseline.zero_points
+        return self._baseline
 
     @cached_property
     def baseline_loss(self) -> float:
@@ -578,12 +617,13 @@ class PreparedLayer:
     def run(self, config: EngineConfig, layer_name: str = "layer") -> tuple[QuantizedLayer, LayerReport]:
         """Quantize this layer with ``config`` on a new bundle of it, which
         the engine leaves holding the dequantized layer. Every run's layer
-        holds the baseline's own scale and zero-point arrays.
+        holds this layer's ``scales`` and ``zero_points`` arrays.
 
         ``wall_time_s`` covers producing the codes, including any shared
         piece this run was the first to need (the factor and the baseline,
         whose scales a compensating engine quantizes on, or the baseline
-        alone for ``rtn``); the report's losses are outside it.
+        alone for ``rtn``); the report's losses are outside it, the
+        baseline's too, which a compensating run prices before its driver.
         """
         config.validate()
         if config.grid() != self.grid or config.damp_ratio != self.damp_ratio:
@@ -597,17 +637,27 @@ class PreparedLayer:
         """``run``'s body on an undrifted ``bundle`` of this layer, for a valid config of it."""
         t0 = time.perf_counter()
         if config.engine == "rtn":
-            codes = self.baseline.codes
-            self.baseline.dequantize(bundle.weights)
+            baseline = self.baseline
+            codes = baseline.codes
+            baseline.dequantize(bundle.weights)
         else:
             # factoring first also refuses a matrix that is not positive
             # definite for the oracle, whose explicit inverse would not
             factor = self.factor
+            if self.scales is None:
+                self._build_baseline()
+            # the baseline's loss needs its codes, the driver only its
+            # scales: price it (untimed, as every loss is) and let them go
+            paused = time.perf_counter()
+            self.baseline_loss
+            self._baseline = None
+            t0 += time.perf_counter() - paused
             if config.engine == "obs_oracle":
-                codes = _run_oracle(bundle, self.hessian.dampen(self.damp_ratio), self.baseline)
+                damped = self.hessian.dampen(self.damp_ratio)
+                codes = _run_oracle(bundle, damped, self.grid, self.scales, self.zero_points)
             else:
-                codes = _run_blocked(bundle, factor, config, self.baseline)
-        quantized = replace(self.baseline, codes=codes, config=config, extra={})
+                codes = _run_blocked(bundle, factor, config, self.scales, self.zero_points)
+        quantized = QuantizedLayer(codes, self.scales, self.zero_points, config)
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name
 

@@ -173,10 +173,12 @@ class HessianState:
             m = len(band)
             Xk = X[a : a + m]
             update = np.empty_like(band)
-            np.matmul(Xk, Xk.T, out=update[:, :m])
-            np.matmul(Xk, X[a + m :].T, out=update[:, m:])
-            _symmetrize(update)
-            update += band
+            # an overflow is refused below, with no warning from numpy first
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(Xk, Xk.T, out=update[:, :m])
+                np.matmul(Xk, X[a + m :].T, out=update[:, m:])
+                _symmetrize(update)
+                update += band
             if not _all_finite(update):
                 raise NumericalError("accumulated Hessian overflows to non-finite values")
             bands.append(update)

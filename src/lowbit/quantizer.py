@@ -327,15 +327,18 @@ class QuantizedLayer:
         return out
 
 
-def _column_params(baseline: QuantizedLayer) -> list[GroupScale]:
-    """Each column's group scales and zero points in ``baseline``, as
-    contiguous (d_out,) rows; the zero points as exact float64, never cast.
-    The one map from a column to its scale group: the engines' drivers and
-    ``ScaleBook`` quantize every column on it."""
-    zero_points = baseline.zero_points.T.astype(np.float64, order="C")
-    groups = list(map(GroupScale, baseline.scales.T.copy(), zero_points))
-    group_size = baseline.group_size
-    return [groups[j // group_size] for j in range(baseline.d_in)]
+def _column_params(
+    scales: np.ndarray, zero_points: np.ndarray, grid: QuantGrid, d_in: int
+) -> list[GroupScale]:
+    """Each of ``d_in`` columns' group scales and zero points, from a
+    layer's (d_out x n_groups) ``scales`` and ``zero_points`` on ``grid``,
+    as contiguous (d_out,) rows; the zero points as exact float64, never
+    cast. The one map from a column to its scale group: the engines'
+    drivers and ``ScaleBook`` quantize every column on it, and need no
+    codes for it."""
+    groups = list(map(GroupScale, scales.T.copy(), zero_points.T.astype(np.float64, order="C")))
+    group_size = grid.resolved_group_size(d_in)
+    return [groups[j // group_size] for j in range(d_in)]
 
 
 class ScaleBook:
@@ -360,8 +363,8 @@ class ScaleBook:
         ``source``, made at first use; stores the codes, returns the
         dequantized values."""
         if self.baseline is None:
-            self.baseline = rtn_quantize(source, self.grid)
-            self._params = _column_params(self.baseline)
+            self.baseline = base = rtn_quantize(source, self.grid)
+            self._params = _column_params(base.scales, base.zero_points, self.grid, base.d_in)
         self.codes[:, col], deq = quantize_values(values, self._params[col], self.grid)
         return deq
 

@@ -1,11 +1,16 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import count_calls, record_bundles, traced_peak
+import lowbit
 from lowbit import cli, engines
 from lowbit.cli import main
 from lowbit.engines import EngineConfig, LayerBundle, run_engine
@@ -28,6 +33,18 @@ def workspace(tmp_path, rng):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def run_cli_process(*args):
+    """The CLI run in a new interpreter: its exit code and output as a user
+    sees them, warnings included."""
+    src = str(Path(lowbit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys\nfrom lowbit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def quantize_args(ws, out, hessians, **over):
@@ -212,16 +229,17 @@ class TestCalibrate:
         assert "non-finite" in capsys.readouterr().err
         assert not (workspace["dir"] / "x" / "blk0.fc.hessian.safetensors").exists()
 
-    def test_overflowing_activation_sum_exits_3(self, workspace, capsys):
-        # every entry is finite, but their products pass the float64 range
+    def test_overflowing_activation_sum_exits_3(self, workspace):
+        # every entry is finite, but their products pass the float64 range;
+        # run in its own interpreter, so stderr holds any numpy warning
         save_tensors(workspace["dir"] / "acts.st", {"blk0.fc.input": np.full((12, 8), 1e160)})
-        rc = run_cli(
+        proc = run_cli_process(
             "calibrate", "--weights", workspace["weights"], "--layers", "blk0.fc",
             "--activations", workspace["dir"] / "acts.st",
             "--out", workspace["dir"] / "x",
         )
-        assert rc == 3
-        assert "overflows" in capsys.readouterr().err
+        assert proc.returncode == 3
+        assert "overflows" in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not (workspace["dir"] / "x" / "blk0.fc.hessian.safetensors").exists()
 
     @pytest.mark.parametrize("shape", [(9, 8), (10,), (10, 8, 2)], ids=["rows", "1d", "3d"])
@@ -605,6 +623,26 @@ class TestCompare:
             expected = dict(alone.to_dict(), engine=rep["engine"])
             expected.pop("wall_time_s"), rep.pop("wall_time_s")
             assert rep == expected
+
+    def test_rows_do_not_depend_on_token_order(self, calibrated):
+        # the rtn token last quantizes on codes rebuilt after gptq and foem
+        # released them, to the same bits and the same loss
+        ws = calibrated
+        rows, summaries = [], []
+        for tokens in (("rtn", "gptq", "foem"), ("gptq", "foem", "rtn")):
+            out = ws["dir"] / "-".join(tokens)
+            rc = run_cli(
+                "compare", "--weights", ws["weights"], "--hessians", ws["hessians"],
+                "--out", out, "--engines", *tokens,
+            )
+            assert rc == 0
+            reports = json.loads((out / "compare_reports.json").read_text())
+            for rep in reports:
+                rep.pop("wall_time_s")
+            rows.append(sorted(reports, key=lambda rep: (rep["layer"], rep["engine"])))
+            summaries.append((out / "compare_summary.json").read_bytes())
+        assert len(rows[0]) == 6 and rows[0] == rows[1]
+        assert summaries[0] == summaries[1]
 
     def test_one_factor_and_one_baseline_per_layer(self, calibrated, monkeypatch):
         factors = count_calls(monkeypatch, engines, "inverse_cholesky")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -621,6 +623,46 @@ class TestPreparedLayer:
                 assert len(dequantized) == 1 and dequantized[0][1] is bundles[-1].weights
         assert len(dequantized) == 1
 
+    def test_reports_do_not_depend_on_run_order(self, monkeypatch):
+        # a compensating run releases the baseline's codes once their loss
+        # is priced, so an rtn run after it quantizes the layer again
+        baselines = count_calls(monkeypatch, engines, "rtn_quantize")
+        hess = token_hessian(40, 160, 0.9, 65)
+        W = np.random.default_rng(66).standard_normal((24, 40)).astype(np.float32)
+        order = ("rtn", "gptq", "foem")
+        results, builds = [], []
+        for engines_in_order in (order, order[::-1]):
+            prepared = PreparedLayer(W, hess, QuantGrid(3, 16, True), 0.01)
+            runs = {}
+            for engine in engines_in_order:
+                q, rep = prepared.run(EngineConfig(engine=engine, bits=3, group_size=16, block_size=8))
+                rep = rep.to_dict()
+                rep.pop("wall_time_s")
+                runs[engine] = (q, rep)
+            results.append(runs)
+            builds.append(len(baselines))
+        assert builds == [1, 3]  # once in the first order, twice in the second
+        for engine in order:
+            (q_a, rep_a), (q_b, rep_b) = results[0][engine], results[1][engine]
+            for name in ("codes", "scales", "zero_points"):
+                assert np.array_equal(getattr(q_a, name), getattr(q_b, name)), engine
+            assert rep_a == rep_b, engine
+
+    def test_wall_time_leaves_out_the_baseline_loss(self, rng, monkeypatch):
+        # the first compensating run prices the RTN baseline's loss before
+        # its driver, outside its wall time as every loss is
+        loss = engines.proxy_loss
+
+        def slow(*args):
+            time.sleep(0.3)
+            return loss(*args)
+
+        monkeypatch.setattr(engines, "proxy_loss", slow)
+        hess = token_hessian(16, 64, 0.9, 67)
+        prepared = PreparedLayer(rng.standard_normal((8, 16)), hess, QuantGrid(3, 8, True), 0.01)
+        _, rep = prepared.run(EngineConfig(engine="gptq", bits=3, group_size=8))
+        assert rep.wall_time_s < 0.3
+
     @pytest.mark.parametrize(
         "change", [dict(bits=3), dict(group_size=64), dict(symmetric=False), dict(damp_ratio=0.02)]
     )
@@ -638,30 +680,55 @@ class TestFloat32Originals:
     its float64 widening gives."""
 
     def test_bundle_holds_a_read_only_float32_original(self, rng):
-        # 8 bytes a weight for the latent weights and 4 for the original
+        # 8 bytes a weight for the latent weights; the original is a
+        # read-only view of the caller's array, not a copy
         W = rng.standard_normal((512, 384)).astype(np.float32)
         bundle, peak = traced_peak(lambda: LayerBundle(W))
-        assert peak <= 12 * W.size + 1024
+        assert peak <= 8 * W.size + 1024
         assert bundle.original.dtype == np.float32 and bundle.weights.dtype == np.float64
-        assert np.array_equal(bundle.original, W) and not np.shares_memory(bundle.original, W)
+        assert np.shares_memory(bundle.original, W) and W.flags.writeable
         assert np.array_equal(bundle.weights, W)
         with pytest.raises(ValueError):
             bundle.original[0, 0] = 1.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bundle_shares_a_read_only_input_and_copies_a_writable_one(self, rng, dtype):
+    def test_bundle_shares_its_input_and_widens_other_precisions(self, rng, dtype):
         W = rng.standard_normal((8, 16)).astype(dtype)
-        copied = LayerBundle(W)
-        assert not np.shares_memory(copied.original, W) and not copied.original.flags.writeable
+        viewed = LayerBundle(W)
+        assert viewed.original.base is W and not viewed.original.flags.writeable
         W.flags.writeable = False
         shared = LayerBundle(W)
         assert shared.original is W
         assert shared.weights.dtype == np.float64 and np.array_equal(shared.weights, W)
-        # a read-only array at another precision is widened into a copy
+        # an array at another precision is widened into a copy
         half = W.astype(np.float16)
-        half.flags.writeable = False
         widened = LayerBundle(half).original
         assert widened.dtype == np.float64 and not widened.flags.writeable
+        assert not np.shares_memory(widened, half)
+
+    def test_bundle_weights_are_c_ordered_whatever_the_input(self, rng):
+        W = np.asfortranarray(rng.standard_normal((8, 16)).astype(np.float32))
+        bundle = LayerBundle(W)
+        assert np.shares_memory(bundle.original, W)
+        assert bundle.weights.flags.c_contiguous and np.array_equal(bundle.weights, W)
+
+    @pytest.mark.parametrize("token", TestPreparedLayer.TOKENS)
+    def test_runs_never_write_the_callers_array(self, rng, token):
+        W = rng.standard_normal((12, 40)).astype(np.float32)
+        before = W.copy()
+        config = EngineConfig(bits=3, group_size=16, block_size=8, **token)
+        bundle = LayerBundle(W)
+        run_engine(bundle, token_hessian(40, 160, 0.9, 63), config)
+        assert np.array_equal(W, before) and not np.array_equal(bundle.weights, W)
+
+    def test_array_written_after_the_bundle_is_refused(self, rng):
+        # the bundle's original is the caller's array, so a write to it
+        # drifts the bundle, which run_engine refuses
+        W = rng.standard_normal((12, 40)).astype(np.float32)
+        bundle = LayerBundle(W)
+        W[3, 5] += 1.0
+        with pytest.raises(NumericalError, match="undrifted"):
+            run_engine(bundle, token_hessian(40, 160, 0.9, 64), EngineConfig(engine="gptq"))
 
     def test_prepared_layer_keeps_float32_as_given(self, rng):
         W = rng.standard_normal((8, 16)).astype(np.float32)
@@ -1046,30 +1113,43 @@ class TestLazyBlockDriver:
 class TestRunPeakMemory:
     """tracemalloc peak of one compensating run, in bytes per weight."""
 
-    @pytest.mark.parametrize("engine", ["gptq", "foem"])
-    def test_run_holds_its_codes_and_super_block_buffers(self, monkeypatch, engine):
-        # super-blocks of S = 32 columns, so d_in = 512 is sixteen of them.
-        # Past its bundle's float64 latent weights (8 bytes a weight; the
-        # bundle shares the prepared original) and its int32 codes (4 bytes
-        # a weight) a run holds buffers of at most d_out x S float64: the
-        # driver's super-block errors and product buffer, its slab and
-        # foem's slab temporaries; then the loss's row block of D and its
-        # two products (4 MB at this shape); then the report's row blocks.
-        # A d_out x (d_in - B) boundary product or a d_out x d_in drift
-        # array would each add 8 bytes a weight, more than the 6 d_out S
-        # float64 of slack.
-        S = 32
-        monkeypatch.setattr(engines, "_SUPER_BLOCK", S)
+    # super-blocks of S = 32 columns, so d_in = 512 is sixteen of them
+    S, D_OUT, D_IN = 32, 4096, 512
+
+    def _peak(self, monkeypatch, engine, built):
+        """The run's peak on a layer whose ``built`` pieces are made first,
+        and its bound: past its bundle's float64 latent weights (8 bytes a
+        weight; the bundle shares the prepared original) and one set of
+        int32 codes (4 bytes a weight) a run holds buffers of at most
+        d_out x S float64: the driver's super-block errors and product
+        buffer, its slab and foem's slab temporaries; then the loss's row
+        block of D and its two products (4 MB at this shape); then the
+        report's row blocks. A d_out x (d_in - B) boundary product or a
+        d_out x d_in drift array would each add 8 bytes a weight, and a
+        second set of codes 4, more than the 6 d_out S float64 of slack."""
+        monkeypatch.setattr(engines, "_SUPER_BLOCK", self.S)
         monkeypatch.setattr(engines, "_SUB_BLOCK", 4)
-        d_out, d_in = 4096, 512
-        hess = token_hessian(d_in, 2 * d_in, 0.9, 56)
-        W = np.random.default_rng(57).standard_normal((d_out, d_in))
+        hess = token_hessian(self.D_IN, 2 * self.D_IN, 0.9, 56)
+        W = np.random.default_rng(57).standard_normal((self.D_OUT, self.D_IN))
         config = EngineConfig(engine=engine, bits=3, group_size=64, block_size=16)
         prepared = PreparedLayer(W, hess, config.grid(), config.damp_ratio)
-        prepared.factor, prepared.baseline, prepared.baseline_loss
+        for name in built:
+            getattr(prepared, name)
         (q, _), peak = traced_peak(lambda: prepared.run(config))
-        assert q.codes.shape == (d_out, d_in)
-        assert peak <= (8 + 4) * W.size + 6 * 8 * d_out * S
+        assert q.codes.shape == W.shape
+        return peak, (8 + 4) * W.size + 6 * 8 * self.D_OUT * self.S
+
+    @pytest.mark.parametrize("engine", ["gptq", "foem"])
+    def test_run_holds_its_codes_and_super_block_buffers(self, monkeypatch, engine):
+        peak, bound = self._peak(monkeypatch, engine, ("factor", "baseline", "baseline_loss"))
+        assert peak <= bound
+
+    @pytest.mark.parametrize("engine", ["gptq", "foem"])
+    def test_run_never_holds_the_rtn_codes_and_its_own(self, monkeypatch, engine):
+        # the run builds the RTN baseline and prices its loss, then lets its
+        # codes go before the driver makes its own: the same bound holds
+        peak, bound = self._peak(monkeypatch, engine, ("factor",))
+        assert peak <= bound
 
 
 class TestScaleInvariance:

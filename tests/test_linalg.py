@@ -449,7 +449,8 @@ class TestNoCopyFactor:
         config = EngineConfig(engine="obs_oracle", bits=3, group_size=8)
         quantized, _ = run_engine(LayerBundle(W), state, config)
         baseline = rtn_quantize(W, config.grid())
-        codes = _run_oracle(LayerBundle(W), _explicitly_damped(state, config.damp_ratio), baseline)
+        damped = _explicitly_damped(state, config.damp_ratio)
+        codes = _run_oracle(LayerBundle(W), damped, config.grid(), baseline.scales, baseline.zero_points)
         assert np.array_equal(quantized.codes, codes)
 
 
