@@ -54,13 +54,16 @@ damping: the factor and the RTN baseline's scales, zero points and proxy
 loss. ``PreparedLayer`` builds each of them once, on first use, and every
 run on it shares them and makes each run a new bundle of the layer; the
 baseline's codes are held only until a compensating run has priced their
-loss, and an ``rtn`` run after that builds them again, to the same bits.
-``run_engine`` is one preparation and one run on the caller's bundle, and
-``compare`` prepares each layer once for all of its engine tokens. Neither
-a bundle nor a prepared layer copies the weights it is given, so a
-float32 layer costs a compensating run 16 bytes a weight with its caller's
-array: 4 for that array, 8 for the latent weights and 4 for one set of
-int32 codes.
+loss, which it does before it builds the factor, and an ``rtn`` run after
+that builds them again, to the same bits. ``run_engine`` is one
+preparation and one run on the caller's bundle, which releases the factor
+as soon as its driver is done, and ``compare`` prepares each layer once
+for all of its engine tokens. Neither a bundle nor a prepared layer copies
+the weights it is given, so during its driver a compensating run on a
+float32 layer holds 13 bytes a weight with its caller's array: 4 for that
+array, 8 for the latent weights and 1 for the driver's one-byte codes,
+which it widens to the int32 a ``QuantizedLayer`` holds (4 bytes) once the
+driver is done.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -379,7 +382,13 @@ def _run_blocked(
 ) -> np.ndarray:
     """Lazy blocked driver shared by gptq and foem: quantizes every column
     on ``scales`` and ``zero_points``, the layer's RTN baseline's, so it
-    fits none, and returns the int32 codes.
+    fits none, and returns the codes in one byte a weight: int8 up to a
+    q_max of 127 (every symmetric grid, whose q_min is -q_max, and the
+    asymmetric ones up to 7 bits), else uint8 (an asymmetric 8-bit grid,
+    q_min 0 and q_max 255). The caller widens them to int32 once the
+    driver's buffers are gone. With the bundle's float64
+    latent weights the driver holds 9 bytes a weight, past the factor and
+    its buffers of at most d_out x S float64.
 
     It reads the factor's U, through its bands, and T's diagonal blocks,
     never the rest of T.
@@ -417,12 +426,12 @@ def _run_blocked(
     c = config.sign_factor() * config.applied()["beta"]
     grid = config.grid()
     params = _column_params(scales, zero_points, grid, d_in)
-    codes = np.empty((d_out, d_in), dtype=np.int32)
+    codes = np.empty((d_out, d_in), dtype=np.int8 if grid.q_max <= 127 else np.uint8)
     B = config.block_size
     S = max(_SUPER_BLOCK // B, 1) * B
     # one buffer each for all blocks: per-block ones read 1.2 MB more peak RSS at 512 x 4096
     slabs = np.empty((min(B, d_in), d_out))
-    all_codes = np.empty((min(B, d_in), d_out), dtype=np.int32)
+    all_codes = np.empty((min(B, d_in), d_out), dtype=codes.dtype)
     sub = np.empty((min(_SUB_BLOCK, B, d_in), d_out))
     # a super-block's errors, one row per column, then what its blocks pass
     # their boundaries; and the products' buffer, which holds a block's drift
@@ -552,16 +561,19 @@ class PreparedLayer:
 
     Of the baseline, the layer keeps for good only what every run needs:
     its ``scales`` and ``zero_points``, which every run quantizes on and
-    every run's layer holds, and its loss. A compensating run prices that
-    loss if no run has, then releases the baseline's codes before its
-    driver makes its own, so it never holds both; an ``rtn`` run after it
-    builds them again with ``rtn_quantize``, which gives the same bits.
+    every run's layer holds, and its loss. A compensating run builds the
+    baseline and prices that loss if no run has, and releases the
+    baseline's codes, all before it builds the factor, so the run that
+    builds the factor holds neither those codes nor the loss's buffers
+    beside it; an ``rtn`` run after it builds the codes again with
+    ``rtn_quantize``, which gives the same bits.
 
     ``original`` is the weights as ``_held`` holds them: a writable array
     through a read-only view of itself, not a copy, which every run's
-    bundle keeps as its original. Past it, a run holds 12 bytes a weight:
-    its bundle's float64 latent weights and one set of int32 codes, the
-    baseline's or its own.
+    bundle keeps as its original. Past it, a run holds its bundle's float64
+    latent weights, 8 bytes a weight, and one set of codes: 1 byte a weight
+    during the driver, which writes them in one byte (``_run_blocked``),
+    and 4 for the int32 codes of the run's layer or of the baseline.
     """
 
     def __init__(
@@ -623,7 +635,8 @@ class PreparedLayer:
         piece this run was the first to need (the factor and the baseline,
         whose scales a compensating engine quantizes on, or the baseline
         alone for ``rtn``); the report's losses are outside it, the
-        baseline's too, which a compensating run prices before its driver.
+        baseline's too, which a compensating run prices before its factor.
+        The layer keeps the factor for later runs.
         """
         config.validate()
         if config.grid() != self.grid or config.damp_ratio != self.damp_ratio:
@@ -633,30 +646,40 @@ class PreparedLayer:
             )
         return self._run(LayerBundle(self.original), config, layer_name)
 
-    def _run(self, bundle: LayerBundle, config: EngineConfig, layer_name: str):
-        """``run``'s body on an undrifted ``bundle`` of this layer, for a valid config of it."""
+    def _run(self, bundle: LayerBundle, config: EngineConfig, layer_name: str, once: bool = False):
+        """``run``'s body on an undrifted ``bundle`` of this layer, for a
+        valid config of it. A compensating run goes in this order: the
+        baseline, if no run has built it; its loss, untimed, after which
+        its codes go; the factor; the driver; then, with ``once`` (a
+        layer that no later run will use), the factor is released, before
+        the driver's codes are widened to int32 and the run's loss is
+        priced."""
         t0 = time.perf_counter()
         if config.engine == "rtn":
             baseline = self.baseline
             codes = baseline.codes
             baseline.dequantize(bundle.weights)
         else:
-            # factoring first also refuses a matrix that is not positive
-            # definite for the oracle, whose explicit inverse would not
-            factor = self.factor
             if self.scales is None:
                 self._build_baseline()
-            # the baseline's loss needs its codes, the driver only its
-            # scales: price it (untimed, as every loss is) and let them go
+            # the baseline's loss needs its codes, the factor and the
+            # driver only its scales: price it (untimed, as every loss is)
+            # and let them go before the factor is built
             paused = time.perf_counter()
             self.baseline_loss
             self._baseline = None
             t0 += time.perf_counter() - paused
             if config.engine == "obs_oracle":
+                # factoring also refuses a matrix that is not positive
+                # definite, which the oracle's explicit inverse would not
+                self.factor
                 damped = self.hessian.dampen(self.damp_ratio)
                 codes = _run_oracle(bundle, damped, self.grid, self.scales, self.zero_points)
             else:
-                codes = _run_blocked(bundle, factor, config, self.scales, self.zero_points)
+                codes = _run_blocked(bundle, self.factor, config, self.scales, self.zero_points)
+            if once:
+                del self.factor
+            codes = codes.astype(np.int32, copy=False)
         quantized = QuantizedLayer(codes, self.scales, self.zero_points, config)
         wall = time.perf_counter() - t0
         quantized.extra["layer"] = layer_name
@@ -702,12 +725,14 @@ def run_engine(
     loss in the report. The layer is prepared from ``bundle.original``, and
     the bundle must be undrifted (weights equal to the originals); its
     latent weights are consumed in place, so a bundle runs once and ends
-    holding the dequantized layer. To run several engines on one layer,
-    prepare it once with ``PreparedLayer`` and ``run`` each config on it.
+    holding the dequantized layer. The preparation serves this run only,
+    so its factor is released as soon as the driver is done, before the
+    run's loss is priced. To run several engines on one layer, prepare it
+    once with ``PreparedLayer`` and ``run`` each config on it.
     """
     config.validate()
     prepared = PreparedLayer(bundle.original, hessian, config.grid(), config.damp_ratio)
     # the prepared original is finite, so this refuses a non-finite bundle
     if not _equal_by_rows(bundle.weights, bundle.original):
         raise NumericalError("engines expect an undrifted bundle (weights equal to original)")
-    return prepared._run(bundle, config, layer_name)
+    return prepared._run(bundle, config, layer_name, once=True)

@@ -701,8 +701,9 @@ class TestCompare:
         assert run_cli(*args, "--damp-ratio", "1e308") == 3
         assert "is not finite" in capsys.readouterr().err
 
-    def test_indefinite_hessian_exits_3_naming_pivot(self, workspace, rng, capsys):
-        ws = workspace
+    @staticmethod
+    def _indefinite_hessians(ws, rng):
+        """A directory of Hessians, one per layer, whose last pivot is negative."""
         hes = ws["dir"] / "indefinite"
         hes.mkdir()
         for layer, arr in ws["arrays"].items():
@@ -715,6 +716,11 @@ class TestCompare:
                 {"hessian": H},
                 metadata={"n_samples": str(d_in)},
             )
+        return hes
+
+    def test_indefinite_hessian_exits_3_naming_pivot(self, workspace, rng, capsys):
+        ws = workspace
+        hes = self._indefinite_hessians(ws, rng)
         out = ws["dir"] / "cmp"
         rc = run_cli(
             "compare", "--weights", ws["weights"], "--hessians", hes, "--out", out,
@@ -724,6 +730,17 @@ class TestCompare:
         # blk0.fc (d_in = 12) runs first in sorted order
         assert "pivot at column 11 " in capsys.readouterr().err
         assert not (out / "compare.csv").exists()
+
+    def test_indefinite_hessian_quantize_exits_3_writing_nothing(self, workspace, rng, capsys):
+        # the run prices the RTN baseline's loss before it factors; the
+        # factor's refusal still comes before any artifact or report
+        ws = workspace
+        out = ws["dir"] / "q"
+        hes = self._indefinite_hessians(ws, rng)
+        assert run_cli(*quantize_args(ws, out, hes, **{"--damp-ratio": "0"})) == 3
+        assert "pivot at column 11 " in capsys.readouterr().err
+        # the output directory is made once every input is checked
+        assert list(out.iterdir()) == []
 
 
 class TestHessianFile:

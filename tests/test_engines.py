@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -469,7 +471,11 @@ class TestRunEngine:
             run_engine(bundle, hess, config)
 
     @pytest.mark.parametrize("engine", ["obs_oracle", "gptq", "foem"])
-    def test_indefinite_hessian_names_pivot(self, rng, engine):
+    def test_indefinite_hessian_names_pivot(self, rng, monkeypatch, engine):
+        # the RTN baseline's loss is priced first; then the factor names the
+        # pivot before any driver runs, the oracle's dense inverse included
+        losses = count_calls(monkeypatch, engines, "proxy_loss")
+        drivers = [count_calls(monkeypatch, engines, name) for name in ("_run_oracle", "_run_blocked")]
         A = rng.standard_normal((8, 8))
         H = A @ A.T
         H[7, 7] = -50.0
@@ -477,6 +483,7 @@ class TestRunEngine:
         with pytest.raises(FactorizationError) as excinfo:
             run_engine(LayerBundle(rng.standard_normal((4, 8))), HessianState.from_matrix(H, 1), config)
         assert excinfo.value.pivot == 7
+        assert len(losses) == 1 and drivers == [[], []]
 
     def test_invalid_config_rejected(self, rng):
         hess = token_hessian(4, 16, 0.9, 20)
@@ -650,7 +657,7 @@ class TestPreparedLayer:
 
     def test_wall_time_leaves_out_the_baseline_loss(self, rng, monkeypatch):
         # the first compensating run prices the RTN baseline's loss before
-        # its driver, outside its wall time as every loss is
+        # its factor, outside its wall time as every loss is
         loss = engines.proxy_loss
 
         def slow(*args):
@@ -662,6 +669,44 @@ class TestPreparedLayer:
         prepared = PreparedLayer(rng.standard_normal((8, 16)), hess, QuantGrid(3, 8, True), 0.01)
         _, rep = prepared.run(EngineConfig(engine="gptq", bits=3, group_size=8))
         assert rep.wall_time_s < 0.3
+
+    @staticmethod
+    def _factor_at_losses(monkeypatch):
+        """Record a weak reference to every factor ``inverse_cholesky``
+        builds, and at each ``proxy_loss`` call whether each is alive."""
+        factors, alive = [], []
+        build, loss = engines.inverse_cholesky, engines.proxy_loss
+
+        def spy_build(damped):
+            factor = build(damped)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        def spy_loss(*args):
+            alive.append([ref() is not None for ref in factors])
+            return loss(*args)
+
+        monkeypatch.setattr(engines, "inverse_cholesky", spy_build)
+        monkeypatch.setattr(engines, "proxy_loss", spy_loss)
+        return alive
+
+    @pytest.mark.parametrize("engine", ["obs_oracle", "gptq", "foem"])
+    def test_run_engine_frees_its_factor_before_the_final_loss(self, rng, monkeypatch, engine):
+        # the baseline's loss is priced before the factor is built, and the
+        # run's own loss after its single-use preparation dropped it
+        alive = self._factor_at_losses(monkeypatch)
+        hess = token_hessian(16, 64, 0.9, 68)
+        config = EngineConfig(engine=engine, bits=3, group_size=8)
+        run_engine(LayerBundle(rng.standard_normal((8, 16))), hess, config)
+        assert alive == [[], [False]]
+
+    def test_prepared_layer_keeps_its_factor_for_later_runs(self, rng, monkeypatch):
+        alive = self._factor_at_losses(monkeypatch)
+        hess = token_hessian(16, 64, 0.9, 69)
+        prepared = PreparedLayer(rng.standard_normal((8, 16)), hess, QuantGrid(3, 8, True), 0.01)
+        for engine in ("gptq", "foem"):
+            prepared.run(EngineConfig(engine=engine, bits=3, group_size=8))
+        assert alive == [[], [True], [True]]
 
     @pytest.mark.parametrize(
         "change", [dict(bits=3), dict(group_size=64), dict(symmetric=False), dict(damp_ratio=0.02)]
@@ -1039,6 +1084,47 @@ class TestLazyBlockDriver:
         assert np.array_equal(q.scales, baseline.scales)
         assert np.array_equal(q.zero_points, baseline.zero_points)
 
+    @pytest.mark.parametrize(
+        "bits, symmetric, dtype",
+        [(2, True, np.int8), (3, True, np.int8), (8, True, np.int8), (7, False, np.int8),
+         (8, False, np.uint8)],
+    )
+    def test_one_byte_codes_equal_the_int32_reference(self, monkeypatch, bits, symmetric, dtype):
+        # the driver writes its codes in one byte, uint8 only for q_max 255,
+        # and the run's layer holds them widened to int32; both equal the
+        # eager reference's int32 codes, on layers whose rounding passed
+        # the grid at both ends, so the clamps acted on either side
+        driven, clamped = [], set()
+        driver, quantize = engines._run_blocked, engines.quantize_values
+
+        def spy_driver(*args):
+            driven.append(driver(*args))
+            return driven[-1]
+
+        def spy_quantize(values, gs, grid):
+            q = np.rint(values / gs.scale) + gs.zero_point
+            if (q < grid.q_min).any():
+                clamped.add("below")
+            if (q > grid.q_max).any():
+                clamped.add("above")
+            return quantize(values, gs, grid)
+
+        monkeypatch.setattr(engines, "_run_blocked", spy_driver)
+        monkeypatch.setattr(engines, "quantize_values", spy_quantize)
+        hess = token_hessian(96, 192, 0.9, 70)
+        W = np.random.default_rng(71).standard_normal((48, 96))
+        for variant in (dict(engine="gptq"), dict(engine="foem", beta=3e-3)):
+            config = EngineConfig(
+                bits=bits, symmetric=symmetric, group_size=32, block_size=16, **variant
+            )
+            q, _ = run_engine(LayerBundle(W), hess, config)
+            reference, _, _ = _eager_reference(W, hess, config)
+            assert driven[-1].dtype == dtype
+            assert q.codes.dtype == reference.dtype == np.int32
+            assert np.array_equal(driven[-1], reference), variant
+            assert np.array_equal(q.codes, reference), variant
+        assert clamped == {"below", "above"}
+
     def test_unblocked_gptq_step_agrees_with_original_scales(self, rng):
         # scales come from the originals, so block structure cannot move a
         # group fit and the unblocked reference step gives the same codes;
@@ -1116,7 +1202,7 @@ class TestRunPeakMemory:
     # super-blocks of S = 32 columns, so d_in = 512 is sixteen of them
     S, D_OUT, D_IN = 32, 4096, 512
 
-    def _peak(self, monkeypatch, engine, built):
+    def _peak(self, monkeypatch, engine, built, d_in=D_IN):
         """The run's peak on a layer whose ``built`` pieces are made first,
         and its bound: past its bundle's float64 latent weights (8 bytes a
         weight; the bundle shares the prepared original) and one set of
@@ -1129,8 +1215,8 @@ class TestRunPeakMemory:
         second set of codes 4, more than the 6 d_out S float64 of slack."""
         monkeypatch.setattr(engines, "_SUPER_BLOCK", self.S)
         monkeypatch.setattr(engines, "_SUB_BLOCK", 4)
-        hess = token_hessian(self.D_IN, 2 * self.D_IN, 0.9, 56)
-        W = np.random.default_rng(57).standard_normal((self.D_OUT, self.D_IN))
+        hess = token_hessian(d_in, 2 * d_in, 0.9, 56)
+        W = np.random.default_rng(57).standard_normal((self.D_OUT, d_in))
         config = EngineConfig(engine=engine, bits=3, group_size=64, block_size=16)
         prepared = PreparedLayer(W, hess, config.grid(), config.damp_ratio)
         for name in built:
@@ -1150,6 +1236,27 @@ class TestRunPeakMemory:
         # codes go before the driver makes its own: the same bound holds
         peak, bound = self._peak(monkeypatch, engine, ("factor",))
         assert peak <= bound
+
+    @pytest.mark.parametrize("engine", ["gptq", "foem"])
+    def test_driver_holds_one_byte_codes(self, monkeypatch, engine):
+        # the peak while the driver runs, above the run's start: the
+        # bundle's latent weights, the driver's one-byte codes and its
+        # buffers. At d_in = 1024 int32 codes would add 3 bytes a weight,
+        # 12.6 MB, twice the 6 d_out S float64 of slack
+        d_in = 2 * self.D_IN
+        peaks = []
+        driver = engines._run_blocked
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            codes = driver(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return codes
+
+        monkeypatch.setattr(engines, "_run_blocked", traced)
+        self._peak(monkeypatch, engine, ("factor",), d_in)
+        assert len(peaks) == 1
+        assert peaks[0] <= (8 + 1) * self.D_OUT * d_in + 6 * 8 * self.D_OUT * self.S
 
 
 class TestScaleInvariance:
