@@ -24,7 +24,6 @@ from .engines import (
     LayerBundle,
     first_order_quant_step,
     foem_block_boundary,
-    foem_column_step,
     gptq_column_step,
     PreparedLayer,
     run_engine,

@@ -52,18 +52,16 @@ Everything an engine run needs besides the bundle and the config is a
 function of the layer's weights, its undamped Hessian, the grid and the
 damping: the factor and the RTN baseline's scales, zero points and proxy
 loss. ``PreparedLayer`` builds each of them once, on first use, and every
-run on it shares them and makes each run a new bundle of the layer; the
-baseline's codes are held only until a compensating run has priced their
-loss, which it does before it builds the factor, and an ``rtn`` run after
-that builds them again, to the same bits. ``run_engine`` is one
-preparation and one run on the caller's bundle, which releases the factor
-as soon as its driver is done, and ``compare`` prepares each layer once
-for all of its engine tokens. Neither a bundle nor a prepared layer copies
-the weights it is given, so during its driver a compensating run on a
-float32 layer holds 13 bytes a weight with its caller's array: 4 for that
-array, 8 for the latent weights and 1 for the driver's one-byte codes,
-which it widens to the int32 a ``QuantizedLayer`` holds (4 bytes) once the
-driver is done.
+run on it shares them and makes each run a new bundle of the layer; a
+prepared layer keeps the baseline's scales, zero points and loss, never
+its codes. ``run_engine`` is one preparation and one run on the caller's
+bundle, which releases the factor as soon as its driver is done, and
+``compare`` prepares each layer once for all of its engine tokens.
+Neither a bundle nor a prepared layer copies the weights it is given, so
+during its driver a compensating run on a float32 layer holds 13 bytes a
+weight with its caller's array: 4 for that array, 8 for the latent
+weights and 1 for the driver's one-byte codes, which it widens to the
+int32 a ``QuantizedLayer`` holds (4 bytes) once the driver is done.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -90,7 +88,6 @@ __all__ = [
     "EngineConfig",
     "first_order_quant_step",
     "gptq_column_step",
-    "foem_column_step",
     "foem_block_boundary",
     "PreparedLayer",
     "run_engine",
@@ -191,49 +188,12 @@ def gptq_column_step(
     """
     if grid != book.grid:
         raise ConfigError(f"column step got grid {grid}, but its ScaleBook has {book.grid}")
-    foem_column_step(bundle, factor, col, factor.dim, book, 0.0)
-
-
-def foem_column_step(
-    bundle: LayerBundle,
-    factor: InvCholFactor,
-    col: int,
-    block_end: int,
-    book: ScaleBook,
-    beta: float,
-    sign: float = -1.0,
-) -> None:
-    """One in-block column step of the first-order engine.
-
-    Writes the dequantized values into column ``col`` and one combined
-    update into columns col+1 .. block_end-1: the factor-route error
-    propagation plus the drift correction sign * beta * (W - W_orig)[:, s]
-    @ (T_s^T T_s) on them, with s = [col, block_end) and T_s = T[s, s].
-    Both terms are evaluated from the latent state at the start of the step
-    (the drift seen by column 0 of an untouched layer is therefore exactly
-    zero); the drift still reflects every previous column's update, it is
-    never cached across steps. With beta = 0 this is the blocked gptq step.
-    The codes land in ``book.codes[:, col]``; nothing is returned.
-
-    No engine runs this step: it is the eager reference for the lazy
-    blocked driver, which the tests drive column by column and compare
-    against ``run_engine``. It takes the factor that ``inverse_cholesky``
-    builds, as ``_run_blocked`` does, and reads T whole (``factor.matrix``,
-    formed from U's bands on its first read). The grid is the book's.
-    """
     T = factor.matrix
     w = bundle.weights[:, col]
     deq = book.quantize(col, w, bundle.original)
     err = (w - deq) / T[col, col]
-    rest = slice(col + 1, block_end)
-    delta = -np.outer(err, T[col, rest])
-    if beta != 0.0:
-        sl = slice(col, block_end)
-        t_sub = T[sl, sl]
-        drift = bundle.weights[:, sl] - bundle.original[:, sl]
-        delta += (sign * beta) * (drift @ (t_sub.T @ t_sub[:, 1:]))
     bundle.weights[:, col] = deq
-    bundle.weights[:, rest] += delta
+    bundle.weights[:, col + 1 :] -= np.outer(err, T[col, col + 1 :])
 
 
 def foem_block_boundary(
@@ -448,19 +408,15 @@ def _run_blocked(
         plan = _lazy_block_plan(Tb, c)
         slabT, block_codes = slabs[:b], all_codes[:b]
         errs, X = all_errs[i - s0 : e - s0], trailing[:, :b]
-        # the slab at block start, O + X Z, formed transposed; the block's
-        # error rows hold its originals until the loop writes its errors.
-        # In chunks of rows: one strided copy of the whole block is about
-        # three times slower at d_out 512 and four at 4096
+        # the slab at block start, O + X Z, formed transposed (X is zero in
+        # the first block, which starts undrifted); the block's error rows
+        # hold its originals until the loop writes its errors. In chunks of
+        # rows: one strided copy of the whole block is about three times
+        # slower at d_out 512 and four at 4096
         for k in range(0, d_out, _ROWS):
             errs[:, k : k + _ROWS] = O[k : k + _ROWS, i:e].T
-        if i:
-            np.subtract(W[:, i:e], O[:, i:e], out=X)
-            np.add(np.matmul(plan[:b].T, X.T, out=slabT), errs, out=slabT)
-        else:
-            # the first block starts undrifted
-            X[...] = 0.0
-            slabT[...] = errs
+        np.subtract(W[:, i:e], O[:, i:e], out=X)
+        np.add(np.matmul(plan[:b].T, X.T, out=slabT), errs, out=slabT)
         NT = plan[b:].T.copy()
         diagonal = Tb.diagonal().tolist()
         for r0 in range(0, b, _SUB_BLOCK):
@@ -559,14 +515,13 @@ class PreparedLayer:
     dense U or T). ``run`` refuses a config whose grid or damping differs
     from the preparation's.
 
-    Of the baseline, the layer keeps for good only what every run needs:
-    its ``scales`` and ``zero_points``, which every run quantizes on and
-    every run's layer holds, and its loss. A compensating run builds the
-    baseline and prices that loss if no run has, and releases the
-    baseline's codes, all before it builds the factor, so the run that
-    builds the factor holds neither those codes nor the loss's buffers
-    beside it; an ``rtn`` run after it builds the codes again with
-    ``rtn_quantize``, which gives the same bits.
+    A prepared layer keeps the baseline's scales, zero points and loss,
+    never its codes: ``scales`` and ``zero_points``, which every run
+    quantizes on and every run's layer holds, and ``baseline_loss``, each
+    None until the layer's first run sets them. That run prices the loss
+    from the baseline's codes, and a compensating run drops those codes
+    before it builds the factor; an ``rtn`` run quantizes the layer with
+    ``rtn_quantize`` itself, which gives the baseline's bits.
 
     ``original`` is the weights as ``_held`` holds them: a writable array
     through a read-only view of itself, not a copy, which every run's
@@ -594,11 +549,10 @@ class PreparedLayer:
         self.hessian = hessian
         self.grid = grid
         self.damp_ratio = damp_ratio
-        # the baseline's held arrays, set when it is first built
+        # the RTN baseline's, set by the layer's first run
         self.scales: np.ndarray | None = None
         self.zero_points: np.ndarray | None = None
-        # the baseline while it holds its codes
-        self._baseline: QuantizedLayer | None = None
+        self.baseline_loss: float | None = None
 
     @cached_property
     def factor(self) -> InvCholFactor:
@@ -607,24 +561,6 @@ class PreparedLayer:
         or T = U^(-1) is formed only if ``upper`` or ``matrix`` is read,
         which no engine run does."""
         return inverse_cholesky(self.hessian.dampen(self.damp_ratio))
-
-    @property
-    def baseline(self) -> QuantizedLayer:
-        """Round-to-nearest quantization of the original weights, built on
-        first use, and again after a compensating run released its codes."""
-        return self._baseline if self._baseline is not None else self._build_baseline()
-
-    def _build_baseline(self) -> QuantizedLayer:
-        self._baseline = rtn_quantize(self.original, self.grid)
-        if self.scales is None:
-            self.scales, self.zero_points = self._baseline.scales, self._baseline.zero_points
-        return self._baseline
-
-    @cached_property
-    def baseline_loss(self) -> float:
-        """Proxy loss of the RTN baseline, priced from its codes one row
-        block at a time, so no dequantized copy of the layer is made."""
-        return proxy_loss(self.baseline, self.original, self.hessian)
 
     def run(self, config: EngineConfig, layer_name: str = "layer") -> tuple[QuantizedLayer, LayerReport]:
         """Quantize this layer with ``config`` on a new bundle of it, which
@@ -649,26 +585,26 @@ class PreparedLayer:
     def _run(self, bundle: LayerBundle, config: EngineConfig, layer_name: str, once: bool = False):
         """``run``'s body on an undrifted ``bundle`` of this layer, for a
         valid config of it. A compensating run goes in this order: the
-        baseline, if no run has built it; its loss, untimed, after which
-        its codes go; the factor; the driver; then, with ``once`` (a
-        layer that no later run will use), the factor is released, before
-        the driver's codes are widened to int32 and the run's loss is
-        priced."""
+        baseline, if no run has built it, and its loss, untimed, priced
+        from its codes; the factor, once those codes are gone; the driver;
+        then, with ``once`` (a layer that no later run will use), the
+        factor is released, before the driver's codes are widened to int32
+        and the run's loss is priced."""
         t0 = time.perf_counter()
+        if config.engine == "rtn" or self.scales is None:
+            baseline = rtn_quantize(self.original, self.grid)
+            if self.scales is None:
+                self.scales, self.zero_points = baseline.scales, baseline.zero_points
+                # untimed, as every loss is
+                paused = time.perf_counter()
+                self.baseline_loss = proxy_loss(baseline, self.original, self.hessian)
+                t0 += time.perf_counter() - paused
         if config.engine == "rtn":
-            baseline = self.baseline
             codes = baseline.codes
             baseline.dequantize(bundle.weights)
         else:
-            if self.scales is None:
-                self._build_baseline()
-            # the baseline's loss needs its codes, the factor and the
-            # driver only its scales: price it (untimed, as every loss is)
-            # and let them go before the factor is built
-            paused = time.perf_counter()
-            self.baseline_loss
-            self._baseline = None
-            t0 += time.perf_counter() - paused
+            # the factor and the driver need only the baseline's scales
+            baseline = None
             if config.engine == "obs_oracle":
                 # factoring also refuses a matrix that is not positive
                 # definite, which the oracle's explicit inverse would not

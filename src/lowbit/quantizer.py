@@ -113,6 +113,16 @@ class EngineConfig:
     damp_ratio: float = 0.01
     first_order_sign: str = "minus"
 
+    def __post_init__(self):
+        # a numpy scalar is held as the builtin of its kind, which JSON
+        # writes (a float through ``float``: ``item`` returns a long double
+        # as it is); every other value is kept as given
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                builtin = float(value) if isinstance(value, np.floating) else value.item()
+                object.__setattr__(self, name, builtin)
+
     def validate(self) -> None:
         """Raise ConfigError unless every field has its JSON type (a bool is
         no number, and ``group_size`` may be None) and a value in range."""

@@ -1,12 +1,14 @@
+import json
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import count_calls, random_spd, record_bundles, token_hessian, traced_peak
-from lowbit import engines, linalg, quantizer
+from lowbit import engines, linalg, quantizer, tensorio
 from lowbit.calib import SyntheticSpec, generate_synthetic
 from lowbit.engines import (
     EngineConfig,
@@ -14,7 +16,6 @@ from lowbit.engines import (
     PreparedLayer,
     first_order_quant_step,
     foem_block_boundary,
-    foem_column_step,
     gptq_column_step,
     run_engine,
 )
@@ -107,6 +108,36 @@ def _factor_for(d, seed, n_tokens=None, rho=0.9):
     hess = token_hessian(d, n_tokens or 4 * d, rho, seed)
     damped = hess.dampen(0.01)
     return hess, damped, inverse_cholesky(damped)
+
+
+def foem_column_step(bundle, factor, col, block_end, book, beta, sign=-1.0):
+    """One in-block column step of the first-order engine, eagerly: the
+    reference that the lazy blocked driver must reproduce.
+
+    Writes the dequantized values into column ``col`` and one combined
+    update into columns col+1 .. block_end-1: the factor-route error
+    propagation plus the drift correction sign * beta * (W - W_orig)[:, s]
+    @ (T_s^T T_s) on them, with s = [col, block_end) and T_s = T[s, s].
+    Both terms are evaluated from the latent state at the start of the step
+    (the drift seen by column 0 of an untouched layer is therefore exactly
+    zero); the drift still reflects every previous column's update, it is
+    never cached across steps. With beta = 0 this is the blocked gptq step.
+    The codes land in ``book.codes[:, col]``; T is read whole
+    (``factor.matrix``).
+    """
+    T = factor.matrix
+    w = bundle.weights[:, col]
+    deq = book.quantize(col, w, bundle.original)
+    err = (w - deq) / T[col, col]
+    rest = slice(col + 1, block_end)
+    delta = -np.outer(err, T[col, rest])
+    if beta != 0.0:
+        sl = slice(col, block_end)
+        t_sub = T[sl, sl]
+        drift = bundle.weights[:, sl] - bundle.original[:, sl]
+        delta += (sign * beta) * (drift @ (t_sub.T @ t_sub[:, 1:]))
+    bundle.weights[:, col] = deq
+    bundle.weights[:, rest] += delta
 
 
 class TestGptqColumnStep:
@@ -564,6 +595,36 @@ class TestEngineConfig:
             with pytest.raises(ConfigError, match="unknown config fields"):
                 EngineConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(bits=np.int64(3)),
+            dict(beta=np.float32(3e-4)),
+            dict(group_size=np.int32(8), block_size=np.uint8(4), damp_ratio=np.float64(0.02)),
+        ],
+    )
+    def test_numpy_scalars_write_as_their_builtin_twins(self, tmp_path, fields):
+        # a numpy scalar is held as the builtin of its kind, so the artifact
+        # and the report are those of the builtin-typed twin
+        builtin = {name: value.item() for name, value in fields.items()}
+        hess = token_hessian(16, 64, 0.9, 73)
+        W = np.random.default_rng(74).standard_normal((6, 16))
+        configs = [
+            config
+            for data in (builtin, fields)
+            for config in (EngineConfig(engine="foem", **data),
+                           EngineConfig.from_dict(dict(engine="foem", **data)))
+        ]
+        written = []
+        for k, config in enumerate(configs):
+            q, rep = run_engine(LayerBundle(W), hess, config)
+            path = tmp_path / f"{k}.safetensors"
+            tensorio.save_quantized(q, path)
+            report = rep.to_dict()
+            report.pop("wall_time_s")
+            written.append((path.read_bytes(), json.dumps(report)))
+        assert all(w == written[0] for w in written)
+
     def test_from_dict_records_reals_as_floats(self):
         config = EngineConfig.from_dict({"beta": 0, "damp_ratio": 1, "bits": np.int64(3)})
         assert (type(config.beta), type(config.damp_ratio)) == (float, float)
@@ -630,9 +691,20 @@ class TestPreparedLayer:
                 assert len(dequantized) == 1 and dequantized[0][1] is bundles[-1].weights
         assert len(dequantized) == 1
 
+    def test_keeps_no_rtn_codes_between_runs(self, rng):
+        # a prepared layer keeps the baseline's scales, zero points and
+        # loss, never its codes: dropping an rtn run's layer frees them
+        hess = token_hessian(16, 64, 0.9, 72)
+        prepared = PreparedLayer(rng.standard_normal((8, 16)), hess, QuantGrid(3, 8, True), 0.01)
+        q, _ = prepared.run(EngineConfig(engine="rtn", bits=3, group_size=8))
+        codes = weakref.ref(q.codes)
+        del q
+        assert codes() is None
+        assert prepared.scales is not None and prepared.baseline_loss > 0
+
     def test_reports_do_not_depend_on_run_order(self, monkeypatch):
-        # a compensating run releases the baseline's codes once their loss
-        # is priced, so an rtn run after it quantizes the layer again
+        # a prepared layer keeps no RTN codes, so an rtn run after a
+        # compensating one quantizes the layer again
         baselines = count_calls(monkeypatch, engines, "rtn_quantize")
         hess = token_hessian(40, 160, 0.9, 65)
         W = np.random.default_rng(66).standard_normal((24, 40)).astype(np.float32)
@@ -1075,10 +1147,10 @@ class TestLazyBlockDriver:
         # a run quantizes on the baseline's own arrays; only the baseline fits
         hess = token_hessian(40, 160, 0.9, 46)
         W = rng.standard_normal((12, 40))
-        prepared = PreparedLayer(W, hess, QuantGrid(3, 16, False), 0.01)
-        baseline = prepared.baseline
-        fits = count_calls(monkeypatch, quantizer, "fit_scales")
         config = EngineConfig(engine=engine, bits=3, group_size=16, symmetric=False, block_size=8)
+        prepared = PreparedLayer(W, hess, config.grid(), 0.01)
+        baseline, _ = prepared.run(replace(config, engine="rtn"))
+        fits = count_calls(monkeypatch, quantizer, "fit_scales")
         q, _ = prepared.run(config)
         assert fits == []
         assert np.array_equal(q.scales, baseline.scales)
@@ -1156,7 +1228,9 @@ class TestLazyBlockDriver:
         W = np.random.default_rng(41).standard_normal((20, d_in))
         grid = QuantGrid(3, group_size, symmetric)
         prepared = PreparedLayer(W, hess, grid, 0.01)
-        baseline = prepared.baseline
+        baseline, _ = prepared.run(
+            EngineConfig(engine="rtn", bits=3, group_size=group_size, symmetric=symmetric)
+        )
         for token in (
             dict(engine="obs_oracle"),
             dict(engine="gptq"),
@@ -1202,9 +1276,10 @@ class TestRunPeakMemory:
     # super-blocks of S = 32 columns, so d_in = 512 is sixteen of them
     S, D_OUT, D_IN = 32, 4096, 512
 
-    def _peak(self, monkeypatch, engine, built, d_in=D_IN):
-        """The run's peak on a layer whose ``built`` pieces are made first,
-        and its bound: past its bundle's float64 latent weights (8 bytes a
+    def _peak(self, monkeypatch, engine, rtn_first, d_in=D_IN):
+        """The run's peak on a layer whose factor is built first, after an
+        ``rtn`` run on it with ``rtn_first``, and its bound: past its
+        bundle's float64 latent weights (8 bytes a
         weight; the bundle shares the prepared original) and one set of
         int32 codes (4 bytes a weight) a run holds buffers of at most
         d_out x S float64: the driver's super-block errors and product
@@ -1219,22 +1294,23 @@ class TestRunPeakMemory:
         W = np.random.default_rng(57).standard_normal((self.D_OUT, d_in))
         config = EngineConfig(engine=engine, bits=3, group_size=64, block_size=16)
         prepared = PreparedLayer(W, hess, config.grid(), config.damp_ratio)
-        for name in built:
-            getattr(prepared, name)
+        prepared.factor
+        if rtn_first:
+            prepared.run(replace(config, engine="rtn"))
         (q, _), peak = traced_peak(lambda: prepared.run(config))
         assert q.codes.shape == W.shape
         return peak, (8 + 4) * W.size + 6 * 8 * self.D_OUT * self.S
 
     @pytest.mark.parametrize("engine", ["gptq", "foem"])
     def test_run_holds_its_codes_and_super_block_buffers(self, monkeypatch, engine):
-        peak, bound = self._peak(monkeypatch, engine, ("factor", "baseline", "baseline_loss"))
+        peak, bound = self._peak(monkeypatch, engine, rtn_first=True)
         assert peak <= bound
 
     @pytest.mark.parametrize("engine", ["gptq", "foem"])
     def test_run_never_holds_the_rtn_codes_and_its_own(self, monkeypatch, engine):
         # the run builds the RTN baseline and prices its loss, then lets its
         # codes go before the driver makes its own: the same bound holds
-        peak, bound = self._peak(monkeypatch, engine, ("factor",))
+        peak, bound = self._peak(monkeypatch, engine, rtn_first=False)
         assert peak <= bound
 
     @pytest.mark.parametrize("engine", ["gptq", "foem"])
@@ -1254,7 +1330,7 @@ class TestRunPeakMemory:
             return codes
 
         monkeypatch.setattr(engines, "_run_blocked", traced)
-        self._peak(monkeypatch, engine, ("factor",), d_in)
+        self._peak(monkeypatch, engine, False, d_in)
         assert len(peaks) == 1
         assert peaks[0] <= (8 + 1) * self.D_OUT * d_in + 6 * 8 * self.D_OUT * self.S
 

@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import lowbit
 from lowbit import calib, engines, errors, linalg, quantizer, report, tensorio
@@ -14,3 +15,12 @@ def test_package_re_exports_exactly_the_library_modules_all():
         n for n, v in vars(lowbit).items() if not n.startswith("_") and not inspect.ismodule(v)
     }
     assert exported == expected
+
+
+def test_readme_library_use_runs():
+    # the README's "Library use" block, run as written, so an API change
+    # cannot leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
