@@ -57,11 +57,8 @@ prepared layer keeps the baseline's scales, zero points and loss, never
 its codes. ``run_engine`` is one preparation and one run on the caller's
 bundle, which releases the factor as soon as its driver is done, and
 ``compare`` prepares each layer once for all of its engine tokens.
-Neither a bundle nor a prepared layer copies the weights it is given, so
-during its driver a compensating run on a float32 layer holds 13 bytes a
-weight with its caller's array: 4 for that array, 8 for the latent
-weights and 1 for the driver's one-byte codes, which it widens to the
-int32 a ``QuantizedLayer`` holds (4 bytes) once the driver is done.
+Neither a bundle nor a prepared layer copies the weights it is given;
+``PreparedLayer`` counts the bytes a weight that a run holds.
 
 Engines own their LayerBundle exclusively while running. Rows are
 independent given the factor, so all per-column updates are whole-matrix
@@ -101,8 +98,11 @@ def _held(weights) -> np.ndarray:
     view of itself, with no copy, so its owner must not write it while a
     bundle or a prepared layer on it is in use. Every engine computes in
     float64, and a float32 original widens exactly wherever float64
-    arithmetic reads it."""
+    arithmetic reads it. Anything but a 2-D array is refused
+    (``NumericalError``)."""
     weights = np.asarray(weights)
+    if weights.ndim != 2:
+        raise NumericalError(f"weights must be 2-D, got shape {weights.shape}")
     held = weights if weights.dtype == np.float32 else weights.astype(np.float64, copy=False)
     if held.flags.writeable:
         held = held.view()
@@ -117,17 +117,14 @@ class LayerBundle:
     engines; ``original`` is the input as ``_held`` holds it: the caller's
     own array, or a read-only view of it, at float32 for a float32 input
     and float64 otherwise, never copied when it already has one of those
-    precisions. So a bundle costs 8 bytes a weight, its latent weights,
-    for an input at either precision. ``run_engine`` refuses a bundle
-    whose weights no longer equal its original, so a caller who writes the
-    array after building the bundle is caught there.
+    precisions (``PreparedLayer`` counts the bytes a weight that a run
+    holds). ``run_engine`` refuses a bundle whose weights no longer equal
+    its original, so a caller who writes the array after building the
+    bundle is caught there.
     """
 
     def __init__(self, weights: np.ndarray):
-        original = _held(weights)
-        if original.ndim != 2:
-            raise NumericalError(f"weights must be 2-D, got shape {original.shape}")
-        self.original = original
+        self.original = original = _held(weights)
         # a view of an F-ordered input is F-ordered; the drivers want C rows
         self.weights = original.astype(np.float64, order="C")
 
@@ -260,7 +257,7 @@ def foem_block_boundary(
         W[:, t] -= factor.times_upper(errs, rows, t, out=out[:, : t.stop - k])
 
 
-def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
+def _lazy_block_plan(Tb: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the lazy in-block update for one block.
 
     The eager step for local column a of a block of width b is
@@ -273,10 +270,12 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     Unrolled, the drift after any number of steps is D0 (I + A) + E N,
     with D0 the drift at block start, E the errors committed so far, and
     the b x b factors A and N depending only on Tb and c, never on the
-    data. This returns F = [Z; N] (2b x b), with Z = Tb (I + A), column r
+    data. This returns the pair (Z, N^T), with Z = Tb (I + A), column r
     taken at the start of step r: what quantizing column r sees. Z maps
     the block's drift in U-coordinates, X = D0 Tb^(-1), which is what the
-    blocked driver carries, straight to D0 (I + A).
+    blocked driver carries, straight to D0 (I + A). N^T is C-ordered, so
+    the driver reads the coefficients of column r as the contiguous row
+    N^T[r].
 
     With Phi_a = I + c Tb^T P_a Tb the step map, column r of I + A is
     (Phi_0 ... Phi_{r-1}) e_r and entry (a, r) of N, a < r, is
@@ -294,16 +293,14 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     Tb[a:, a+1:], which writes the step's whole block. Z is formed from
     c K, not from I + c K, so that it loses nothing to cancellation.
     Step a is one (b - a) x (b - a - 1) x (b - a - 1) product, so a plan
-    costs about b^4 / 2 flops, whatever d_out is. With c = 0 Z is Tb and N
-    is -triu(Tb, 1).
+    costs about b^4 / 2 flops, whatever d_out is. With c = 0 Z is Tb
+    itself and N is -triu(Tb, 1).
     """
     b = Tb.shape[0]
-    F = np.empty((2 * b, b))
-    F[:b] = Tb
-    N = np.negative(Tb, out=F[b:])
-    N[np.diag_indices(b)] = 0.0
+    NT = np.negative(Tb.T, order="C")
+    NT[np.diag_indices(b)] = 0.0
     if c == 0.0:
-        return F
+        return Tb, NT
     cK = c * (Tb @ Tb.T)
     step = cK.copy()
     step[np.diag_indices(b)] += 1.0
@@ -311,10 +308,9 @@ def _lazy_block_plan(Tb: np.ndarray, c: float) -> np.ndarray:
     for a in range(b - 1, -1, -1):
         R = step[a:, a + 1 :] @ Y[a + 1 :, a + 1 :]
         R += Tb[a:, a + 1 :]
-        np.negative(R[0], out=N[a, a + 1 :])
+        np.negative(R[0], out=NT[a + 1 :, a])
         Y[a:, a + 1 :] = R
-    F[:b] += cK @ Y
-    return F
+    return Tb + cK @ Y, NT
 
 
 # Widths of the driver's levels around the block, in columns. A super-block
@@ -346,9 +342,8 @@ def _run_blocked(
     q_max of 127 (every symmetric grid, whose q_min is -q_max, and the
     asymmetric ones up to 7 bits), else uint8 (an asymmetric 8-bit grid,
     q_min 0 and q_max 255). The caller widens them to int32 once the
-    driver's buffers are gone. With the bundle's float64
-    latent weights the driver holds 9 bytes a weight, past the factor and
-    its buffers of at most d_out x S float64.
+    driver's buffers are gone (``PreparedLayer`` counts the bytes a weight
+    that a run holds).
 
     It reads the factor's U, through its bands, and T's diagonal blocks,
     never the rest of T.
@@ -372,7 +367,7 @@ def _run_blocked(
     all of the super-block's terms to the trailing columns; each of these
     products is written through one d_out x S buffer, S the super-block's
     width. The loop runs on the slab transposed, (b, d_out), so that a
-    column, its row of N, its scaled errors and its codes are contiguous
+    column, its row of N^T, its scaled errors and its codes are contiguous
     rows; the slab, then holding the dequantized block, and the codes are
     written back once per block. The first-order term is block-local, so
     the boundary is the same for both engines. For c = 0 (gptq, or foem
@@ -405,7 +400,7 @@ def _run_blocked(
         e = min(i + B, d_in)
         b = e - i
         Tb = factor.diagonal_block(i, e)
-        plan = _lazy_block_plan(Tb, c)
+        Z, NT = _lazy_block_plan(Tb, c)
         slabT, block_codes = slabs[:b], all_codes[:b]
         errs, X = all_errs[i - s0 : e - s0], trailing[:, :b]
         # the slab at block start, O + X Z, formed transposed (X is zero in
@@ -416,8 +411,7 @@ def _run_blocked(
         for k in range(0, d_out, _ROWS):
             errs[:, k : k + _ROWS] = O[k : k + _ROWS, i:e].T
         np.subtract(W[:, i:e], O[:, i:e], out=X)
-        np.add(np.matmul(plan[:b].T, X.T, out=slabT), errs, out=slabT)
-        NT = plan[b:].T.copy()
+        np.add(np.matmul(Z.T, X.T, out=slabT), errs, out=slabT)
         diagonal = Tb.diagonal().tolist()
         for r0 in range(0, b, _SUB_BLOCK):
             r1 = min(r0 + _SUB_BLOCK, b)
@@ -528,7 +522,12 @@ class PreparedLayer:
     bundle keeps as its original. Past it, a run holds its bundle's float64
     latent weights, 8 bytes a weight, and one set of codes: 1 byte a weight
     during the driver, which writes them in one byte (``_run_blocked``),
-    and 4 for the int32 codes of the run's layer or of the baseline.
+    and 4 for the int32 codes of the run's layer or of the baseline. So
+    past H, U and the driver's buffers of at most d_out x S float64 (S the
+    super-block width), the driver of a compensating run on a float32
+    layer holds 13 bytes a weight with its caller's array: 4 for that
+    array, 8 for the latent weights and 1 for the codes; README "Memory
+    per layer" has the rest of a run's account.
     """
 
     def __init__(
@@ -537,8 +536,6 @@ class PreparedLayer:
         original = _held(weights)
         if not _all_finite(original):
             raise NumericalError("layer weights contain non-finite values")
-        if original.ndim != 2:
-            raise NumericalError(f"weights must be 2-D, got shape {original.shape}")
         if hessian.dim != original.shape[1]:
             raise NumericalError(
                 f"Hessian dim {hessian.dim} does not match layer d_in {original.shape[1]}"

@@ -14,8 +14,11 @@ tensor names and header keys, which makes output bytes a pure function of
 the content.
 
 A quantized-layer artifact records its ``EngineConfig`` as ``x.config``, and
-its grid and engine header keys are derived from it: load refuses an
-artifact without ``x.config`` or with a key that disagrees with it.
+its grid and engine header keys are derived from it. Load refuses, with
+TensorFormatError, an artifact without ``x.config``, one with a key that
+disagrees with it, one whose codes or zero points are not stored as I32
+or whose scales are not F64 or F32, and one whose layer fails
+``QuantizedLayer.validate``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TensorFormatError
+from .errors import ConfigError, NumericalError, TensorFormatError
 from .quantizer import EngineConfig, QuantizedLayer
 
 __all__ = [
@@ -250,13 +253,20 @@ def save_quantized(layer: QuantizedLayer, path: str | os.PathLike) -> None:
     )
 
 
+# the element kinds an artifact's entries may be stored as
+_ARTIFACT_KINDS = {"codes": ("I32",), "scales": ("F64", "F32"), "zero_points": ("I32",)}
+
+
 def load_quantized(path: str | os.PathLike) -> QuantizedLayer:
     """Read back a quantized layer written by :func:`save_quantized`.
 
     ``config`` is rebuilt from ``x.config``, which every artifact must
     carry. Raises TensorFormatError when ``x.config`` is missing or not an
-    object of exactly the config fields with valid values, or when any
-    header key the config fixes (grid or engine) is not what it fixes.
+    object of exactly the config fields with valid values, when any
+    header key the config fixes (grid or engine) is not what it fixes,
+    when ``codes`` or ``zero_points`` is not stored as I32 or ``scales``
+    not as F64 or F32 (checked before any payload is read), and when the
+    layer read fails ``QuantizedLayer.validate``.
     """
     tf = TensorFile.open(path)
     if tf.metadata.get("format") != "lowbit-quantized-v1":
@@ -270,6 +280,12 @@ def load_quantized(path: str | os.PathLike) -> QuantizedLayer:
         config = EngineConfig.from_dict(raw)
     except (json.JSONDecodeError, ConfigError) as exc:
         raise TensorFormatError(f"{tf.path}: malformed metadata: {exc}") from None
+    for name, kinds in _ARTIFACT_KINDS.items():
+        kind = tf._entry(name).dtype_name
+        if kind not in kinds:
+            raise TensorFormatError(
+                f"{tf.path}: {name!r} is stored as {kind}, expected {' or '.join(kinds)}"
+            )
     codes = tf.load("codes")
     if codes.ndim != 2:
         raise TensorFormatError(f"{tf.path}: codes must be 2-D, got shape {codes.shape}")
@@ -285,5 +301,8 @@ def load_quantized(path: str | os.PathLike) -> QuantizedLayer:
         config=config,
         extra=extra,
     )
-    layer.validate()
+    try:
+        layer.validate()
+    except NumericalError as exc:
+        raise TensorFormatError(f"{tf.path}: {exc}") from None
     return layer

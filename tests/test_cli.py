@@ -1242,6 +1242,20 @@ class TestOSErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestHelp:
+    # argparse formats a help string only when help is asked for, so a
+    # string it cannot format (a stray %, say) shows only here
+    @pytest.mark.parametrize(
+        "argv", [[], ["calibrate"], ["quantize"], ["compare"], ["verify"]],
+        ids=["lowbit", "calibrate", "quantize", "compare", "verify"],
+    )
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lowbit")
+
+
 class TestVerify:
     def test_fresh_checkout_passes(self, tmp_path, capsys):
         rc = run_cli("verify", "--out", tmp_path)

@@ -947,14 +947,14 @@ class TestLazyBlockPlan:
     @pytest.mark.parametrize("b", [1, 2, 7, 64, 100, 128])
     def test_matches_forward_recursion(self, b, c):
         Tb = _factor_for(b, 60 + b)[2].matrix
-        plan = engines._lazy_block_plan(Tb, c)
+        Z, NT = engines._lazy_block_plan(Tb, c)
         ref = _reference_lazy_block_plan(Tb, c)
-        assert plan.shape == ref.shape == (2 * b, b)
-        # the plan's drift coefficients come as Z = Tb (I + A)
-        ref[:b] = Tb + Tb @ ref[:b]
-        for half in (slice(0, b), slice(b, 2 * b)):
-            scale = np.abs(ref[half]).max()
-            np.testing.assert_allclose(plan[half], ref[half], rtol=0, atol=1e-12 * scale)
+        assert Z.shape == NT.shape == (b, b) and NT.flags.c_contiguous
+        # the plan's drift coefficients come as Z = Tb (I + A), and its
+        # error coefficients as N^T
+        for got, want in ((Z, Tb + Tb @ ref[:b]), (NT, ref[b:].T)):
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
     def test_peak_is_a_fixed_number_of_blocks(self):
         # the plan is two b x b arrays, and the sweep holds c K, I + c K, Y
@@ -969,9 +969,9 @@ class TestLazyBlockPlan:
         # gptq's lazy batch: no drift coefficients (Z = Tb), and each column
         # reads the errors of the columns before it through -Tb
         Tb = _factor_for(b, 70 + b)[2].matrix
-        plan = engines._lazy_block_plan(Tb, 0.0)
-        assert np.array_equal(plan[:b], Tb)
-        assert np.array_equal(plan[b:], -np.triu(Tb, 1))
+        Z, NT = engines._lazy_block_plan(Tb, 0.0)
+        assert Z is Tb
+        assert np.array_equal(NT, -np.triu(Tb, 1).T)
 
 
 class TestLazyBlockDriver:

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -423,6 +424,58 @@ class TestArtifactHeader:
         layer.extra["config"] = {}
         with pytest.raises(TensorFormatError, match="reserved"):
             save_quantized(layer, tmp_path / "q.safetensors")
+
+
+def _rewrite_tensors(path, **changes):
+    """Rewrite a quantized artifact with some tensors replaced."""
+    tf = TensorFile.open(path)
+    tensors = {name: tf.load(name) for name in tf.names}
+    save_tensors(path, dict(tensors, **changes), metadata=tf.metadata)
+
+
+class TestArtifactPayloads:
+    """A malformed artifact is a format error, found before its payload is
+    read where the header shows it."""
+
+    @pytest.mark.parametrize(
+        "name, stored",
+        [
+            # off the grid once dequantized, at the parent
+            ("codes", lambda a: np.where(a == a.flat[0], 1.5, a).astype(np.float64)),
+            ("codes", lambda a: a.astype(np.int64)),
+            ("zero_points", lambda a: a.astype(np.float64)),
+            ("zero_points", lambda a: a.astype(np.int64)),
+            ("scales", lambda a: np.ones(a.shape, dtype=np.int64)),
+        ],
+        ids=["codes-F64", "codes-I64", "zero_points-F64", "zero_points-I64", "scales-I64"],
+    )
+    def test_entry_of_wrong_element_kind_refused_before_any_payload(
+        self, tmp_path, rng, monkeypatch, name, stored
+    ):
+        path, _ = _engine_artifact(tmp_path, rng, engine="gptq", symmetric=False)
+        _rewrite_tensors(path, **{name: stored(TensorFile.open(path).load(name))})
+        loads = []
+        real_load = TensorFile.load
+        monkeypatch.setattr(TensorFile, "load", lambda tf, n: loads.append(n) or real_load(tf, n))
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: '{name}' is stored as")):
+            load_quantized(path)
+        assert loads == []
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(scales=np.ones(5)), "scales shape"),
+            (dict(codes=np.full((5, 8), 99, dtype=np.int32)), "codes outside grid range"),
+        ],
+        ids=["scales-1d", "codes-off-grid"],
+    )
+    def test_invalid_layer_is_a_format_error(self, tmp_path, rng, changes, message):
+        # save_quantized refuses such a layer with NumericalError; on load
+        # it is a malformed file
+        path, _ = _engine_artifact(tmp_path, rng, engine="gptq")
+        _rewrite_tensors(path, **changes)
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: {message}")):
+            load_quantized(path)
 
 
 class TestConcurrentReads:
